@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -28,10 +29,10 @@ from .gf2poly import (
 )
 from .invseries import (
     InvSeries,
+    _alphabet,
+    _Packing,
     eval_relation_inv,
-    term_depth,
     term_from_monomial,
-    term_mul,
 )
 from .seqcore import EpsSpec
 from .zseries import ZSeries, eval_relation_z
@@ -108,6 +109,8 @@ def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
 
 def compute_G(spec: EpsSpec, precision: int) -> InvSeries:
     """Tail sum past the preperiod: sum over n > l of 1/u_n."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     terms = []
     n = spec.l + 1
     while (1 << n) - 1 < precision:
@@ -120,6 +123,8 @@ def compute_Gn(spec: EpsSpec, n: int, precision: int) -> InvSeries:
     """Residue-class piece: sum over k >= 0 of 1/u_{l+n+kd} (u_0 = 1)."""
     if not 0 <= n < spec.d:
         raise ValueError("period index out of range")
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     terms = []
     idx = spec.l + n
     while (1 << idx) - 1 < precision:
@@ -285,12 +290,20 @@ def _coeff_monomials(
 
 
 class _InvTarget:
-    """Row supplier for inverse-power series targets."""
+    """Row supplier for inverse-power series targets.
+
+    The powers are packed once per search; a row is the powers' codes
+    shifted by the code of the coefficient monomial and cut at the bound,
+    and its keys are codes, ordered as (depth, term) by `key_sort`.
+    """
 
     kind = "inv"
 
-    def __init__(self, target: InvSeries, max_ydeg: int):
+    def __init__(self, target: InvSeries, max_ydeg: int, coeff_deg_bound: int):
         self.powers = [target.power(j) for j in range(max_ydeg + 1)]
+        letters, top = _alphabet(t for p in self.powers for t in p.terms)
+        self.packing = pk = _Packing(letters, top + max(coeff_deg_bound, 0))
+        self.codes = [sorted(map(pk.encode, p.terms)) for p in self.powers]
 
     def letters(self) -> list[str]:
         return sorted({v for t in self.powers[1].terms for v, _ in t})
@@ -299,17 +312,17 @@ class _InvTarget:
         return min(p.precision for p in self.powers)
 
     def support(self, j: int, mon: Monomial, bound) -> list:
-        shift = term_from_monomial(mon)
-        out = []
-        for t in self.powers[j].terms:
-            k = term_mul(t, shift)
-            if term_depth(k) < bound:
-                out.append(k)
-        return out
+        pk = self.packing
+        shift = pk.factor(term_from_monomial(mon))
+        codes = self.codes[j]
+        limit = pk.limit(bound)
+        if limit is not None:
+            codes = codes[: bisect_left(codes, limit - shift)]
+        return [c + shift for c in codes]
 
-    @staticmethod
-    def key_sort(key):
-        return (term_depth(key), key)
+    def key_sort(self, key):
+        pk = self.packing
+        return (pk.depth(key), pk.decode(key))
 
 
 class _ZTarget:
@@ -417,7 +430,7 @@ def find_relation(
         if z_deg_bound is None:
             z_deg_bound = coeff_deg_bound
     elif isinstance(target, InvSeries):
-        adapter = _InvTarget(target, max_ydeg)
+        adapter = _InvTarget(target, max_ydeg, coeff_deg_bound)
         if z_deg_bound is not None:
             raise ValueError("z-degree bound only applies to z-series targets")
     else:

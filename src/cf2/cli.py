@@ -30,6 +30,7 @@ from .laurent import LaurentSeries, cf_expand, cf_value, unbounded_quotient_seri
 from .riccati import QuotientSeq, baum_sweet_check, fn_witness
 from .seqcore import (
     EpsSpec,
+    WordTooLargeError,
     build_word,
     kernel,
     kernel_sorted,
@@ -167,7 +168,7 @@ def cmd_cf_convergents(args) -> int:
 
 def cmd_cf_series(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     if args.target == "Gn":
         if args.index is None:
             raise SystemExit2("--index is required with --target Gn")
@@ -181,7 +182,7 @@ def cmd_cf_series(args) -> int:
 
 def cmd_cf_verify(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     rel = _load_relation(args)
     target = _inv_target(spec, args.target, prec)
     return _residual_out(args, verify_relation(rel, target))
@@ -189,7 +190,7 @@ def cmd_cf_verify(args) -> int:
 
 def cmd_cf_find_relation(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_FIND_PREC
+    prec = args.prec
     target = _inv_target(spec, args.target, prec, headroom=True)
     rels = find_relation(target, args.ydeg, args.coeff_deg, prec=prec)
     return _relation_out(args, rels)
@@ -197,7 +198,7 @@ def cmd_cf_find_relation(args) -> int:
 
 def cmd_cf_min_degree(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_FIND_PREC
+    prec = args.prec
     target = _inv_target(spec, args.target, prec, headroom=True)
     deg, rel = minimal_degree_report(target, args.ydeg, args.coeff_deg, prec=prec)
     if deg is None:
@@ -214,7 +215,7 @@ def cmd_cf_min_degree(args) -> int:
 
 
 def cmd_cf_expand(args) -> int:
-    prec = args.prec or 4096
+    prec = args.prec
     if args.demo == "unbounded":
         s = unbounded_quotient_series(prec)
         var = "x"
@@ -257,7 +258,7 @@ def cmd_cf_expand(args) -> int:
 
 def cmd_ps_series(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     s = compute_F(spec, prec)
     _emit(args, {"eps": str(spec), **s.to_json()}, str(s))
     return 0
@@ -265,7 +266,7 @@ def cmd_ps_series(args) -> int:
 
 def cmd_ps_f0(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     s = compute_F0(spec, prec)
     _emit(args, {"eps": str(spec), **s.to_json()}, str(s))
     return 0
@@ -273,7 +274,7 @@ def cmd_ps_f0(args) -> int:
 
 def cmd_ps_verify(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     rel = _load_relation(args)
     target = _z_target(spec, args.target, prec)
     return _residual_out(args, verify_relation(rel, target))
@@ -281,7 +282,7 @@ def cmd_ps_verify(args) -> int:
 
 def cmd_ps_find_relation(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_FIND_PREC
+    prec = args.prec
     target = _z_target(spec, args.target, prec, headroom=True)
     rels = find_relation(
         target, args.ydeg, args.coeff_deg, z_deg_bound=args.z_deg, prec=prec
@@ -291,7 +292,7 @@ def cmd_ps_find_relation(args) -> int:
 
 def cmd_ps_cartier(args) -> int:
     spec = _spec(args)
-    prec = args.prec or DEFAULT_VERIFY_PREC
+    prec = args.prec
     s = cartier_z(compute_F(spec, prec), args.r)
     _emit(args, {"eps": str(spec), "r": args.r, **s.to_json()}, str(s))
     return 0
@@ -327,7 +328,7 @@ def cmd_riccati_check(args) -> int:
 
 
 def cmd_riccati_baum_sweet(args) -> int:
-    prec = args.prec or 128
+    prec = args.prec
     quots = [UniPoly.parse(s.strip()) for s in args.quotients.split(",")]
     alpha = cf_value(quots, tail_period=args.periodic_tail, precision=prec + 32)
     ok = baum_sweet_check(alpha, prec)
@@ -353,10 +354,17 @@ def _load_relation(args) -> Relation:
         return Relation.from_file_text(fh.read())
 
 
-def _add_common(p, eps=True):
-    if eps:
-        p.add_argument("--eps", required=True, help="seed, e.g. '(ab)' or 'a(bc)'")
-    p.add_argument("--prec", type=int, default=None, help="working precision")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _add_common(p, prec=None):
+    p.add_argument("--eps", required=True, help="seed, e.g. '(ab)' or 'a(bc)'")
+    p.add_argument("--prec", type=_positive_int, default=prec,
+                   help="working precision")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -397,17 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_cf_convergents)
     p = cf.add_parser("series", help="print a series")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G", "Gn"], default="invcf")
     p.add_argument("--index", type=int, default=None, help="n for --target Gn")
     p.set_defaults(func=cmd_cf_series)
     p = cf.add_parser("verify", help="substitute a series into a relation")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
     p.add_argument("--relation-file", required=True)
     p.set_defaults(func=cmd_cf_verify)
     p = cf.add_parser("find-relation", help="bounded search for relations")
-    _add_common(p)
+    _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
     p.add_argument("--ydeg", type=int, required=True)
     p.add_argument("--coeff-deg", type=int, required=True)
@@ -415,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the first relation here")
     p.set_defaults(func=cmd_cf_find_relation)
     p = cf.add_parser("min-degree", help="smallest degree admitting a relation")
-    _add_common(p)
+    _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
     p.add_argument("--ydeg", type=int, required=True, help="degree cap")
     p.add_argument("--coeff-deg", type=int, required=True)
     p.set_defaults(func=cmd_cf_min_degree)
     p = cf.add_parser("expand", help="continued-fraction expansion of a series")
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_positive_int, default=4096)
     p.add_argument("--json", action="store_true")
     p.add_argument("--demo", choices=["unbounded"], default=None,
                    help="built-in series with unbounded partial quotients")
@@ -435,18 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     p = ps.add_parser("series", help="generating series of the sequence")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.set_defaults(func=cmd_ps_series)
     p = ps.add_parser("f0", help="indicator series of the first period slot")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.set_defaults(func=cmd_ps_f0)
     p = ps.add_parser("verify", help="substitute a series into a relation")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--target", choices=["F", "F0"], default="F")
     p.add_argument("--relation-file", required=True)
     p.set_defaults(func=cmd_ps_verify)
     p = ps.add_parser("find-relation", help="bounded search for relations")
-    _add_common(p)
+    _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["F", "F0"], default="F")
     p.add_argument("--ydeg", type=int, required=True)
     p.add_argument("--coeff-deg", type=int, required=True)
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation-file", default=None)
     p.set_defaults(func=cmd_ps_find_relation)
     p = ps.add_parser("cartier", help="halving operator applied to the series")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--r", type=int, choices=[0, 1], required=True)
     p.set_defaults(func=cmd_ps_cartier)
 
@@ -474,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of polynomials in t, e.g. '0, t, t'")
     p.add_argument("--periodic-tail", type=int, default=0,
                    help="repeat the last k quotients forever")
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_positive_int, default=128)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_riccati_baum_sweet)
 
@@ -489,7 +497,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WordTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

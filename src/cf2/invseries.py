@@ -8,11 +8,28 @@ below p.  The norm of a series with minimal term depth m is 2**-m, which
 makes the ring ultrametric; precision is propagated pessimistically
 through every operation so that reported terms never change when a
 pipeline is re-run at higher precision.
+
+Products, inverses and relation-search rows are computed on packed terms
+(packed exponent vectors, after Monagan and Pearce): over a fixed sorted
+alphabet of k letters and a field width w, a term encodes as the int
+
+    depth << (k * w)  +  sum over letters i of (n_i + 2**(w-1)) << (i * w),
+
+so the fields hold biased exponents and the depth sits above them, where
+it orders codes by depth and is read back by one shift.  Adding the code
+of one term to the bias-free code of another (the code minus the sum of
+the biases) gives the code of their product, depth included.  That sum
+cannot carry from one field into the next as long as every exponent of
+every operand and result lies strictly between -2**(w-1) and 2**(w-1);
+`_Packing` derives w from a bound on the exponents of the results
+(computed from the operands' actual exponents, not assumed), and the
+public form stays the tuple one, decoded once per result.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from .gf2poly import Gf2Poly, Monomial, parse_terms
@@ -68,6 +85,84 @@ def term_str(t: InvTerm) -> str:
 
 def term_sort_key(t: InvTerm):
     return (term_depth(t), t)
+
+
+def _alphabet(terms: Iterable[InvTerm]) -> tuple[set[str], int]:
+    """Letters of some terms and the largest |exponent| among them."""
+    letters: set[str] = set()
+    top = 0
+    for t in terms:
+        for v, n in t:
+            letters.add(v)
+            top = max(top, abs(n))
+    return letters, top
+
+
+class _Packing:
+    """Packed codes of terms over one alphabet (see the module docstring).
+
+    `bound` must be at least |n| for every exponent of every term that is
+    encoded, decoded or formed as a sum of codes; the field width is the
+    least one holding +-bound strictly inside its biased range.
+    """
+
+    __slots__ = ("letters", "index", "width", "shift", "bias")
+
+    def __init__(self, letters: Iterable[str], bound: int):
+        self.letters = sorted(letters)
+        self.index = {v: i for i, v in enumerate(self.letters)}
+        self.width = w = bound.bit_length() + 1
+        self.shift = w * len(self.letters)
+        self.bias = sum(1 << (w * i + w - 1) for i in range(len(self.letters)))
+
+    def encode(self, t: InvTerm) -> int:
+        w, index = self.width, self.index
+        code = self.bias
+        depth = 0
+        for v, n in t:
+            code += n << (w * index[v])
+            depth += n
+        return code + (depth << self.shift)
+
+    def factor(self, t: InvTerm) -> int:
+        """Bias-free code of a term: adding it to a code multiplies by t."""
+        return self.encode(t) - self.bias
+
+    def decode(self, code: int) -> InvTerm:
+        w = self.width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        out = []
+        for v in self.letters:
+            n = (code & mask) - half
+            if n:
+                out.append((v, n))
+            code >>= w
+        return tuple(out)
+
+    def depth(self, code: int) -> int:
+        return code >> self.shift
+
+    def limit(self, precision) -> Optional[int]:
+        """Least code of depth >= precision; None when nothing is cut."""
+        if precision == math.inf:
+            return None
+        return math.ceil(precision) << self.shift
+
+    def mul(self, xs: Iterable[int], ys: list[int], precision) -> set[int]:
+        """XOR-sum of the products of depth below precision; ys ascending.
+
+        Each row of products x * ys ends at the first partner whose depth
+        reaches the precision, found by bisection on the codes.
+        """
+        bias = self.bias
+        free = [y - bias for y in ys]
+        limit = self.limit(precision)
+        acc: set[int] = set()
+        for x in xs:
+            row = free if limit is None else free[: bisect_left(free, limit - x)]
+            acc ^= {x + y for y in row}
+        return acc
 
 
 class InvSeries:
@@ -142,14 +237,12 @@ class InvSeries:
         )
         if math.isnan(prec):
             prec = math.inf
-        acc: set[InvTerm] = set()
-        for t1 in self.terms:
-            d1 = term_depth(t1)
-            for t2 in other.terms:
-                if d1 + term_depth(t2) >= prec:
-                    continue
-                acc.symmetric_difference_update((term_mul(t1, t2),))
-        return InvSeries._raw(frozenset(acc), prec)
+        letters, top = _alphabet(self.terms)
+        other_letters, other_top = _alphabet(other.terms)
+        pk = _Packing(letters | other_letters, top + other_top)
+        rows, cols = sorted((self.terms, other.terms), key=len)
+        acc = pk.mul(map(pk.encode, rows), sorted(map(pk.encode, cols)), prec)
+        return InvSeries._raw(frozenset(map(pk.decode, acc)), prec)
 
     def pow2k(self, k: int) -> "InvSeries":
         """Frobenius power 2**k; precision multiplies (char 2)."""
@@ -211,27 +304,31 @@ class InvSeries:
         )
         if precision is not None:
             out_prec = min(out_prec, precision)
-        m_inv = term_neg(m)
-        r = [term_mul(t, m_inv) for t in self.terms if t != m]
-        if r and out_prec == math.inf:
+        others = [t for t in self.terms if t != m]
+        if others and out_prec == math.inf:
             raise ValueError("inverse of a non-monomial needs a finite precision")
-        # geometric sum 1 + r + r^2 + ... ; S truncated so that m^-1 * S
-        # is complete below out_prec
+        # geometric sum 1 + r + r^2 + ... with r = self / m - 1; S truncated
+        # so that m^-1 * S is complete below out_prec
         s_prec = out_prec + m_depth if out_prec != math.inf else math.inf
-        acc: set[InvTerm] = {ONE_TERM}
-        cur = {t for t in r if term_depth(t) < s_prec}
+        # the terms of r have depth >= r_depth >= 1 and exponents within
+        # 2 * top, so a term of r^k below s_prec has k <= kmax, and the
+        # products formed from it (in r^(k+1)) stay within the bound
+        letters, top = _alphabet(self.terms)
+        kmax = 0
+        if others:
+            r_depth = min(map(term_depth, others)) - m_depth
+            kmax = max(0, (math.ceil(s_prec) - 1) // r_depth)
+        pk = _Packing(letters, 2 * (kmax + 1) * top)
+        m_free = pk.factor(m)
+        r = sorted(pk.encode(t) - m_free for t in others)
+        limit = pk.limit(s_prec)
+        acc = {pk.encode(ONE_TERM)}
+        cur = set(r if limit is None else r[: bisect_left(r, limit)])
         while cur:
-            acc.symmetric_difference_update(cur)
-            nxt: set[InvTerm] = set()
-            for t1 in cur:
-                d1 = term_depth(t1)
-                for t2 in r:
-                    if d1 + term_depth(t2) >= s_prec:
-                        continue
-                    nxt.symmetric_difference_update((term_mul(t1, t2),))
-            cur = nxt
+            acc ^= cur
+            cur = pk.mul(cur, r, s_prec)
         return InvSeries._raw(
-            frozenset(term_mul(t, m_inv) for t in acc), out_prec
+            frozenset(pk.decode(c - m_free) for c in acc), out_prec
         )
 
     def sorted_terms(self) -> list[InvTerm]:

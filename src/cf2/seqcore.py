@@ -192,12 +192,14 @@ def _predicted_p0(spec: EpsSpec, horizon: int) -> list[int]:
         for _ in range(d - 1):
             pj = [2 * k + 1 for k in pj]
             h = 2 * h + 1
-        new_hor = 2 * h + 1
-        merged = {2 * k + 1 for k in pj}
+        hor = 2 * h + 1
+        # both maps only move indices upward, so clipping every window at
+        # the horizon drops nothing below it
+        cap = min(hor, horizon)
+        merged = {m for m in (2 * k + 1 for k in pj) if m < cap}
         step = 1 << l
-        merged.update(range(step - 1, new_hor, 2 * step))
-        p0 = sorted(m for m in merged if m < new_hor)
-        hor = new_hor
+        merged.update(range(step - 1, cap, 2 * step))
+        p0 = sorted(merged)
     return [k for k in p0 if k < horizon]
 
 

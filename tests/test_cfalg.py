@@ -135,6 +135,17 @@ class TestTailSeries:
             (("a", 1),)
         ]
 
+    def test_nonpositive_precision_rejected(self):
+        spec = EpsSpec.parse("(ab)")
+        for build in (
+            lambda p: compute_G(spec, p),
+            lambda p: compute_Gn(spec, 0, p),
+            lambda p: compute_inv_cf(spec, p),
+        ):
+            for p in (0, -3):
+                with pytest.raises(ValueError):
+                    build(p)
+
     def test_g0_heads(self):
         g0 = compute_Gn(EpsSpec.parse("(ab)"), 0, 64)
         assert str(g0) == "1 + a^-2*b^-1 + a^-10*b^-5 + a^-42*b^-21"

@@ -53,6 +53,11 @@ class TestSeq:
         code = main(["seq", "prefix", "--eps", "zz", "--len", "4"])
         assert code == 2
 
+    def test_oversized_word_is_usage_error(self, capsys):
+        code = main(["seq", "word", "--eps", "(ab)", "--n", "40"])
+        assert code == 2
+        assert "exceeds the size cap" in capsys.readouterr().err
+
     def test_predicted_needs_distinct_letters(self, capsys):
         code = main(
             ["seq", "positions", "--eps", "(aa)", "--letter", "a",
@@ -238,6 +243,27 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "prefix", "--eps", "(ab)", "--wrong", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cf", "series", "--eps", "(ab)", "--target", "G", "--prec", "-3"],
+            ["cf", "expand", "--exponents", "0,1,5", "--prec", "-5"],
+            ["cf", "series", "--eps", "(ab)", "--prec", "0"],
+            ["ps", "series", "--eps", "(ab)", "--prec", "0"],
+            ["riccati", "baum-sweet", "--quotients", "0, t", "--prec", "0"],
+        ],
+    )
+    def test_nonpositive_precision_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
+
+    def test_default_precision_applies(self, capsys):
+        code, out = run(capsys, "cf", "series", "--eps", "(ab)", "--target", "G")
+        assert code == 0
+        assert out.strip().endswith("(depth < 64)")
 
     def test_deterministic_output(self, capsys):
         outs = set()

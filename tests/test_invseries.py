@@ -5,18 +5,21 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
     Gf2Poly,
     InvSeries,
+    LaurentSeries,
     NotInvertibleError,
+    UniPoly,
     compute_inv_cf,
     eval_relation_inv,
+    specialize_inv,
 )
 from cf2.cfalg import Relation
-from cf2.invseries import term_depth
+from cf2.invseries import term_depth, term_mul
 
 
 @st.composite
@@ -32,6 +35,54 @@ def inv_series(draw, letters="ab", max_terms=5, max_exp=5, finite_prec=True):
         terms.append(tuple(mono))
     prec = draw(st.integers(min_value=5, max_value=40)) if finite_prec else math.inf
     return InvSeries(terms, prec)
+
+
+alphabets = st.sampled_from(["a", "ab", "abc", "abcd"])
+some_series = alphabets.flatmap(lambda letters: inv_series(letters=letters))
+
+
+@st.composite
+def units(draw):
+    """Series with a unique minimal-depth term, so invertible."""
+    s = draw(some_series)
+    (head,) = draw(inv_series(letters="abcd", max_terms=1, finite_prec=False)
+                   .filter(lambda h: len(h.terms) == 1)).terms
+    rest = [t for t in s.terms if term_depth(t) > term_depth(head)]
+    return InvSeries([head, *rest], max(s.precision, term_depth(head) + 1))
+
+
+# Distinct polynomials in t of one common degree DELTA: a term of depth d
+# specialises to a series of 1/t-valuation exactly DELTA * d, so a series
+# known below depth p specialises to one known below 1/t-exponent DELTA * p.
+DELTA = 3
+IMAGES = {
+    v: UniPoly.parse(p)
+    for v, p in zip("abcd", ["t^3", "t^3 + 1", "t^3 + t", "t^3 + t^2 + 1"])
+}
+EXACT_DEPTH = 24  # comparison depth for results of infinite precision
+
+
+def image(s: InvSeries, depth) -> LaurentSeries:
+    """Specialised terms of s, exact below 1/t-exponent DELTA * depth."""
+    assert depth <= s.precision
+    return specialize_inv(InvSeries(s.terms), IMAGES, DELTA * depth)
+
+
+def assert_agree_below(lhs: LaurentSeries, rhs: LaurentSeries, depth):
+    diff = lhs + rhs
+    assert diff.prec >= DELTA * depth
+    assert diff.truncated(DELTA * depth).is_zero()
+
+
+def reference_product(x: InvSeries, y: InvSeries) -> frozenset:
+    """Term-by-term product on tuples, the definition the codes must meet."""
+    prec = (x * y).precision
+    acc: set = set()
+    for t1 in x.terms:
+        for t2 in y.terms:
+            if term_depth(t1) + term_depth(t2) < prec:
+                acc.symmetric_difference_update((term_mul(t1, t2),))
+    return frozenset(acc)
 
 
 class TestDepthNorm:
@@ -140,6 +191,50 @@ class TestInverse:
             pair.v
         ).inverse(precision=20)
         assert cf.truncated(13).terms == finite.truncated(13).terms
+
+
+class TestSpecialisation:
+    """Products and inverses against GF(2)((1/t)) arithmetic, an
+    independent path: letters specialised to polynomials in t."""
+
+    @given(some_series, some_series)
+    @example(InvSeries.parse("a^-1 + a^-2*b^-1", 9),
+             InvSeries.parse("c + c^-3*d^-1 + d^-2", 11))  # disjoint letters
+    @example(InvSeries.one(), InvSeries.parse("a^-1*b^2 + c^-3", 7))
+    @example(InvSeries.zero(6), InvSeries.parse("a + b^-2", 9))
+    @example(InvSeries.one(), InvSeries.zero())
+    @example(InvSeries.parse("a^2*b + c + 1"), InvSeries.parse("a + d^3"))
+    def test_product(self, x, y):
+        prod = x * y
+        assert all(term_depth(t) < prod.precision for t in prod.terms)
+        depth = min(prod.precision, EXACT_DEPTH)
+        dx = min(x.precision, depth - y.depth_norm() if y else depth)
+        dy = min(y.precision, depth - x.depth_norm() if x else depth)
+        assert_agree_below(image(prod, depth), image(x, dx) * image(y, dy), depth)
+
+    @given(units())
+    @example(InvSeries.one())
+    @example(InvSeries.parse("a^2*b + c + 1"))  # exact polynomial
+    @example(InvSeries.parse("a^-1 + c^-2*d^-1", 13))
+    def test_inverse(self, x):
+        exact = x.precision == math.inf and len(x.terms) > 1
+        inv = x.inverse(EXACT_DEPTH if exact else None)
+        m = x.depth_norm()
+        depth = min((inv * x).precision, EXACT_DEPTH)
+        one = LaurentSeries.from_unipoly(UniPoly.one())
+        assert_agree_below(one, image(inv, depth - m) * image(x, depth + m), depth)
+
+    def test_wide_exponent_fields(self):
+        # exponents past 2**20 widen every packed field; products and
+        # inverses must still equal the tuple definition and commute
+        # with the Frobenius map
+        x = InvSeries.parse("a^-1 + a^-2*b^-1 + b*c^-4 + a^-3*c^-2", 12)
+        y = InvSeries.parse("b^-1 + a^2*b^-5 + c^-3", 10)
+        big_x, big_y = x.pow2k(20), y.pow2k(20)
+        for u, v in [(big_x, big_y), (big_x, y), (x, big_y)]:
+            assert (u * v).terms == reference_product(u, v)
+        assert big_x * big_y == (x * y).pow2k(20)
+        assert big_x.inverse() == x.inverse().pow2k(20)
 
 
 class TestPrecision:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cf2 import (
     Constant,
@@ -127,6 +127,17 @@ class TestPositions:
 
     @settings(max_examples=150, deadline=None)
     @given(distinct_specs(), st.integers(min_value=1, max_value=1 << 14))
+    # horizons at and around powers of two and the law's own windows
+    # (8, 71, 575, 4607 for a period of three), where clipping bites
+    @example(EpsSpec.parse("(abc)"), (1 << 12) - 1)
+    @example(EpsSpec.parse("(abc)"), 1 << 12)
+    @example(EpsSpec.parse("(abc)"), (1 << 12) + 1)
+    @example(EpsSpec.parse("(abc)"), 574)
+    @example(EpsSpec.parse("(abc)"), 575)
+    @example(EpsSpec.parse("(abc)"), 576)
+    @example(EpsSpec.parse("a(bcde)"), (1 << 13) - 1)
+    @example(EpsSpec.parse("a(bcde)"), 1 << 13)
+    @example(EpsSpec.parse("ab(c)"), (1 << 10) + 1)
     def test_predicted_matches_enumeration(self, spec, horizon):
         for j in range(spec.d):
             pred = positions_predicted(spec, j, horizon)
