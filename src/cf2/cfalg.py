@@ -23,19 +23,19 @@ from .gf2linalg import nullspace
 from .gf2poly import (
     Gf2Poly,
     Monomial,
-    ONE_MONO,
     mono_deg,
+    mono_gcd,
     mono_mul,
+    mono_pow,
 )
 from .invseries import (
     InvSeries,
     _alphabet,
     _Packing,
     eval_relation_inv,
-    term_from_monomial,
 )
 from .seqcore import EpsSpec
-from .zseries import ZSeries, eval_relation_z
+from .zseries import ZSeries, eval_relation_z, split_z
 
 DEFAULT_VERIFY_PREC = 64
 DEFAULT_FIND_PREC = 256
@@ -78,28 +78,38 @@ def continuant_monomial(spec: EpsSpec, n: int) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def general_continuant(quotients: list[Gf2Poly]) -> tuple[Gf2Poly, Gf2Poly]:
-    """Three-term recurrence from (1, 0) and (q_0, 1)."""
-    p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
+def general_continuant(quotients: list) -> tuple:
+    """Three-term recurrence from (1, 0) and (q_0, 1).
+
+    Runs in the ring of the quotients (Gf2Poly or UniPoly); an empty list
+    gives the Gf2Poly pair (1, 0).
+    """
+    ring = type(quotients[0]) if quotients else Gf2Poly
+    p_prev, q_prev = ring.one(), ring.zero()
     if not quotients:
         return p_prev, q_prev
-    p_cur, q_cur = quotients[0], Gf2Poly.one()
+    p_cur, q_cur = quotients[0], ring.one()
     for u in quotients[1:]:
         p_cur, p_prev = u * p_cur + p_prev, p_cur
         q_cur, q_prev = u * q_cur + q_prev, q_cur
     return p_cur, q_cur
 
 
-def compute_inv_cf(spec: EpsSpec, precision: int) -> InvSeries:
-    """Reciprocal of the continued fraction: sum over n >= 1 of 1/u_n."""
+def _reciprocal_sum(spec: EpsSpec, first: int, step: int, precision: int):
+    """Sum of 1/u_n over n = first, first + step, ... below the precision."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     terms = []
-    n = 1
+    n = first
     while (1 << n) - 1 < precision:
         terms.append(continuant_monomial(spec, n))
-        n += 1
+        n += step
     return InvSeries(terms, precision)
+
+
+def compute_inv_cf(spec: EpsSpec, precision: int) -> InvSeries:
+    """Reciprocal of the continued fraction: sum over n >= 1 of 1/u_n."""
+    return _reciprocal_sum(spec, 1, 1, precision)
 
 
 def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
@@ -109,28 +119,14 @@ def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
 
 def compute_G(spec: EpsSpec, precision: int) -> InvSeries:
     """Tail sum past the preperiod: sum over n > l of 1/u_n."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    terms = []
-    n = spec.l + 1
-    while (1 << n) - 1 < precision:
-        terms.append(continuant_monomial(spec, n))
-        n += 1
-    return InvSeries(terms, precision)
+    return _reciprocal_sum(spec, spec.l + 1, 1, precision)
 
 
 def compute_Gn(spec: EpsSpec, n: int, precision: int) -> InvSeries:
     """Residue-class piece: sum over k >= 0 of 1/u_{l+n+kd} (u_0 = 1)."""
     if not 0 <= n < spec.d:
         raise ValueError("period index out of range")
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    terms = []
-    idx = spec.l + n
-    while (1 << idx) - 1 < precision:
-        terms.append(continuant_monomial(spec, idx))
-        idx += spec.d
-    return InvSeries(terms, precision)
+    return _reciprocal_sum(spec, spec.l + n, spec.d, precision)
 
 
 class Relation:
@@ -162,17 +158,7 @@ class Relation:
         return hash(tuple(sorted((j, c.terms) for j, c in self.coeffs.items())))
 
     def content(self) -> Monomial:
-        common: Optional[dict] = None
-        for c in self.coeffs.values():
-            for m in c.terms:
-                d = dict(m)
-                if common is None:
-                    common = d
-                else:
-                    common = {v: min(e, d[v]) for v, e in common.items() if v in d}
-                if not common:
-                    return ONE_MONO
-        return tuple(sorted(common.items())) if common else ONE_MONO
+        return mono_gcd(m for c in self.coeffs.values() for m in c.terms)
 
     def content_stripped(self) -> "Relation":
         m = self.content()
@@ -289,99 +275,60 @@ def _coeff_monomials(
     return sorted(monos, key=order_key)
 
 
-class _InvTarget:
-    """Row supplier for inverse-power series targets.
+def _graded_terms(s: Series) -> list[tuple[int, Monomial]]:
+    """(depth, term) pairs of a series: an inverse-power term at its own
+    depth, a z-series term as a letter monomial at the depth of its z-order.
+    """
+    if isinstance(s, InvSeries):
+        return [(mono_deg(t), t) for t in s.terms]
+    return [(i, m) for i, c in enumerate(s.coeffs) for m in c.terms]
 
-    The powers are packed once per search; a row is the powers' codes
-    shifted by the code of the coefficient monomial and cut at the bound,
-    and its keys are codes, ordered as (depth, term) by `key_sort`.
+
+def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
+    """(depth shift, term) factor of a coefficient monomial: its z power
+    and letter part on the z side, its inverse-power term otherwise."""
+    if z_side:
+        return split_z(m)
+    t = mono_pow(m, -1)
+    return mono_deg(t), t
+
+
+class _RowSupplier:
+    """Support rows of the unknowns c * y^j, for both series kinds.
+
+    The powers' (depth, term) pairs are packed once per search; a row is
+    the codes of one power shifted by the bias-free code of a coefficient
+    factor and cut at a depth bound.  Its keys are codes, ordered as
+    (depth, term) by `key_sort`.
     """
 
-    kind = "inv"
+    def __init__(self, powers: list, coeff_deg_bound: int):
+        graded = [_graded_terms(p) for p in powers]
+        letters, top = _alphabet(t for g in graded for _, t in g)
+        self.packing = pk = _Packing(letters, top + coeff_deg_bound)
+        self.codes = [sorted(pk.encode(d, t) for d, t in g) for g in graded]
+        self.letters = sorted({v for _, t in graded[1] for v, _ in t})
 
-    def __init__(self, target: InvSeries, max_ydeg: int, coeff_deg_bound: int):
-        self.powers = [target.power(j) for j in range(max_ydeg + 1)]
-        letters, top = _alphabet(t for p in self.powers for t in p.terms)
-        self.packing = pk = _Packing(letters, top + max(coeff_deg_bound, 0))
-        self.codes = [sorted(map(pk.encode, p.terms)) for p in self.powers]
-
-    def letters(self) -> list[str]:
-        return sorted({v for t in self.powers[1].terms for v, _ in t})
-
-    def base_precision(self):
-        return min(p.precision for p in self.powers)
-
-    def support(self, j: int, mon: Monomial, bound) -> list:
-        pk = self.packing
-        shift = pk.factor(term_from_monomial(mon))
+    def support(self, j: int, factor: int, bound) -> list[int]:
         codes = self.codes[j]
-        limit = pk.limit(bound)
+        limit = self.packing.limit(bound)
         if limit is not None:
-            codes = codes[: bisect_left(codes, limit - shift)]
-        return [c + shift for c in codes]
+            codes = codes[: bisect_left(codes, limit - factor)]
+        return [c + factor for c in codes]
 
     def key_sort(self, key):
         pk = self.packing
         return (pk.depth(key), pk.decode(key))
 
 
-class _ZTarget:
-    """Row supplier for z-power-series targets."""
-
-    kind = "z"
-
-    def __init__(self, target: ZSeries, max_ydeg: int):
-        p = target.precision
-        self.powers = [target.power(j, p) for j in range(max_ydeg + 1)]
-        self.precision = p
-
-    def letters(self) -> list[str]:
-        return sorted(
-            {
-                v
-                for c in self.powers[1].coeffs
-                for m in c.terms
-                for v, _ in m
-                if v != "z"
-            }
-        )
-
-    def base_precision(self):
-        return self.precision
-
-    def support(self, j: int, mon: Monomial, bound) -> list:
-        e = 0
-        letter_part = []
-        for v, k in mon:
-            if v == "z":
-                e = k
-            else:
-                letter_part.append((v, k))
-        lm = tuple(letter_part)
-        out = []
-        limit = min(bound, self.precision + e)
-        for order, c in enumerate(self.powers[j].coeffs):
-            if order + e >= limit:
-                break
-            if not c:
-                continue
-            for m in c.terms:
-                out.append((order + e, mono_mul(m, lm)))
-        return out
-
-    @staticmethod
-    def key_sort(key):
-        return key
-
-
-def _residual_support(adapter, unknowns, tag: int, bound) -> set:
+def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
     keys: set = set()
     i = 0
     t = tag
     while t:
         if t & 1:
-            j, mon = unknowns[i]
-            keys.symmetric_difference_update(adapter.support(j, mon, bound))
+            j, factor = shifts[i]
+            keys.symmetric_difference_update(supplier.support(j, factor, bound))
         t >>= 1
         i += 1
     return keys
@@ -425,18 +372,21 @@ def find_relation(
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
-    if isinstance(target, ZSeries):
-        adapter = _ZTarget(target, max_ydeg)
+    z_side = isinstance(target, ZSeries)
+    if z_side:
         if z_deg_bound is None:
             z_deg_bound = coeff_deg_bound
     elif isinstance(target, InvSeries):
-        adapter = _InvTarget(target, max_ydeg, coeff_deg_bound)
         if z_deg_bound is not None:
             raise ValueError("z-degree bound only applies to z-series targets")
     else:
         raise TypeError(f"cannot search relations for {type(target).__name__}")
+    if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
+        raise ValueError("degree bounds must be nonnegative")
 
-    verify_bound = adapter.base_precision() - coeff_deg_bound
+    powers = [target.power(j) for j in range(max_ydeg + 1)]
+    supplier = _RowSupplier(powers, coeff_deg_bound)
+    verify_bound = min(p.precision for p in powers) - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
             f"target precision supports verification below {verify_bound}, "
@@ -445,10 +395,14 @@ def find_relation(
         )
     p_sys = min(prec, verify_bound)
 
-    mons = _coeff_monomials(adapter.letters(), coeff_deg_bound, z_deg_bound)
+    mons = _coeff_monomials(supplier.letters, coeff_deg_bound, z_deg_bound)
+    factors = [
+        supplier.packing.factor(*_graded_coefficient(m, z_side)) for m in mons
+    ]
     unknowns = [(j, m) for j in range(max_ydeg + 1) for m in mons]
+    shifts = [(j, f) for j in range(max_ydeg + 1) for f in factors]
 
-    supports = [adapter.support(j, m, p_sys) for j, m in unknowns]
+    supports = [supplier.support(j, f, p_sys) for j, f in shifts]
     all_keys: set = set()
     for sup in supports:
         all_keys.update(sup)
@@ -458,7 +412,7 @@ def find_relation(
             f"{len(unknowns)} unknowns below depth {p_sys}",
             stacklevel=2,
         )
-    sorted_keys = sorted(all_keys, key=adapter.key_sort)
+    sorted_keys = sorted(all_keys, key=supplier.key_sort)
 
     # solve on the shallowest equations first; widen if the solution space
     # stays implausibly large, since the residual pass below is linear in it
@@ -483,10 +437,10 @@ def find_relation(
 
     # impose the remaining equations exactly, at full available precision
     residuals = [
-        _residual_support(adapter, unknowns, tag, verify_bound) for tag in tags
+        _residual_support(supplier, shifts, tag, verify_bound) for tag in tags
     ]
     if any(residuals):
-        rkeys = sorted(set().union(*residuals), key=adapter.key_sort)
+        rkeys = sorted(set().union(*residuals), key=supplier.key_sort)
         ridx = {k: i for i, k in enumerate(rkeys)}
         rows2 = []
         for res in residuals:
@@ -563,6 +517,8 @@ def minimal_degree_report(
     result means "no relation of smaller degree exists with coefficient
     degree and precision as stated".
     """
+    if ydeg_cap < 1:
+        raise ValueError("ydeg_cap must be at least 1")
     for ydeg in range(1, ydeg_cap + 1):
         rels = find_relation(target, ydeg, coeff_deg_bound, z_deg_bound, prec)
         if rels:

@@ -39,7 +39,7 @@ from .seqcore import (
     stream_prefix,
     Shift,
 )
-from .zseries import cartier_z, compute_F, compute_F0
+from .zseries import compute_F, compute_F0
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -293,7 +293,7 @@ def cmd_ps_find_relation(args) -> int:
 def cmd_ps_cartier(args) -> int:
     spec = _spec(args)
     prec = args.prec
-    s = cartier_z(compute_F(spec, prec), args.r)
+    s = compute_F(spec, prec).cartier(args.r)
     _emit(args, {"eps": str(spec), "r": args.r, **s.to_json()}, str(s))
     return 0
 
@@ -348,8 +348,6 @@ class SystemExit2(Exception):
 
 
 def _load_relation(args) -> Relation:
-    if not args.relation_file:
-        raise SystemExit2("--relation-file is required")
     with open(args.relation_file) as fh:
         return Relation.from_file_text(fh.read())
 
@@ -362,9 +360,11 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(p, prec=None):
+    """--eps and --json, and --prec when the command has a default for it."""
     p.add_argument("--eps", required=True, help="seed, e.g. '(ab)' or 'a(bc)'")
-    p.add_argument("--prec", type=_positive_int, default=prec,
-                   help="working precision")
+    if prec is not None:
+        p.add_argument("--prec", type=_positive_int, default=prec,
+                       help="working precision")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = seq.add_parser("prefix", help="first letters of the sequence")
     _add_common(p)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_positive_int, required=True)
     p.set_defaults(func=cmd_seq_prefix)
     p = seq.add_parser("word", help="n-th doubling word")
     _add_common(p)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = seq.add_parser("positions", help="occurrences of a letter")
     _add_common(p)
     p.add_argument("--letter", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--predicted", action="store_true",
                    help="use the shift-by-one law instead of enumeration")
     p.set_defaults(func=cmd_seq_positions)
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in series with unbounded partial quotients")
     p.add_argument("--exponents", default=None,
                    help="comma list: series sum of t^-e over these e")
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--count", type=_positive_int, default=16)
     p.add_argument("--check-exponent-law", action="store_true")
     p.set_defaults(func=cmd_cf_expand)
 

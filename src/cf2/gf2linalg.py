@@ -32,6 +32,3 @@ def nullspace(rows: list[int], n_cols: int) -> list[int]:
             r ^= b
     return tags
 
-
-def rank(rows: list[int], n_cols: int) -> int:
-    return len(rows) - len(nullspace(rows, n_cols))

@@ -4,7 +4,8 @@ Multivariate polynomials are stored as sets of monomials: the coefficient of
 every stored monomial is 1, so addition is symmetric difference and char-2
 cancellation is automatic.  A monomial is a tuple of (variable, exponent)
 pairs, sorted by variable name, with all exponents positive; the empty tuple
-is the monomial 1.
+is the monomial 1.  The `mono_*` helpers take nonzero exponents of either
+sign, so they also serve the inverse-power terms of `invseries`.
 
 Univariate polynomials over GF(2) are plain int bitsets (bit ``i`` is the
 coefficient of ``t^i``), which keeps the convergent arithmetic in the
@@ -21,6 +22,12 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 ONE_MONO: Monomial = ()
 
 _TOKEN_RE = re.compile(r"\s*([a-z]|\^|\*|\+|-?\d+)")
+
+
+def _even_bit_mask(n: int) -> int:
+    """Mask of the even bit positions 0, 2, 4, ... below n (rounded up)."""
+    n += n % 2
+    return ((1 << n) - 1) // 3
 
 
 class ParseError(ValueError):
@@ -55,6 +62,20 @@ def mono_pow(m: Monomial, k: int) -> Monomial:
 
 def mono_deg(m: Monomial) -> int:
     return sum(e for _, e in m)
+
+
+def mono_gcd(monos: Iterable[Monomial]) -> Monomial:
+    """Largest monomial dividing every given one (1 when there are none)."""
+    common: Optional[dict[str, int]] = None
+    for m in monos:
+        d = dict(m)
+        if common is None:
+            common = d
+        else:
+            common = {v: min(e, d[v]) for v, e in common.items() if v in d}
+        if not common:
+            return ONE_MONO
+    return tuple(sorted(common.items())) if common else ONE_MONO
 
 
 def mono_str(m: Monomial) -> str:
@@ -286,24 +307,13 @@ class Gf2Poly:
 
     def content(self) -> Monomial:
         """Largest monomial dividing every term (1 for the zero poly)."""
-        if not self.terms:
-            return ONE_MONO
-        common: Optional[dict[str, int]] = None
-        for m in self.terms:
-            d = dict(m)
-            if common is None:
-                common = d
-            else:
-                common = {v: min(e, d[v]) for v, e in common.items() if v in d}
-            if not common:
-                return ONE_MONO
-        return tuple(sorted(common.items()))
+        return mono_gcd(self.terms)
 
     def div_monomial(self, m: Monomial) -> "Gf2Poly":
         """Exact division by a monomial dividing every term."""
         if not m:
             return self
-        neg = tuple((v, -e) for v, e in m)
+        neg = mono_pow(m, -1)
         return Gf2Poly._raw(frozenset(mono_mul(t, neg) for t in self.terms))
 
     def sorted_terms(self) -> list[Monomial]:
@@ -415,10 +425,8 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         """Formal d/dt: only odd exponents survive in char 2."""
-        n = self.bits.bit_length() + 1
-        n += n % 2
-        even_positions = ((1 << n) - 1) // 3  # bits 0, 2, 4, ...
-        return UniPoly((self.bits >> 1) & even_positions)
+        even = _even_bit_mask(self.bits.bit_length() + 1)
+        return UniPoly((self.bits >> 1) & even)
 
     def sqrt(self) -> Optional["UniPoly"]:
         acc = 0
@@ -471,22 +479,3 @@ class UniPoly:
             ((var, e),) if e else ONE_MONO for e in self.exponents()
         )
 
-
-def derivative(p, v: Optional[str] = None):
-    """Formal derivative of a Gf2Poly (needs v) or a UniPoly."""
-    if isinstance(p, UniPoly):
-        return p.derivative()
-    if v is None:
-        raise ValueError("multivariate derivative needs a variable")
-    return p.derivative(v)
-
-
-def is_square(p) -> bool:
-    return p.sqrt() is not None
-
-
-def square_root(p):
-    r = p.sqrt()
-    if r is None:
-        raise ValueError("not a perfect square")
-    return r

@@ -2,28 +2,34 @@
 
 A term is a tuple of (variable, n) pairs standing for the product of the
 variables raised to the power -n; positive n means an inverse power, so a
-polynomial part has negative entries.  The depth of a term is the sum of
-its n's, and a series of precision p stores exactly its terms of depth
-below p.  The norm of a series with minimal term depth m is 2**-m, which
-makes the ring ultrametric; precision is propagated pessimistically
-through every operation so that reported terms never change when a
-pipeline is re-run at higher precision.
+polynomial part has negative entries.  A term is thus a `gf2poly`
+monomial in the inverse letters: `mono_deg` is its depth (the sum of its
+n's), and `mono_pow` by -1 converts it to and from an ordinary monomial.
+A series of precision p stores exactly its terms of depth below p.  The
+norm of a series with minimal term depth m is 2**-m, which makes the ring
+ultrametric; precision is propagated pessimistically through every
+operation so that reported terms never change when a pipeline is re-run
+at higher precision.
 
 Products, inverses and relation-search rows are computed on packed terms
 (packed exponent vectors, after Monagan and Pearce): over a fixed sorted
-alphabet of k letters and a field width w, a term encodes as the int
+alphabet of k letters and a field width w, a term at depth d encodes as
+the int
 
-    depth << (k * w)  +  sum over letters i of (n_i + 2**(w-1)) << (i * w),
+    d << (k * w)  +  sum over letters i of (n_i + 2**(w-1)) << (i * w),
 
 so the fields hold biased exponents and the depth sits above them, where
-it orders codes by depth and is read back by one shift.  Adding the code
-of one term to the bias-free code of another (the code minus the sum of
-the biases) gives the code of their product, depth included.  That sum
-cannot carry from one field into the next as long as every exponent of
-every operand and result lies strictly between -2**(w-1) and 2**(w-1);
-`_Packing` derives w from a bound on the exponents of the results
-(computed from the operands' actual exponents, not assumed), and the
-public form stays the tuple one, decoded once per result.
+it orders codes by depth and is read back by one shift.  The depth is an
+input: a series term sits at its own depth, while a relation search also
+packs the z-series terms, letter monomials at the depth of their z-order.
+Adding the code of one term to the bias-free code of another (the code
+minus the sum of the biases) gives the code of their product, depths
+added.  That sum cannot carry from one field into the next as long as
+every exponent of every operand and result lies strictly between
+-2**(w-1) and 2**(w-1); `_Packing` derives w from a bound on the exponents
+of the results (computed from the operands' actual exponents, not
+assumed), and the public form stays the tuple one, decoded once per
+result.
 """
 
 from __future__ import annotations
@@ -32,62 +38,22 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Optional
 
-from .gf2poly import Gf2Poly, Monomial, parse_terms
-
-InvTerm = tuple  # tuple[tuple[str, int], ...], n != 0, sorted by variable
-
-ONE_TERM: InvTerm = ()
+from .gf2poly import (
+    Gf2Poly,
+    Monomial,
+    ONE_MONO,
+    mono_deg,
+    mono_pow,
+    mono_str,
+    parse_terms,
+)
 
 
 class NotInvertibleError(ValueError):
     """No unique minimal-depth term at the current precision."""
 
 
-def term_depth(t: InvTerm) -> int:
-    return sum(n for _, n in t)
-
-
-def term_mul(t1: InvTerm, t2: InvTerm) -> InvTerm:
-    if not t1:
-        return t2
-    if not t2:
-        return t1
-    exps = dict(t1)
-    for v, n in t2:
-        s = exps.get(v, 0) + n
-        if s:
-            exps[v] = s
-        else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
-
-
-def term_neg(t: InvTerm) -> InvTerm:
-    return tuple((v, -n) for v, n in t)
-
-
-def term_pow2k(t: InvTerm, k: int) -> InvTerm:
-    return tuple((v, n << k) for v, n in t)
-
-
-def term_from_monomial(m: Monomial) -> InvTerm:
-    """Embed an ordinary monomial (positive powers, depth -degree)."""
-    return tuple((v, -e) for v, e in m)
-
-
-def term_str(t: InvTerm) -> str:
-    if not t:
-        return "1"
-    return "*".join(
-        (v if n == -1 else f"{v}^{-n}") for v, n in t
-    )
-
-
-def term_sort_key(t: InvTerm):
-    return (term_depth(t), t)
-
-
-def _alphabet(terms: Iterable[InvTerm]) -> tuple[set[str], int]:
+def _alphabet(terms: Iterable[Monomial]) -> tuple[set[str], int]:
     """Letters of some terms and the largest |exponent| among them."""
     letters: set[str] = set()
     top = 0
@@ -115,20 +81,18 @@ class _Packing:
         self.shift = w * len(self.letters)
         self.bias = sum(1 << (w * i + w - 1) for i in range(len(self.letters)))
 
-    def encode(self, t: InvTerm) -> int:
+    def encode(self, depth: int, t: Monomial) -> int:
         w, index = self.width, self.index
         code = self.bias
-        depth = 0
         for v, n in t:
             code += n << (w * index[v])
-            depth += n
         return code + (depth << self.shift)
 
-    def factor(self, t: InvTerm) -> int:
+    def factor(self, depth: int, t: Monomial) -> int:
         """Bias-free code of a term: adding it to a code multiplies by t."""
-        return self.encode(t) - self.bias
+        return self.encode(depth, t) - self.bias
 
-    def decode(self, code: int) -> InvTerm:
+    def decode(self, code: int) -> Monomial:
         w = self.width
         mask = (1 << w) - 1
         half = 1 << (w - 1)
@@ -170,11 +134,11 @@ class InvSeries:
 
     __slots__ = ("terms", "precision")
 
-    def __init__(self, terms: Iterable[InvTerm] = (), precision=math.inf):
-        acc: set[InvTerm] = set()
+    def __init__(self, terms: Iterable[Monomial] = (), precision=math.inf):
+        acc: set[Monomial] = set()
         for t in terms:
             acc.symmetric_difference_update((t,))
-        self.terms = frozenset(t for t in acc if term_depth(t) < precision)
+        self.terms = frozenset(t for t in acc if mono_deg(t) < precision)
         self.precision = precision
 
     @classmethod
@@ -190,23 +154,23 @@ class InvSeries:
 
     @classmethod
     def one(cls, precision=math.inf) -> "InvSeries":
-        return cls((ONE_TERM,), precision)
+        return cls((ONE_MONO,), precision)
 
     @classmethod
     def from_poly(cls, p: Gf2Poly, precision=math.inf) -> "InvSeries":
         """Embed a polynomial in the letters (exactly, by default)."""
-        return cls((term_from_monomial(m) for m in p.terms), precision)
+        return cls((mono_pow(m, -1) for m in p.terms), precision)
 
     @classmethod
     def parse(cls, text: str, precision=math.inf) -> "InvSeries":
         monos = parse_terms(text, allow_negative=True)
-        return cls((tuple((v, -e) for v, e in m) for m in monos), precision)
+        return cls((mono_pow(m, -1) for m in monos), precision)
 
     def depth_norm(self):
         """Minimal term depth; +inf for (truncated-to-)zero series."""
         if not self.terms:
             return math.inf
-        return min(term_depth(t) for t in self.terms)
+        return min(mono_deg(t) for t in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -225,7 +189,7 @@ class InvSeries:
         prec = min(self.precision, other.precision)
         terms = self.terms ^ other.terms
         if prec != math.inf:
-            terms = frozenset(t for t in terms if term_depth(t) < prec)
+            terms = frozenset(t for t in terms if mono_deg(t) < prec)
         return InvSeries._raw(frozenset(terms), prec)
 
     __sub__ = __add__
@@ -241,7 +205,11 @@ class InvSeries:
         other_letters, other_top = _alphabet(other.terms)
         pk = _Packing(letters | other_letters, top + other_top)
         rows, cols = sorted((self.terms, other.terms), key=len)
-        acc = pk.mul(map(pk.encode, rows), sorted(map(pk.encode, cols)), prec)
+        acc = pk.mul(
+            (pk.encode(mono_deg(t), t) for t in rows),
+            sorted(pk.encode(mono_deg(t), t) for t in cols),
+            prec,
+        )
         return InvSeries._raw(frozenset(map(pk.decode, acc)), prec)
 
     def pow2k(self, k: int) -> "InvSeries":
@@ -250,7 +218,7 @@ class InvSeries:
             return self
         prec = self.precision * (1 << k)
         return InvSeries._raw(
-            frozenset(term_pow2k(t, k) for t in self.terms), prec
+            frozenset(mono_pow(t, 1 << k) for t in self.terms), prec
         )
 
     def power(self, j: int) -> "InvSeries":
@@ -268,19 +236,10 @@ class InvSeries:
             k += 1
         return result
 
-    def div_term(self, t: InvTerm) -> "InvSeries":
-        """Exact division by a single term."""
-        neg = term_neg(t)
-        d = term_depth(t)
-        prec = self.precision - d if self.precision != math.inf else math.inf
-        return InvSeries._raw(
-            frozenset(term_mul(s, neg) for s in self.terms), prec
-        )
-
     def truncated(self, precision) -> "InvSeries":
         prec = min(self.precision, precision)
         return InvSeries._raw(
-            frozenset(t for t in self.terms if term_depth(t) < prec), prec
+            frozenset(t for t in self.terms if mono_deg(t) < prec), prec
         )
 
     def inverse(self, precision=None) -> "InvSeries":
@@ -293,7 +252,7 @@ class InvSeries:
         if not self.terms:
             raise NotInvertibleError("zero (at this precision) is not invertible")
         m_depth = self.depth_norm()
-        leading = [t for t in self.terms if term_depth(t) == m_depth]
+        leading = [t for t in self.terms if mono_deg(t) == m_depth]
         if len(leading) > 1:
             raise NotInvertibleError(
                 f"no unique minimal-depth term (depth {m_depth})"
@@ -316,13 +275,13 @@ class InvSeries:
         letters, top = _alphabet(self.terms)
         kmax = 0
         if others:
-            r_depth = min(map(term_depth, others)) - m_depth
+            r_depth = min(map(mono_deg, others)) - m_depth
             kmax = max(0, (math.ceil(s_prec) - 1) // r_depth)
         pk = _Packing(letters, 2 * (kmax + 1) * top)
-        m_free = pk.factor(m)
-        r = sorted(pk.encode(t) - m_free for t in others)
+        m_free = pk.factor(m_depth, m)
+        r = sorted(pk.encode(mono_deg(t), t) - m_free for t in others)
         limit = pk.limit(s_prec)
-        acc = {pk.encode(ONE_TERM)}
+        acc = {pk.encode(0, ONE_MONO)}
         cur = set(r if limit is None else r[: bisect_left(r, limit)])
         while cur:
             acc ^= cur
@@ -331,13 +290,13 @@ class InvSeries:
             frozenset(pk.decode(c - m_free) for c in acc), out_prec
         )
 
-    def sorted_terms(self) -> list[InvTerm]:
-        return sorted(self.terms, key=term_sort_key)
+    def sorted_terms(self) -> list[Monomial]:
+        return sorted(self.terms, key=lambda t: (mono_deg(t), t))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(term_str(t) for t in self.sorted_terms())
+        return " + ".join(mono_str(mono_pow(t, -1)) for t in self.sorted_terms())
 
     def __repr__(self) -> str:
         prec = self.precision
@@ -346,7 +305,7 @@ class InvSeries:
     def to_json(self) -> dict:
         return {
             "terms": [
-                [[[v, n] for v, n in t], term_depth(t)]
+                [[[v, n] for v, n in t], mono_deg(t)]
                 for t in self.sorted_terms()
             ],
             "precision": None if self.precision == math.inf else self.precision,

@@ -12,14 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .gf2poly import UniPoly
+from .gf2poly import UniPoly, _even_bit_mask
 from .invseries import InvSeries
-
-
-
-def _even_bit_mask(n: int) -> int:
-    n += n % 2
-    return ((1 << n) - 1) // 3  # bits 0, 2, 4, ...
 
 
 class LaurentSeries:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from .cfalg import general_continuant
 from .gf2poly import UniPoly
 from .laurent import LaurentSeries
 
@@ -75,15 +76,9 @@ def convergents_uni(q: QuotientSeq, n: int) -> tuple[UniPoly, UniPoly]:
         raise ValueError("n must be at least -1")
     if n >= len(q.pattern):
         raise ValueError("pattern too short")
-    p_prev, q_prev = UniPoly.one(), UniPoly.zero()
     if n == -1:
-        return p_prev, q_prev
-    p_cur, q_cur = q.quotient(0), UniPoly.one()
-    for i in range(1, n + 1):
-        u = q.quotient(i)
-        p_cur, p_prev = u * p_cur + p_prev, p_cur
-        q_cur, q_prev = u * q_cur + q_prev, q_cur
-    return p_cur, q_cur
+        return UniPoly.one(), UniPoly.zero()
+    return general_continuant([q.quotient(i) for i in range(n + 1)])
 
 
 def _fn_poly(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> UniPoly:

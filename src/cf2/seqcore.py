@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 MAX_WORD_LETTERS = 1 << 26
 
@@ -107,17 +107,32 @@ class EpsSpec:
 
 @dataclass(frozen=True)
 class PositionSet:
-    """Strictly increasing indices below a horizon."""
+    """Indices below a horizon, kept as an int bitset: bit k is set when k
+    is in the set (the way `UniPoly` keeps its coefficients), so indices
+    below 2^16 take 8 KB rather than a tuple of int objects."""
 
     horizon: int
-    indices: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise ValueError("indices must be strictly increasing")
-        if idx and (idx[0] < 0 or idx[-1] >= self.horizon):
+        if self.bits < 0 or self.bits >> self.horizon:
             raise ValueError("indices must lie in [0, horizon)")
+
+    @classmethod
+    def of(cls, horizon: int, indices: Iterable[int]) -> "PositionSet":
+        """The set of the given indices, built in one linear pass."""
+        flags = bytearray(b"0" * horizon)  # digit string, top index first
+        for k in indices:
+            if not 0 <= k < horizon:
+                raise ValueError("indices must lie in [0, horizon)")
+            flags[~k] = 49  # "1"
+        return cls(horizon, int(flags, 2) if flags else 0)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The members in increasing order."""
+        digits = format(self.bits, "b")[::-1]
+        return tuple(i for i, c in enumerate(digits) if c == "1")
 
 
 @dataclass(frozen=True)
@@ -145,12 +160,17 @@ def letter_at(spec: EpsSpec, n: int) -> str:
     return spec.letter(((m & -m).bit_length() - 1))
 
 
+def _check_size(n_letters: int, what: str) -> None:
+    """Refuse work on more than MAX_WORD_LETTERS letters."""
+    if n_letters > MAX_WORD_LETTERS:
+        raise WordTooLargeError(f"{what} exceeds the size cap")
+
+
 def build_word(spec: EpsSpec, n: int) -> str:
     """The n-th doubling word (length 2**n - 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if (1 << n) - 1 > MAX_WORD_LETTERS:
-        raise WordTooLargeError(f"word of length 2^{n}-1 exceeds the size cap")
+    _check_size((1 << n) - 1, f"word of length 2^{n}-1")
     w = ""
     for i in range(n):
         w = w + spec.letter(i) + w
@@ -161,15 +181,15 @@ def stream_prefix(spec: EpsSpec, n_letters: int) -> str:
     """First n letters of the limit sequence."""
     if n_letters < 0:
         raise ValueError("length must be nonnegative")
+    _check_size(n_letters, f"prefix of {n_letters} letters")
     return "".join(letter_at(spec, n) for n in range(n_letters))
 
 
 def positions(spec: EpsSpec, letter: str, horizon: int) -> PositionSet:
     """All indices k < horizon with s_k equal to the given letter."""
-    idx = tuple(
-        n for n in range(horizon) if letter_at(spec, n) == letter
-    )
-    return PositionSet(horizon, idx)
+    _check_size(horizon, f"horizon {horizon}")
+    idx = (n for n in range(horizon) if letter_at(spec, n) == letter)
+    return PositionSet.of(horizon, idx)
 
 
 def _predicted_p0(spec: EpsSpec, horizon: int) -> list[int]:
@@ -212,10 +232,11 @@ def positions_predicted(spec: EpsSpec, j: int, horizon: int) -> PositionSet:
         raise DistinctLettersError(f"{spec} has repeated letters")
     if not 0 <= j < spec.d:
         raise ValueError("period index out of range")
+    _check_size(horizon, f"horizon {horizon}")
     pj = _predicted_p0(spec, horizon)
     for _ in range(j):
         pj = [2 * k + 1 for k in pj]
-    return PositionSet(horizon, tuple(k for k in pj if k < horizon))
+    return PositionSet.of(horizon, (k for k in pj if k < horizon))
 
 
 def _element_key(spec: EpsSpec, el: KernelElement):

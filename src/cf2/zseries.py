@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, Monomial
 from .seqcore import EpsSpec, letter_at, positions_predicted
 
 _ZERO = Gf2Poly.zero()
@@ -220,23 +220,25 @@ def compute_F0(spec: EpsSpec, precision: int) -> ZSeries:
     return compute_Fn(spec, 0, precision)
 
 
-def cartier_z(s: ZSeries, r: int) -> ZSeries:
-    return s.cartier(r)
+def split_z(m: Monomial) -> tuple[int, Monomial]:
+    """Power of z and letter part of a monomial in letters and z."""
+    e = 0
+    letters = []
+    for v, k in m:
+        if v == "z":
+            e = k
+        else:
+            letters.append((v, k))
+    return e, tuple(letters)
 
 
 def poly_to_zseries(c: Gf2Poly, precision: int) -> ZSeries:
     """Split a polynomial in letters and z into a coefficient list."""
     coeffs = [_ZERO] * precision
     for m in c.terms:
-        e = 0
-        letters = []
-        for v, k in m:
-            if v == "z":
-                e = k
-            else:
-                letters.append((v, k))
+        e, letters = split_z(m)
         if e < precision:
-            coeffs[e] = coeffs[e] + Gf2Poly.monomial(tuple(letters))
+            coeffs[e] = coeffs[e] + Gf2Poly.monomial(letters)
     return ZSeries(coeffs)
 
 

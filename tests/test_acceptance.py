@@ -37,7 +37,7 @@ from cf2 import (
     positions_predicted,
     unbounded_quotient_series,
 )
-from cf2.invseries import term_mul
+from cf2.gf2poly import mono_mul
 from cf2.riccati import QuotientSeq, convergents_uni, fn_witness, riccati_residual
 from conftest import random_distinct_spec, random_spec
 
@@ -186,7 +186,7 @@ def _functional_equations_hold(spec: EpsSpec, prec: int = 64) -> bool:
     # first-piece self equation
     denom: tuple = ()
     for i in range(spec.d):
-        denom = term_mul(denom, ((spec.period[spec.d - 1 - i], 1 << i),))
+        denom = mono_mul(denom, ((spec.period[spec.d - 1 - i], 1 << i),))
     rhs = InvSeries([continuant_monomial(spec, spec.l)]) + pieces[0].pow2k(
         spec.d
     ) * InvSeries([denom])
@@ -197,7 +197,7 @@ def _functional_equations_hold(spec: EpsSpec, prec: int = 64) -> bool:
     for n in range(spec.d):
         denom = ()
         for i in range(n):
-            denom = term_mul(denom, ((spec.period[i], 1 << (n - 1 - i)),))
+            denom = mono_mul(denom, ((spec.period[i], 1 << (n - 1 - i)),))
         acc = acc + pieces[0].pow2k(n) * InvSeries([denom])
     if (acc.truncated(prec) + g).terms:
         return False

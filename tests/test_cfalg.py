@@ -14,11 +14,11 @@ from cf2 import (
     Relation,
     build_word,
     compute_F,
+    compute_F0,
     compute_G,
     compute_Gn,
     compute_cf,
     compute_inv_cf,
-    cartier_z,
     continuant_monomial,
     continuants,
     find_relation,
@@ -26,8 +26,37 @@ from cf2 import (
     minimal_degree_report,
     verify_relation,
 )
-from cf2.invseries import term_mul
+from cf2.gf2poly import mono_mul
 from conftest import eps_specs
+
+
+# Complete ordered relation lists of searches that return several
+# relations: they pin the basis and the equation order, not only rels[0].
+PINNED_LISTS = [
+    (compute_F0, "(ab)", (3, 2, 4), 64, [
+        "deg 0: 1\n" "deg 1: z + 1\n" "deg 2: z^2 + z\n",
+        "deg 1: 1\n" "deg 2: z + 1\n" "deg 3: z^2 + z\n",
+        "deg 0: 1\n" "deg 2: z + 1\n" "deg 3: z^3 + z\n",
+        "deg 0: z + 1\n" "deg 1: z^2 + 1\n" "deg 2: z^3 + z\n",
+        "deg 0: z + 1\n" "deg 1: z\n" "deg 2: z + 1\n" "deg 3: z^4 + z\n",
+        "deg 0: z^2 + z + 1\n" "deg 1: z^3 + 1\n" "deg 2: z^4 + z\n",
+    ]),
+    (compute_F0, "a(bc)", (2, 3, 8), 128, [
+        "deg 0: z\n" "deg 1: z^2 + 1\n" "deg 2: z^3 + z\n",
+        "deg 0: z^3 + z\n" "deg 1: z^4 + 1\n" "deg 2: z^5 + z\n",
+        "deg 0: z^5 + z^3 + z\n" "deg 1: z^6 + 1\n" "deg 2: z^7 + z\n",
+    ]),
+    (compute_cf, "a(bc)", (4, 6, None), 128, [
+        "deg 0: a^2\n"
+        "deg 2: a^2*b*c\n"
+        "deg 3: a^2*b^2*c + a^2*b*c^2\n"
+        "deg 4: a*b^2*c + a*b*c^2 + c^2\n",
+        "deg 0: a^2*b + a^2*c\n"
+        "deg 2: a^2*b^2*c + a^2*b*c^2\n"
+        "deg 3: a^2*b^3*c + a^2*b*c^3\n"
+        "deg 4: a*b^3*c + a*b*c^3 + b*c^2 + c^3\n",
+    ]),
+]
 
 
 def _inv_letter(ch: str) -> InvSeries:
@@ -65,7 +94,7 @@ class TestContinuants:
         mono = continuant_monomial(spec, n)
         expected: tuple = ()
         for k in range(n):
-            expected = term_mul(
+            expected = mono_mul(
                 tuple((v, e << 1) for v, e in expected), ((spec.letter(k), 1),)
             )
         assert mono == tuple(expected)
@@ -186,7 +215,7 @@ class TestTailSeries:
         g0 = compute_Gn(spec, 0, prec)
         denom: tuple = ()
         for i in range(spec.d):
-            denom = term_mul(denom, ((spec.period[spec.d - 1 - i], 1 << i),))
+            denom = mono_mul(denom, ((spec.period[spec.d - 1 - i], 1 << i),))
         rhs = InvSeries([continuant_monomial(spec, spec.l)]) + g0.pow2k(
             spec.d
         ) * InvSeries([denom])
@@ -203,7 +232,7 @@ class TestTailSeries:
         for n in range(spec.d):
             denom: tuple = ()
             for i in range(n):
-                denom = term_mul(denom, ((spec.period[i], 1 << (n - 1 - i)),))
+                denom = mono_mul(denom, ((spec.period[i], 1 << (n - 1 - i)),))
             acc = acc + g0.pow2k(n) * InvSeries([denom])
         assert not (acc.truncated(prec) + g).terms
 
@@ -299,9 +328,31 @@ class TestFindRelation:
         assert deg_f == 2
         for r in (0, 1):
             deg_r, _ = minimal_degree_report(
-                cartier_z(F, r), 4, 3, 3, prec=128
+                F.cartier(r), 4, 3, 3, prec=128
             )
             assert deg_r is not None and deg_r <= deg_f
+
+    @pytest.mark.parametrize(
+        "build, text, bounds, prec, expected",
+        PINNED_LISTS,
+        ids=["(ab) F0", "a(bc) F0", "a(bc) CF"],
+    )
+    def test_complete_relation_lists(self, build, text, bounds, prec, expected):
+        target = build(EpsSpec.parse(text), 2 * prec + 16)
+        rels = find_relation(target, *bounds, prec=prec)
+        assert [r.to_file_text() for r in rels] == expected
+
+    @pytest.mark.parametrize(
+        "build, bounds",
+        [
+            (compute_G, dict(max_ydeg=4, coeff_deg_bound=-1)),
+            (compute_F, dict(max_ydeg=2, coeff_deg_bound=3, z_deg_bound=-2)),
+        ],
+    )
+    def test_rejects_negative_degree_bounds(self, build, bounds):
+        target = build(EpsSpec.parse("(ab)"), 64)
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_relation(target, prec=16, **bounds)
 
     def test_underdetermined_warns(self):
         g = compute_G(EpsSpec.parse("(ab)"), 16)
@@ -335,6 +386,11 @@ class TestMinimalDegree:
         F = compute_F(EpsSpec.parse("a(bc)"), 520)
         deg, rel = minimal_degree_report(F, 2, 3, 8, prec=256)
         assert deg == 2
+
+    def test_rejects_degree_cap_below_one(self):
+        g = compute_G(EpsSpec.parse("(ab)"), 64)
+        with pytest.raises(ValueError, match="ydeg_cap"):
+            minimal_degree_report(g, 0, 3, prec=16)
 
     def test_none_within_bounds(self):
         g = compute_G(EpsSpec.parse("(ab)"), 280)

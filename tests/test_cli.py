@@ -7,6 +7,7 @@ import json
 import pytest
 
 from cf2.cli import main
+from cf2.seqcore import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -54,9 +55,18 @@ class TestSeq:
         assert code == 2
 
     def test_oversized_word_is_usage_error(self, capsys):
-        code = main(["seq", "word", "--eps", "(ab)", "--n", "40"])
-        assert code == 2
-        assert "exceeds the size cap" in capsys.readouterr().err
+        too_long = str(MAX_WORD_LETTERS + 1)
+        for argv in (
+            ["seq", "word", "--eps", "(ab)", "--n", "40"],
+            ["seq", "prefix", "--eps", "(ab)", "--len", too_long],
+            ["seq", "positions", "--eps", "(ab)", "--letter", "a",
+             "--len", too_long],
+            ["seq", "positions", "--eps", "(ab)", "--letter", "a",
+             "--len", too_long, "--predicted"],
+        ):
+            code = main(argv)
+            assert code == 2
+            assert "exceeds the size cap" in capsys.readouterr().err
 
     def test_predicted_needs_distinct_letters(self, capsys):
         code = main(
@@ -252,6 +262,9 @@ class TestUsage:
             ["cf", "series", "--eps", "(ab)", "--prec", "0"],
             ["ps", "series", "--eps", "(ab)", "--prec", "0"],
             ["riccati", "baum-sweet", "--quotients", "0, t", "--prec", "0"],
+            ["seq", "positions", "--eps", "(ab)", "--letter", "a", "--len", "-5"],
+            ["seq", "prefix", "--eps", "(ab)", "--len", "0"],
+            ["cf", "expand", "--demo", "unbounded", "--count", "-2"],
         ],
     )
     def test_nonpositive_precision_is_usage_error(self, argv, capsys):
@@ -259,6 +272,37 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert "not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "prefix", "--eps", "(ab)", "--len", "4"],
+            ["seq", "word", "--eps", "(ab)", "--n", "3"],
+            ["seq", "positions", "--eps", "(ab)", "--letter", "a", "--len", "8"],
+            ["seq", "kernel", "--eps", "(ab)"],
+            ["cf", "convergents", "--eps", "(ab)", "--n", "2"],
+        ],
+    )
+    def test_prec_only_where_used(self, argv, capsys):
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--prec", "5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cf", "find-relation", "--eps", "(ab)", "--ydeg", "4",
+             "--coeff-deg", "-1", "--prec", "32"],
+            ["ps", "find-relation", "--eps", "(ab)", "--ydeg", "2",
+             "--coeff-deg", "3", "--z-deg", "-2", "--prec", "32"],
+            ["cf", "min-degree", "--eps", "(ab)", "--ydeg", "0",
+             "--coeff-deg", "3", "--prec", "32"],
+        ],
+    )
+    def test_nonsense_search_bounds_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_default_precision_applies(self, capsys):
         code, out = run(capsys, "cf", "series", "--eps", "(ab)", "--target", "G")

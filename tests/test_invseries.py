@@ -14,12 +14,14 @@ from cf2 import (
     LaurentSeries,
     NotInvertibleError,
     UniPoly,
+    compute_G,
+    compute_cf,
     compute_inv_cf,
     eval_relation_inv,
     specialize_inv,
 )
 from cf2.cfalg import Relation
-from cf2.invseries import term_depth, term_mul
+from cf2.gf2poly import mono_deg, mono_mul
 
 
 @st.composite
@@ -47,8 +49,8 @@ def units(draw):
     s = draw(some_series)
     (head,) = draw(inv_series(letters="abcd", max_terms=1, finite_prec=False)
                    .filter(lambda h: len(h.terms) == 1)).terms
-    rest = [t for t in s.terms if term_depth(t) > term_depth(head)]
-    return InvSeries([head, *rest], max(s.precision, term_depth(head) + 1))
+    rest = [t for t in s.terms if mono_deg(t) > mono_deg(head)]
+    return InvSeries([head, *rest], max(s.precision, mono_deg(head) + 1))
 
 
 # Distinct polynomials in t of one common degree DELTA: a term of depth d
@@ -80,8 +82,8 @@ def reference_product(x: InvSeries, y: InvSeries) -> frozenset:
     acc: set = set()
     for t1 in x.terms:
         for t2 in y.terms:
-            if term_depth(t1) + term_depth(t2) < prec:
-                acc.symmetric_difference_update((term_mul(t1, t2),))
+            if mono_deg(t1) + mono_deg(t2) < prec:
+                acc.symmetric_difference_update((mono_mul(t1, t2),))
     return frozenset(acc)
 
 
@@ -159,7 +161,7 @@ class TestInverse:
     @settings(max_examples=300, deadline=None)
     @given(inv_series(max_terms=4, max_exp=3))
     def test_mul_by_inverse_is_one(self, x):
-        leading = [t for t in x.terms if term_depth(t) == x.depth_norm()]
+        leading = [t for t in x.terms if mono_deg(t) == x.depth_norm()]
         if len(leading) != 1:
             return
         inv = x.inverse()
@@ -206,7 +208,7 @@ class TestSpecialisation:
     @example(InvSeries.parse("a^2*b + c + 1"), InvSeries.parse("a + d^3"))
     def test_product(self, x, y):
         prod = x * y
-        assert all(term_depth(t) < prod.precision for t in prod.terms)
+        assert all(mono_deg(t) < prod.precision for t in prod.terms)
         depth = min(prod.precision, EXACT_DEPTH)
         dx = min(x.precision, depth - y.depth_norm() if y else depth)
         dy = min(y.precision, depth - x.depth_norm() if x else depth)
@@ -235,6 +237,49 @@ class TestSpecialisation:
             assert (u * v).terms == reference_product(u, v)
         assert big_x * big_y == (x * y).pow2k(20)
         assert big_x.inverse() == x.inverse().pow2k(20)
+
+
+    @pytest.mark.parametrize(
+        "text, build, relation",
+        [
+            ("(ab)", compute_G,
+             "deg 0: a*b + b^2 + 1\n"
+             "deg 1: a^2*b + a*b^2\n"
+             "deg 2: a*b\n"
+             "deg 4: 1\n"),
+            ("a(bc)", compute_cf,
+             "deg 0: a^2\n"
+             "deg 2: a^2*b*c\n"
+             "deg 3: a^2*b^2*c + a^2*b*c^2\n"
+             "deg 4: a*b^2*c + a*b*c^2 + c^2\n"),
+            ("(aabb)", compute_G,
+             "deg 0: a^11*b^3 + a^10*b^4 + a^3*b^11 + a^2*b^12 + a^6*b^6"
+             " + a^4*b^8 + a^2*b^10 + b^12 + a^6*b^2 + a^4*b^4 + a^2*b^6"
+             " + b^8 + 1\n"
+             "deg 1: a^12*b^3 + a^11*b^4 + a^4*b^11 + a^3*b^12\n"
+             "deg 2: a^11*b^3 + a^10*b^4 + a^8*b^6 + a^6*b^8 + a^4*b^10"
+             " + a^3*b^11\n"
+             "deg 8: a^6*b^2 + a^4*b^4 + a^2*b^6\n"
+             "deg 16: 1\n"),
+        ],
+        ids=["(ab) G", "a(bc) CF", "(aabb) G"],
+    )
+    def test_golden_relation(self, text, build, relation):
+        # the paper's relations vanish on the specialised series, with the
+        # coefficients specialised exactly and the powers formed in
+        # GF(2)((1/t)), below a 1/t-exponent far past the leading terms
+        depth = 128
+        y = image(build(EpsSpec.parse(text), depth), depth)
+        residual = LaurentSeries.zero()
+        y_j = LaurentSeries.from_unipoly(UniPoly.one())
+        j = 0
+        for k, c in Relation.from_file_text(relation).coeffs.items():
+            while j < k:
+                y_j, j = y_j * y, j + 1
+            coeff = specialize_inv(InvSeries.from_poly(c), IMAGES, math.inf)
+            residual = residual + coeff * y_j
+        assert residual.prec >= DELTA * depth // 2
+        assert residual.is_zero()
 
 
 class TestPrecision:

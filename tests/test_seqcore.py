@@ -9,6 +9,7 @@ from cf2 import (
     Constant,
     DistinctLettersError,
     EpsSpec,
+    PositionSet,
     Shift,
     WordTooLargeError,
     build_word,
@@ -124,6 +125,19 @@ class TestPositions:
     def test_distinctness_hypothesis(self):
         with pytest.raises(DistinctLettersError):
             positions_predicted(EpsSpec.parse("(aa)"), 0, 16)
+
+    def test_position_set_bitset(self):
+        ps = PositionSet.of(10, [0, 3, 9])
+        assert ps == PositionSet(10, 0b1000001001)
+        assert ps.indices == (0, 3, 9)
+        assert PositionSet.of(0, ()).indices == ()
+        assert positions(EpsSpec.parse("(ab)"), "b", 8) == PositionSet.of(8, (1, 5, 7))
+        for bad in ((-1,), (10,)):
+            with pytest.raises(ValueError):
+                PositionSet.of(10, bad)
+        for bits in (-1, 1 << 10):
+            with pytest.raises(ValueError):
+                PositionSet(10, bits)
 
     @settings(max_examples=150, deadline=None)
     @given(distinct_specs(), st.integers(min_value=1, max_value=1 << 14))

@@ -8,7 +8,6 @@ from cf2 import (
     EpsSpec,
     Gf2Poly,
     ZSeries,
-    cartier_z,
     compute_F,
     compute_F0,
     compute_Fn,
@@ -164,17 +163,17 @@ class TestChainAndClosedForm:
 class TestCartier:
     def test_even_letters_constant(self):
         F = compute_F(EpsSpec.parse("(ab)"), 32)
-        even = cartier_z(F, 0)
+        even = F.cartier(0)
         assert all(c == Gf2Poly.variable("a") for c in even.coeffs)
 
     def test_shift(self):
         s = ZSeries.indicator([1], 8)  # the series z
-        assert cartier_z(s, 1).coeffs[0] == Gf2Poly.one()
+        assert s.cartier(1).coeffs[0] == Gf2Poly.one()
 
     def test_precision_halves(self):
         s = ZSeries.zero(65)
-        assert cartier_z(s, 0).precision == 33
-        assert cartier_z(s, 1).precision == 32
+        assert s.cartier(0).precision == 33
+        assert s.cartier(1).precision == 32
 
     @settings(max_examples=200, deadline=None)
     @given(eps_specs())
