@@ -359,6 +359,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _convergent_index(text: str) -> int:
+    value = int(text)
+    if value < -1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below -1")
+    return value
+
+
 def _add_common(p, prec=None):
     """--eps and --json, and --prec when the command has a default for it."""
     p.add_argument("--eps", required=True, help="seed, e.g. '(ab)' or 'a(bc)'")
@@ -474,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tags over {a,b,c}, c meaning a+b")
     p.add_argument("--a", required=True, help="polynomial in t")
     p.add_argument("--b", required=True, help="polynomial in t")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_convergent_index, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_riccati_check)
     p = ric.add_parser("baum-sweet", help="degree-one partial quotient membership")

@@ -5,6 +5,11 @@ term, negative for honest polynomials), an int bitset whose bit i is the
 coefficient of t**-(v+i), and a precision: 1/t-exponents below the
 precision are exact.  Exactly known series (embedded polynomials, finite
 continued fractions handled symbolically) carry infinite precision.
+
+Continued-fraction expansion reads the stored bits as a rational function
+and runs Euclid's algorithm on int bitsets, with the known precision
+shrinking by twice each quotient's degree; exact input gives the exact
+finite expansion.
 """
 
 from __future__ import annotations
@@ -134,25 +139,6 @@ class LaurentSeries:
     def truncated(self, prec) -> "LaurentSeries":
         return LaurentSeries(self.val, self.bits, min(self.prec, prec))
 
-    def poly_part(self) -> UniPoly:
-        """Terms with nonnegative t-exponent (1/t-exponent <= 0)."""
-        if self.bits == 0 or self.val > 0:
-            return UniPoly.zero()
-        acc = 0
-        for e in self.support():
-            if e <= 0:
-                acc |= 1 << (-e)
-        return UniPoly(acc)
-
-    def tail(self) -> "LaurentSeries":
-        """Strictly negative-t-exponent part (valuation >= 1)."""
-        if self.bits == 0:
-            return LaurentSeries.zero(self.prec)
-        if self.val >= 1:
-            return self
-        cut = 1 - self.val  # drop bits 0 .. -val (1/t-exponents <= 0)
-        return LaurentSeries(1, self.bits >> cut, self.prec)
-
     def inverse(self, precision=None) -> "LaurentSeries":
         """Inverse via power-series long division of the unit part."""
         if self.bits == 0:
@@ -205,30 +191,45 @@ class CfExpansion(NamedTuple):
 
 
 def cf_expand(s: LaurentSeries, count: int) -> CfExpansion:
-    """Continued-fraction expansion: split off polynomial parts, invert tails.
+    """Continued-fraction expansion by Euclid's algorithm on the stored bits.
 
-    Stops after `count` quotients, or earlier when the remainder vanishes:
-    'rational' if it is exactly zero (infinite precision), 'exhausted' if
-    it is merely zero below the known precision.
+    The stored series is the rational num / t^m (m the largest stored
+    1/t-exponent, at least 0); each quotient is num // den, then
+    (num, den) becomes (den, num mod den).  The value is known below the
+    1/t-exponent P_k: P_0 = s.prec and P_{k+1} = P_k - 2 deg a_{k+1}, so
+    exact input gives the exact finite expansion.  Stops after `count`
+    quotients, or earlier when the value is zero below P_k, when P_k no
+    longer exceeds the value's leading 1/t-exponent (or 0), or when the
+    remainder after a quotient is zero below P_k: 'rational' if that
+    zero is exact (infinite precision), 'exhausted' otherwise.
     """
     quots: list[UniPoly] = []
-    cur = s
+    prec = s.prec
+    vanished = "rational" if prec == math.inf else "exhausted"
+    top = s.val + s.bits.bit_length() - 1  # largest stored 1/t-exponent
+    m = max(top, 0)
+    # bit i (1/t-exponent val + i) becomes the coefficient of t^(m - val - i)
+    num = int(f"{s.bits:b}"[::-1], 2) << (m - top)
+    den = 1 << m
+    dlen = den.bit_length()
     while len(quots) < count:
-        if cur.is_zero():
-            return CfExpansion(
-                tuple(quots),
-                "rational" if cur.prec == math.inf else "exhausted",
-            )
-        if cur.prec != math.inf and cur.prec <= max(cur.val, 0):
+        v = dlen - num.bit_length()  # leading 1/t-exponent of num / den
+        if not num or v >= prec:
+            return CfExpansion(tuple(quots), vanished)
+        if prec <= max(v, 0):
             return CfExpansion(tuple(quots), "exhausted")
-        quots.append(cur.poly_part())
-        r = cur.tail()
-        if r.is_zero():
-            return CfExpansion(
-                tuple(quots),
-                "rational" if r.prec == math.inf else "exhausted",
-            )
-        cur = r.inverse()
+        q = 0
+        while num.bit_length() >= dlen:
+            shift = num.bit_length() - dlen
+            q |= 1 << shift
+            num ^= den << shift
+        quots.append(UniPoly(q))
+        w = dlen - num.bit_length()  # degree of the next quotient
+        if not num or w >= prec:
+            return CfExpansion(tuple(quots), vanished)
+        prec -= 2 * w
+        num, den = den, num
+        dlen = den.bit_length()
     return CfExpansion(tuple(quots), "count")
 
 

@@ -95,6 +95,10 @@ def riccati_residual(q: QuotientSeq, n: int) -> Union[int, float]:
     p, qq = convergents_uni(q, n)
     if not qq:
         raise ValueError("Q_n is zero")
+    return _residual_valuation(q, p, qq)
+
+
+def _residual_valuation(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> Union[int, float]:
     ab = q.a * q.b
     s = q.a + q.b
     num = (
@@ -114,7 +118,7 @@ def fn_witness(q: QuotientSeq, n: int) -> RiccatiWitness:
     root = (f_n + q.a * q.b).sqrt()
     if root is None:
         raise SquareInvariantError(f"F_{n} + ab is not a square for {q}")
-    val = riccati_residual(q, n) if qq else None
+    val = _residual_valuation(q, p, qq) if qq else None
     return RiccatiWitness(n, f_n, root, val)
 
 

@@ -273,6 +273,16 @@ class TestUsage:
         assert exc.value.code == 2
         assert "not a positive integer" in capsys.readouterr().err
 
+    def test_convergent_index_below_minus_one_is_usage_error(self, capsys):
+        argv = ["riccati", "check", "--pattern", "abab", "--a", "t",
+                "--b", "t + 1", "--n"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-5"])
+        assert exc.value.code == 2
+        assert "is below -1" in capsys.readouterr().err
+        assert main(argv + ["-1"]) == 0
+        assert capsys.readouterr().out.strip().startswith("n= -1")
+
     @pytest.mark.parametrize(
         "argv",
         [

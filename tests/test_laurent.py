@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cf2 import (
+    CfExpansion,
     LaurentSeries,
     UniPoly,
     cf_expand,
@@ -14,7 +15,7 @@ from cf2 import (
     specialize_inv,
     unbounded_quotient_series,
 )
-from cf2 import EpsSpec, compute_Gn
+from cf2 import EpsSpec, compute_Gn, general_continuant
 
 
 @st.composite
@@ -29,8 +30,9 @@ class TestBasics:
     def test_from_unipoly(self):
         s = LaurentSeries.from_unipoly(UniPoly.parse("t^3 + t"))
         assert s.support() == [-3, -1]
-        assert s.poly_part() == UniPoly.parse("t^3 + t")
-        assert s.tail().is_zero()
+        assert cf_expand(s, 2) == CfExpansion(
+            (UniPoly.parse("t^3 + t"),), "rational"
+        )
 
     def test_add_and_normalize(self):
         a = LaurentSeries.from_exponents([1, 3], 20)
@@ -96,6 +98,70 @@ class TestCfExpand:
         assert alpha.support()[:4] == [1, 3, 7, 15]
 
 
+def _inverse_loop_expand(s: LaurentSeries, count: int) -> CfExpansion:
+    """Reference expansion: split off the polynomial part, invert the tail."""
+    quots = []
+    cur = s
+    while len(quots) < count:
+        if cur.is_zero():
+            return CfExpansion(
+                tuple(quots), "rational" if cur.prec == math.inf else "exhausted"
+            )
+        if cur.prec != math.inf and cur.prec <= max(cur.val, 0):
+            return CfExpansion(tuple(quots), "exhausted")
+        # bit i holds the 1/t-exponent val + i; bits up to -val are t^0 and up
+        cut = max(1 - cur.val, 0)
+        poly = 0
+        for i in range(min(cut, cur.bits.bit_length())):
+            if cur.bits >> i & 1:
+                poly |= 1 << (-cur.val - i)
+        quots.append(UniPoly(poly))
+        r = LaurentSeries(max(cur.val, 1), cur.bits >> cut, cur.prec)
+        if r.is_zero():
+            return CfExpansion(
+                tuple(quots), "rational" if r.prec == math.inf else "exhausted"
+            )
+        cur = r.inverse()
+    return CfExpansion(tuple(quots), "count")
+
+
+class TestCfExpandAgainstInverseLoop:
+    @given(
+        st.integers(min_value=-10, max_value=19),
+        st.integers(min_value=0, max_value=(1 << 60) - 1),
+        st.one_of(st.just(math.inf), st.integers(min_value=-6, max_value=79)),
+        st.integers(min_value=0, max_value=29),
+    )
+    @example(0, 0, math.inf, 0)  # count 0 on a zero series
+    @example(-3, 0b1011, 0, 5)  # prec <= 0
+    @example(4, 0b101, 3, 5)  # prec <= val
+    @example(-2, 0b1001, math.inf, 5)  # exact tail t^-1 is a monomial
+    @example(1, 0b11, math.inf, 5)  # t^-1 + t^-2 = [0; t + 1, t + 1]
+    def test_same_expansion(self, val, bits, prec, count):
+        s = LaurentSeries(val, bits, prec)
+        got = cf_expand(s, count)
+        try:
+            want = _inverse_loop_expand(s, count)
+        except ValueError:
+            # the loop cannot invert an exact non-monomial tail; the exact
+            # expansion ends in 'rational' and its last convergent is s
+            full = cf_expand(s, 200)
+            assert full.status == "rational"
+            p, q = general_continuant(list(full.quotients))
+            assert s * LaurentSeries.from_unipoly(q) == LaurentSeries.from_unipoly(p)
+            if count < len(full.quotients):
+                assert got == CfExpansion(full.quotients[:count], "count")
+            else:
+                assert got == full
+            return
+        assert got == want
+
+    def test_two_term_tail(self):
+        s = LaurentSeries.from_exponents([1, 2])
+        t1 = UniPoly.parse("t + 1")
+        assert cf_expand(s, 5) == CfExpansion((UniPoly.zero(), t1, t1), "rational")
+
+
 class TestUnboundedQuotients:
     def test_series_terms(self):
         g = unbounded_quotient_series(100)
@@ -116,16 +182,28 @@ class TestUnboundedQuotients:
         assert [q.str_in("x") for q in quots[:9]] == [
             "1", "x", "x^3", "x", "x^11", "x", "x^3", "x", "x^43"
         ]
-        cs = []
-        for q in quots[1:]:
-            exps = list(q.exponents())
-            assert len(exps) == 1
-            cs.append(exps[0])
-        assert len(cs) == 16
-        for n in range(len(cs) // 2):
-            assert cs[2 * n] == 1
-        for n in range((len(cs) - 1) // 2):
-            assert cs[2 * n + 1] == 4 * cs[n] - 1
+        assert len(quots) == 17
+        _assert_exponent_law(quots)
+
+    def test_exponent_law_on_all_quotients_at_2_16(self):
+        result = cf_expand(unbounded_quotient_series(1 << 16), 300)
+        assert result.status == "exhausted"
+        assert len(result.quotients) == 256
+        assert result.quotients[0] == UniPoly.one()
+        _assert_exponent_law(result.quotients)
+
+
+def _assert_exponent_law(quots):
+    """Quotients after the first are x^c_n with c_2n = 1, c_2n+1 = 4c_n - 1."""
+    cs = []
+    for q in quots[1:]:
+        exps = list(q.exponents())
+        assert len(exps) == 1
+        cs.append(exps[0])
+    for n in range(len(cs) // 2):
+        assert cs[2 * n] == 1
+    for n in range((len(cs) - 1) // 2):
+        assert cs[2 * n + 1] == 4 * cs[n] - 1
 
 
 class TestSpecialize:
