@@ -9,6 +9,8 @@ is what makes a bounded-degree linear search for relations effective: the
 finder assembles the GF(2) linear system "sum_j c_j * target^j == 0 below a
 depth", solves it with bitset elimination, re-checks every candidate at
 (at least) doubled precision, and returns canonical representatives.
+Verification runs on the same packed rows: the residual of a relation is
+the XOR of its own shifted power rows, cut at the precision they support.
 """
 
 from __future__ import annotations
@@ -28,14 +30,9 @@ from .gf2poly import (
     mono_mul,
     mono_pow,
 )
-from .invseries import (
-    InvSeries,
-    _alphabet,
-    _Packing,
-    eval_relation_inv,
-)
+from .invseries import InvSeries, _alphabet, _Packing
 from .seqcore import EpsSpec
-from .zseries import ZSeries, eval_relation_z, split_z
+from .zseries import ZSeries, split_z
 
 DEFAULT_VERIFY_PREC = 64
 DEFAULT_FIND_PREC = 256
@@ -231,18 +228,6 @@ class ResidualReport:
         }
 
 
-def verify_relation(rel: Relation, target: Series) -> ResidualReport:
-    """Substitute the target and report whether the residual vanished."""
-    if isinstance(target, InvSeries):
-        residual = eval_relation_inv(rel, target)
-        if residual.terms:
-            return ResidualReport(False, residual.depth_norm(), residual.precision)
-        return ResidualReport(True, None, residual.precision)
-    residual = eval_relation_z(rel, target)
-    order = residual.order()
-    return ResidualReport(order is None, order, residual.precision)
-
-
 def _coeff_monomials(
     letters: list[str], coeff_deg_bound: int, z_deg_bound: Optional[int]
 ) -> list[Monomial]:
@@ -296,18 +281,20 @@ def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
 class _RowSupplier:
     """Support rows of the unknowns c * y^j, for both series kinds.
 
-    The powers' (depth, term) pairs are packed once per search; a row is
-    the codes of one power shifted by the bias-free code of a coefficient
-    factor and cut at a depth bound.  Its keys are codes, ordered as
-    (depth, term) by `key_sort`.
+    The powers' (depth, term) pairs are packed once, over their letters
+    and those of the coefficient factors, with fields wide enough for
+    factors whose exponents stay within `factor_top`; a row is the codes
+    of one power shifted by the bias-free code of a coefficient factor and
+    cut at a depth bound.  Code order is depth order.
     """
 
-    def __init__(self, powers: list, coeff_deg_bound: int):
-        graded = [_graded_terms(p) for p in powers]
-        letters, top = _alphabet(t for g in graded for _, t in g)
-        self.packing = pk = _Packing(letters, top + coeff_deg_bound)
-        self.codes = [sorted(pk.encode(d, t) for d, t in g) for g in graded]
-        self.letters = sorted({v for _, t in graded[1] for v, _ in t})
+    def __init__(self, powers: dict, factor_letters, factor_top: int):
+        graded = {j: _graded_terms(p) for j, p in powers.items()}
+        letters, top = _alphabet(t for g in graded.values() for _, t in g)
+        self.packing = pk = _Packing(letters | set(factor_letters), top + factor_top)
+        self.codes = {
+            j: sorted(pk.encode(d, t) for d, t in g) for j, g in graded.items()
+        }
 
     def support(self, j: int, factor: int, bound) -> list[int]:
         codes = self.codes[j]
@@ -315,10 +302,6 @@ class _RowSupplier:
         if limit is not None:
             codes = codes[: bisect_left(codes, limit - factor)]
         return [c + factor for c in codes]
-
-    def key_sort(self, key):
-        pk = self.packing
-        return (pk.depth(key), pk.decode(key))
 
 
 def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
@@ -334,6 +317,33 @@ def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
     return keys
 
 
+def verify_relation(rel: Relation, target: Series) -> ResidualReport:
+    """Substitute the target and report whether the residual vanished.
+
+    The residual is known below the least precision of its products: a
+    power's precision, lowered (never raised) by the depth of the
+    shallowest factor of its coefficient.
+    """
+    z_side = isinstance(target, ZSeries)
+    factors = {
+        j: [_graded_coefficient(m, z_side) for m in c.terms]
+        for j, c in rel.coeffs.items()
+    }
+    powers = {j: target.power(j) for j in rel.coeffs}
+    precision = min(
+        powers[j].precision + min(0, min(d for d, _ in fs))
+        for j, fs in factors.items()
+    )
+    letters, top = _alphabet(t for fs in factors.values() for _, t in fs)
+    supplier = _RowSupplier(powers, letters, top)
+    pk = supplier.packing
+    shifts = [(j, pk.factor(d, t)) for j, fs in factors.items() for d, t in fs]
+    residual = _residual_support(supplier, shifts, (1 << len(shifts)) - 1, precision)
+    if not residual:
+        return ResidualReport(True, None, precision)
+    return ResidualReport(False, pk.depth(min(residual)), precision)
+
+
 def _materialize(tag: int, unknowns) -> Relation:
     coeffs: dict[int, set] = {}
     i = 0
@@ -344,10 +354,6 @@ def _materialize(tag: int, unknowns) -> Relation:
         tag >>= 1
         i += 1
     return Relation({j: Gf2Poly(ms) for j, ms in coeffs.items() if ms})
-
-
-def _rel_identity(rel: Relation) -> tuple:
-    return tuple(sorted((j, c.terms) for j, c in rel.coeffs.items()))
 
 
 def _relation_sort_key(rel: Relation):
@@ -384,9 +390,10 @@ def find_relation(
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
 
-    powers = [target.power(j) for j in range(max_ydeg + 1)]
-    supplier = _RowSupplier(powers, coeff_deg_bound)
-    verify_bound = min(p.precision for p in powers) - coeff_deg_bound
+    letters = sorted(_alphabet(t for _, t in _graded_terms(target))[0])
+    powers = {j: target.power(j) for j in range(max_ydeg + 1)}
+    supplier = _RowSupplier(powers, letters, coeff_deg_bound)
+    verify_bound = min(p.precision for p in powers.values()) - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
             f"target precision supports verification below {verify_bound}, "
@@ -395,7 +402,7 @@ def find_relation(
         )
     p_sys = min(prec, verify_bound)
 
-    mons = _coeff_monomials(supplier.letters, coeff_deg_bound, z_deg_bound)
+    mons = _coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
     factors = [
         supplier.packing.factor(*_graded_coefficient(m, z_side)) for m in mons
     ]
@@ -412,7 +419,7 @@ def find_relation(
             f"{len(unknowns)} unknowns below depth {p_sys}",
             stacklevel=2,
         )
-    sorted_keys = sorted(all_keys, key=supplier.key_sort)
+    sorted_keys = sorted(all_keys)
 
     # solve on the shallowest equations first; widen if the solution space
     # stays implausibly large, since the residual pass below is linear in it
@@ -440,7 +447,7 @@ def find_relation(
         _residual_support(supplier, shifts, tag, verify_bound) for tag in tags
     ]
     if any(residuals):
-        rkeys = sorted(set().union(*residuals), key=supplier.key_sort)
+        rkeys = sorted(set().union(*residuals))
         ridx = {k: i for i, k in enumerate(rkeys)}
         rows2 = []
         for res in residuals:
@@ -465,16 +472,15 @@ def find_relation(
     if not final_tags:
         return []
 
-    basis: dict[tuple, Relation] = {}
-    for tag in final_tags:
-        rel = _materialize(tag, unknowns).content_stripped()
-        basis.setdefault(_rel_identity(rel), rel)
+    basis = list(dict.fromkeys(
+        _materialize(tag, unknowns).content_stripped() for tag in final_tags
+    ))
 
     dim = len(final_tags)
     if len(basis) == 1:
         # every basis vector is a monomial multiple of one generator, so
         # the whole space is {q * generator} and the generator is minimal
-        return list(basis.values())
+        return basis
     if dim <= enumeration_cap:
         # the whole space consists of multiples of one minimal relation;
         # sweep it for the representative with smallest coefficients
@@ -497,9 +503,9 @@ def find_relation(
             "the first relation may not be the smallest representative",
             stacklevel=2,
         )
-        best = min(basis.values(), key=_relation_sort_key)
+        best = min(basis, key=_relation_sort_key)
 
-    rest = [r for k, r in basis.items() if k != _rel_identity(best)]
+    rest = [r for r in basis if r != best]
     rest.sort(key=_relation_sort_key)
     return [best, *rest]
 

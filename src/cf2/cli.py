@@ -53,25 +53,20 @@ def _spec(args) -> EpsSpec:
     return EpsSpec.parse(args.eps)
 
 
-def _inv_target(spec: EpsSpec, name: str, prec: int, headroom: bool = False):
-    """Series targets; with headroom, deep enough to verify at 2x prec."""
-    depth = 2 * prec + 64 if headroom else prec
-    if name == "G":
-        return compute_G(spec, depth)
-    if name == "invcf":
-        return compute_inv_cf(spec, depth)
-    if name == "cf":
-        return compute_cf(spec, depth)
-    raise ValueError(f"unknown target {name!r}")
+# --target name -> series builder (spec, precision)
+_TARGETS = {
+    "G": compute_G,
+    "invcf": compute_inv_cf,
+    "cf": compute_cf,
+    "F": compute_F,
+    "F0": compute_F0,
+}
 
 
-def _z_target(spec: EpsSpec, name: str, prec: int, headroom: bool = False):
-    depth = 2 * prec + 64 if headroom else prec
-    if name == "F":
-        return compute_F(spec, depth)
-    if name == "F0":
-        return compute_F0(spec, depth)
-    raise ValueError(f"unknown target {name!r}")
+def _target(args, spec: EpsSpec, headroom: bool = False):
+    """The --target series; with headroom, deep enough to verify at 2x prec."""
+    depth = 2 * args.prec + 64 if headroom else args.prec
+    return _TARGETS[args.target](spec, depth)
 
 
 def _relation_out(args, rels: list[Relation]) -> int:
@@ -96,6 +91,20 @@ def _residual_out(args, report) -> int:
     )
     _emit(args, report.to_json(), text)
     return 0 if report.vanished else 1
+
+
+def cmd_verify(args) -> int:
+    spec = _spec(args)
+    rel = _load_relation(args)
+    return _residual_out(args, verify_relation(rel, _target(args, spec)))
+
+
+def cmd_find_relation(args) -> int:
+    target = _target(args, _spec(args), headroom=True)
+    rels = find_relation(
+        target, args.ydeg, args.coeff_deg, z_deg_bound=args.z_deg, prec=args.prec
+    )
+    return _relation_out(args, rels)
 
 
 # ---------------------------------------------------------------- seq
@@ -174,32 +183,16 @@ def cmd_cf_series(args) -> int:
             raise SystemExit2("--index is required with --target Gn")
         s = compute_Gn(spec, args.index, prec)
     else:
-        s = _inv_target(spec, args.target, prec)
+        s = _target(args, spec)
     text = f"{s}  (depth < {s.precision})"
     _emit(args, {"eps": str(spec), "target": args.target, **s.to_json()}, text)
     return 0
 
 
-def cmd_cf_verify(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    rel = _load_relation(args)
-    target = _inv_target(spec, args.target, prec)
-    return _residual_out(args, verify_relation(rel, target))
-
-
-def cmd_cf_find_relation(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    target = _inv_target(spec, args.target, prec, headroom=True)
-    rels = find_relation(target, args.ydeg, args.coeff_deg, prec=prec)
-    return _relation_out(args, rels)
-
-
 def cmd_cf_min_degree(args) -> int:
     spec = _spec(args)
     prec = args.prec
-    target = _inv_target(spec, args.target, prec, headroom=True)
+    target = _target(args, spec, headroom=True)
     deg, rel = minimal_degree_report(target, args.ydeg, args.coeff_deg, prec=prec)
     if deg is None:
         _emit(args, {"degree": None}, "no relation within bounds")
@@ -258,36 +251,9 @@ def cmd_cf_expand(args) -> int:
 
 def cmd_ps_series(args) -> int:
     spec = _spec(args)
-    prec = args.prec
-    s = compute_F(spec, prec)
+    s = _target(args, spec)
     _emit(args, {"eps": str(spec), **s.to_json()}, str(s))
     return 0
-
-
-def cmd_ps_f0(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    s = compute_F0(spec, prec)
-    _emit(args, {"eps": str(spec), **s.to_json()}, str(s))
-    return 0
-
-
-def cmd_ps_verify(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    rel = _load_relation(args)
-    target = _z_target(spec, args.target, prec)
-    return _residual_out(args, verify_relation(rel, target))
-
-
-def cmd_ps_find_relation(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    target = _z_target(spec, args.target, prec, headroom=True)
-    rels = find_relation(
-        target, args.ydeg, args.coeff_deg, z_deg_bound=args.z_deg, prec=prec
-    )
-    return _relation_out(args, rels)
 
 
 def cmd_ps_cartier(args) -> int:
@@ -420,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
     p.add_argument("--relation-file", required=True)
-    p.set_defaults(func=cmd_cf_verify)
+    p.set_defaults(func=cmd_verify)
     p = cf.add_parser("find-relation", help="bounded search for relations")
     _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
@@ -428,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff-deg", type=int, required=True)
     p.add_argument("--relation-file", default=None,
                    help="also write the first relation here")
-    p.set_defaults(func=cmd_cf_find_relation)
+    p.set_defaults(func=cmd_find_relation, z_deg=None)
     p = cf.add_parser("min-degree", help="smallest degree admitting a relation")
     _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
@@ -451,15 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = ps.add_parser("series", help="generating series of the sequence")
     _add_common(p, DEFAULT_VERIFY_PREC)
-    p.set_defaults(func=cmd_ps_series)
+    p.set_defaults(func=cmd_ps_series, target="F")
     p = ps.add_parser("f0", help="indicator series of the first period slot")
     _add_common(p, DEFAULT_VERIFY_PREC)
-    p.set_defaults(func=cmd_ps_f0)
+    p.set_defaults(func=cmd_ps_series, target="F0")
     p = ps.add_parser("verify", help="substitute a series into a relation")
     _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--target", choices=["F", "F0"], default="F")
     p.add_argument("--relation-file", required=True)
-    p.set_defaults(func=cmd_ps_verify)
+    p.set_defaults(func=cmd_verify)
     p = ps.add_parser("find-relation", help="bounded search for relations")
     _add_common(p, DEFAULT_FIND_PREC)
     p.add_argument("--target", choices=["F", "F0"], default="F")
@@ -467,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff-deg", type=int, required=True)
     p.add_argument("--z-deg", type=int, default=8)
     p.add_argument("--relation-file", default=None)
-    p.set_defaults(func=cmd_ps_find_relation)
+    p.set_defaults(func=cmd_find_relation)
     p = ps.add_parser("cartier", help="halving operator applied to the series")
     _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--r", type=int, choices=[0, 1], required=True)

@@ -297,11 +297,6 @@ class Gf2Poly:
             return -1
         return max(mono_deg(m) for m in self.terms)
 
-    def degree_in(self, v: str) -> int:
-        if not self.terms:
-            return -1
-        return max(dict(m).get(v, 0) for m in self.terms)
-
     def variables(self) -> set[str]:
         return {v for m in self.terms for v, _ in m}
 
@@ -473,9 +468,3 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-    def to_gf2poly(self, var: str = "t") -> Gf2Poly:
-        return Gf2Poly(
-            ((var, e),) if e else ONE_MONO for e in self.exponents()
-        )
-

@@ -318,11 +318,3 @@ class InvSeries:
             (tuple((str(v), int(n)) for v, n in pairs) for pairs, _ in data["terms"]),
             math.inf if prec is None else prec,
         )
-
-
-def eval_relation_inv(rel, s: InvSeries) -> InvSeries:
-    """Residual of sum_j c_j * s**j with letter-polynomial coefficients."""
-    residual = InvSeries.zero()
-    for j, c in rel.coeffs.items():
-        residual = residual + InvSeries.from_poly(c) * s.power(j)
-    return residual

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .gf2poly import Gf2Poly, Monomial
-from .seqcore import EpsSpec, letter_at, positions_predicted
+from .seqcore import EpsSpec, _check_size, letter_at, positions_predicted
 
 _ZERO = Gf2Poly.zero()
 _ONE = Gf2Poly.one()
@@ -168,6 +168,7 @@ def compute_F(spec: EpsSpec, precision: int) -> ZSeries:
     """Generating series of the sequence letters: sum_j s_j z^j."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
+    _check_size(precision, f"horizon {precision}")
     return ZSeries(
         Gf2Poly.variable(letter_at(spec, j)) for j in range(precision)
     )
@@ -179,6 +180,7 @@ def compute_R(spec: EpsSpec, precision: int) -> ZSeries:
     Expansion of (sum_{k<2^l-1} s_k z^k) / (1 + z^{2^l}); zero when the
     preperiod is empty.
     """
+    _check_size(precision, f"horizon {precision}")
     step = 1 << spec.l
     head = [Gf2Poly.variable(letter_at(spec, k)) for k in range(step - 1)]
     coeffs = []
@@ -230,22 +232,3 @@ def split_z(m: Monomial) -> tuple[int, Monomial]:
         else:
             letters.append((v, k))
     return e, tuple(letters)
-
-
-def poly_to_zseries(c: Gf2Poly, precision: int) -> ZSeries:
-    """Split a polynomial in letters and z into a coefficient list."""
-    coeffs = [_ZERO] * precision
-    for m in c.terms:
-        e, letters = split_z(m)
-        if e < precision:
-            coeffs[e] = coeffs[e] + Gf2Poly.monomial(letters)
-    return ZSeries(coeffs)
-
-
-def eval_relation_z(rel, s: ZSeries) -> ZSeries:
-    """Residual of sum_j c_j(z, letters) * s**j, truncated to s's precision."""
-    p = s.precision
-    residual = ZSeries.zero(p)
-    for j, c in rel.coeffs.items():
-        residual = residual + poly_to_zseries(c, p) * s.power(j, p)
-    return residual

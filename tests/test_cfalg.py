@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
     Gf2Poly,
     InvSeries,
     Relation,
+    ResidualReport,
+    ZSeries,
     build_word,
     compute_F,
     compute_F0,
@@ -27,6 +29,7 @@ from cf2 import (
     verify_relation,
 )
 from cf2.gf2poly import mono_mul
+from cf2.zseries import split_z
 from conftest import eps_specs
 
 
@@ -237,7 +240,80 @@ class TestTailSeries:
         assert not (acc.truncated(prec) + g).terms
 
 
+TARGETS = {
+    "G": compute_G,
+    "invcf": compute_inv_cf,
+    "cf": compute_cf,
+    "F": compute_F,
+    "F0": compute_F0,
+}
+
+QUARTIC_G = Relation.from_file_text(
+    "deg 0: a*b + b^2 + 1\ndeg 1: a^2*b + a*b^2\ndeg 2: a*b\ndeg 4: 1\n"
+)
+QUADRATIC_F = Relation.from_file_text(
+    "deg 0: a^2*z + a*b*z + b^2*z + a^2 + a*b\n"
+    "deg 1: a*z^2 + b*z^2 + a + b\ndeg 2: z^3 + z\n"
+)
+
+
+def _series_residual(rel: Relation, s) -> ResidualReport:
+    """Reference: the residual formed by series products and sums."""
+    if isinstance(s, InvSeries):
+        residual = InvSeries.zero()
+        for j, c in rel.coeffs.items():
+            residual = residual + InvSeries.from_poly(c) * s.power(j)
+        if residual.terms:
+            return ResidualReport(False, residual.depth_norm(), residual.precision)
+        return ResidualReport(True, None, residual.precision)
+    p = s.precision
+    residual = ZSeries.zero(p)
+    for j, c in rel.coeffs.items():
+        coeffs = [Gf2Poly.zero()] * p
+        for m in c.terms:
+            e, letters = split_z(m)
+            if e < p:
+                coeffs[e] = coeffs[e] + Gf2Poly.monomial(letters)
+        residual = residual + ZSeries(coeffs) * s.power(j, p)
+    order = residual.order()
+    return ResidualReport(order is None, order, residual.precision)
+
+
+@st.composite
+def verify_cases(draw):
+    """(seed, target name, precision, relation); the relation's letters are
+    the seed's, a foreign letter x and z, and one in five relations has
+    only a constant term."""
+    spec = draw(eps_specs(max_pre=2, max_per=3, n_letters=4))
+    alphabet = sorted(set(spec.preperiod + spec.period)) + ["x", "z"]
+    monomials = st.dictionaries(
+        st.sampled_from(alphabet), st.integers(1, 4), max_size=3
+    ).map(lambda d: tuple(sorted(d.items())))
+    polys = st.lists(monomials, min_size=1, max_size=4).map(Gf2Poly).filter(bool)
+    if draw(st.integers(0, 4)) == 0:
+        js = [0]
+    else:
+        js = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    rel = Relation({j: draw(polys) for j in js})
+    return spec, draw(st.sampled_from(sorted(TARGETS))), draw(st.integers(1, 80)), rel
+
+
+PD = EpsSpec.parse("(ab)")
+
+
 class TestVerifyRelation:
+    @settings(max_examples=300, deadline=None)
+    @given(verify_cases())
+    @example((PD, "G", 64, QUARTIC_G))
+    @example((PD, "G", 1, QUARTIC_G))
+    @example((PD, "F", 64, QUADRATIC_F))
+    @example((PD, "F0", 80, QUADRATIC_F))
+    def test_matches_series_arithmetic(self, case):
+        spec, name, prec, rel = case
+        s = TARGETS[name](spec, prec)
+        # repr, not ==, so that an int precision never passes for a float
+        assert repr(verify_relation(rel, s)) == repr(_series_residual(rel, s))
+
     def test_quartic(self):
         g = compute_G(EpsSpec.parse("(ab)"), 64)
         rel = Relation(

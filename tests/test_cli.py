@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import cf2
 from cf2.cli import main
 from cf2.seqcore import MAX_WORD_LETTERS
 
@@ -63,6 +64,11 @@ class TestSeq:
              "--len", too_long],
             ["seq", "positions", "--eps", "(ab)", "--letter", "a",
              "--len", too_long, "--predicted"],
+            ["ps", "series", "--eps", "(ab)", "--prec", too_long],
+            ["ps", "cartier", "--eps", "(ab)", "--r", "0", "--prec", too_long],
+            # the search target is 2 * prec + 64 deep
+            ["ps", "find-relation", "--eps", "(ab)", "--ydeg", "2",
+             "--coeff-deg", "1", "--prec", str(MAX_WORD_LETTERS // 2 + 1)],
         ):
             code = main(argv)
             assert code == 2
@@ -241,6 +247,70 @@ class TestRiccati:
             "--periodic-tail", "1",
         )
         assert code == 1
+
+
+RELATION_FILES = {
+    "G": "deg 0: a*b + b^2 + 1\ndeg 1: a^2*b + a*b^2\ndeg 2: a*b\ndeg 4: 1\n",
+    "F": "deg 0: a^2*z + a*b*z + b^2*z + a^2 + a*b\n"
+         "deg 1: a*z^2 + b*z^2 + a + b\ndeg 2: z^3 + z\n",
+    "y": "deg 1: 1\n",
+    # x is absent from the seed
+    "x": "deg 0: x*z + a\ndeg 2: z\n",
+}
+
+
+def _report_json(vanished, depth, precision):
+    return (f'{{\n  "precision": {precision},\n  "residual_depth": {depth},'
+            f'\n  "vanished": {vanished}\n}}\n')
+
+
+# (argv, relation file or None, exit code, exact stdout)
+V = ["--eps", "(ab)", "--prec", "40"]
+PINNED_CALLS = [
+    (["cf", "verify", *V], "G", 0, "vanished below precision 37\n"),
+    (["cf", "verify", *V, "--json"], "G", 0, _report_json("true", "null", 37)),
+    (["cf", "verify", *V], "y", 1, "residual at depth 1 (precision 40)\n"),
+    (["cf", "verify", *V, "--json"], "y", 1, _report_json("false", 1, 40)),
+    (["cf", "verify", *V], "x", 1, "residual at depth -2 (precision 79)\n"),
+    (["cf", "verify", *V, "--json"], "x", 1, _report_json("false", -2, 79)),
+    (["ps", "verify", *V], "F", 0, "vanished below precision 40\n"),
+    (["ps", "verify", *V, "--json"], "F", 0, _report_json("true", "null", 40)),
+    (["ps", "verify", *V], "y", 1, "residual at depth 0 (precision 40)\n"),
+    (["ps", "verify", *V, "--json"], "y", 1, _report_json("false", 0, 40)),
+    (["ps", "verify", *V], "x", 1, "residual at depth 0 (precision 40)\n"),
+    (["ps", "verify", *V, "--json"], "x", 1, _report_json("false", 0, 40)),
+    (["cf", "find-relation", "--eps", "(ab)", "--ydeg", "4", "--coeff-deg", "3",
+      "--prec", "32"], None, 0,
+     "(a*b + b^2 + 1) + (a^2*b + a*b^2)*y + (a*b)*y^2 + y^4\n"),
+    (["ps", "find-relation", "--eps", "(ab)", "--ydeg", "2", "--coeff-deg", "2",
+      "--z-deg", "2", "--target", "F0", "--prec", "32"], None, 0,
+     "(1) + (z + 1)*y + (z^2 + z)*y^2\n"),
+    (["ps", "series", "--eps", "a(bc)", "--prec", "8"], None, 0,
+     "a + b*z + a*z^2 + c*z^3 + a*z^4 + b*z^5 + a*z^6 + b*z^7 + O(z^8)\n"),
+    (["ps", "f0", "--eps", "a(bc)", "--prec", "8"], None, 0,
+     "z + z^5 + z^7 + O(z^8)\n"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize(
+        "argv, relation, code, stdout", PINNED_CALLS,
+        ids=[" ".join(filter(None, [*c[0][:2], "json" * ("--json" in c[0]), c[1]]))
+             for c in PINNED_CALLS],
+    )
+    def test_stdout_and_exit_code(self, argv, relation, code, stdout, capsys,
+                                  tmp_path):
+        if relation is not None:
+            path = tmp_path / "rel.txt"
+            path.write_text(RELATION_FILES[relation])
+            argv = argv + ["--relation-file", str(path)]
+        assert run(capsys, *argv) == (code, stdout)
+
+
+def test_public_names_resolve_once():
+    assert len(set(cf2.__all__)) == len(cf2.__all__)
+    for name in cf2.__all__:
+        assert getattr(cf2, name) is not None
 
 
 class TestUsage:

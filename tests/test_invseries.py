@@ -17,8 +17,8 @@ from cf2 import (
     compute_G,
     compute_cf,
     compute_inv_cf,
-    eval_relation_inv,
     specialize_inv,
+    verify_relation,
 )
 from cf2.cfalg import Relation
 from cf2.gf2poly import mono_deg, mono_mul
@@ -305,8 +305,9 @@ class TestEvalRelation:
     def test_self_defining_head(self):
         s = compute_inv_cf(EpsSpec.parse("(ab)"), 64)
         rel = Relation({1: Gf2Poly.one()})
-        residual = eval_relation_inv(rel, s) + s
-        assert not residual.terms
+        report = verify_relation(rel, s)
+        assert (report.residual_depth, report.precision) == (
+            s.depth_norm(), s.precision)
 
     def test_quartic_relation_residual_vanishes(self):
         from cf2 import compute_G
@@ -320,9 +321,9 @@ class TestEvalRelation:
                 4: Gf2Poly.one(),
             }
         )
-        residual = eval_relation_inv(rel, g)
-        assert not residual.terms
-        assert residual.precision >= 58
+        report = verify_relation(rel, g)
+        assert report.vanished
+        assert report.precision >= 58
 
     def test_json_roundtrip(self):
         s = compute_inv_cf(EpsSpec.parse("(ab)"), 32)

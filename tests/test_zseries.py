@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
     Gf2Poly,
+    WordTooLargeError,
     ZSeries,
     compute_F,
     compute_F0,
     compute_Fn,
     compute_R,
-    eval_relation_z,
     letter_at,
     positions,
+    verify_relation,
 )
 from cf2.cfalg import Relation
+from cf2.seqcore import MAX_WORD_LETTERS
 from conftest import eps_specs, random_spec
 
 import random
@@ -38,6 +41,11 @@ class TestComputeF:
     def test_constant_head(self):
         F = compute_F(EpsSpec.parse("(ba)"), 1)
         assert F.coeffs == (Gf2Poly.variable("b"),)
+
+    def test_size_cap(self):
+        for build in (compute_F, compute_R):
+            with pytest.raises(WordTooLargeError):
+                build(EpsSpec.parse("a(b)"), MAX_WORD_LETTERS + 1)
 
 
 class TestComputeR:
@@ -196,7 +204,7 @@ class TestEvalRelation:
                 2: Gf2Poly.parse("z^3 + z"),
             }
         )
-        assert eval_relation_z(rel, F).order() is None
+        assert verify_relation(rel, F).vanished
 
     def test_three_letter_f_relation(self):
         F = compute_F(EpsSpec.parse("a(bc)"), 64)
@@ -210,7 +218,7 @@ class TestEvalRelation:
                 2: Gf2Poly.parse("z^5 + z"),
             }
         )
-        assert eval_relation_z(rel, F).order() is None
+        assert verify_relation(rel, F).vanished
 
     def test_two_block_f_relation(self):
         F = compute_F(EpsSpec.parse("(aabb)"), 64)
@@ -229,7 +237,7 @@ class TestEvalRelation:
                 4: Gf2Poly.parse("z^7 + z^3"),
             }
         )
-        assert eval_relation_z(rel, F).order() is None
+        assert verify_relation(rel, F).vanished
 
 
 class TestArithmetic:
