@@ -426,13 +426,12 @@ def find_relation(
     n_eq = min(len(sorted_keys), len(unknowns) + 256)
     while True:
         index = {k: i for i, k in enumerate(sorted_keys[:n_eq])}
+        end = sorted_keys[n_eq] if n_eq < len(sorted_keys) else math.inf
         rows = []
         for sup in supports:
             mask = 0
-            for k in sup:
-                b = index.get(k)
-                if b is not None:
-                    mask |= 1 << b
+            for k in sup[: bisect_left(sup, end)]:
+                mask |= 1 << index[k]
             rows.append(mask)
         tags = nullspace(rows, n_eq)
         if len(tags) <= 24 or n_eq == len(sorted_keys):

@@ -127,6 +127,10 @@ def cmd_seq_word(args) -> int:
 def cmd_seq_positions(args) -> int:
     spec = _spec(args)
     if args.predicted:
+        if args.letter not in spec.period:
+            raise ValueError(
+                f"letter {args.letter!r} is not in the period {spec.period!r}"
+            )
         ps = positions_predicted(spec, spec.period.index(args.letter), args.len)
     else:
         ps = positions(spec, args.letter, args.len)

@@ -20,8 +20,8 @@ the int
 
 so the fields hold biased exponents and the depth sits above them, where
 it orders codes by depth and is read back by one shift.  The depth is an
-input: a series term sits at its own depth, while a relation search also
-packs the z-series terms, letter monomials at the depth of their z-order.
+input: a series term sits at its own depth, while z-series products and
+relation searches pack letter monomials at the depth of their z-index.
 Adding the code of one term to the bias-free code of another (the code
 minus the sum of the biases) gives the code of their product, depths
 added.  That sum cannot carry from one field into the next as long as

@@ -4,7 +4,8 @@ A series of precision P stores exactly its first P coefficients, each a
 polynomial in the alphabet letters (never in z).  This module builds the
 generating series of a doubling-word sequence, the rational part carried
 by the preperiod, the occurrence-indicator series of the period letters,
-and the two halving (Cartier) operators.
+and the two halving (Cartier) operators.  Products share the packed kernel
+of `invseries._Packing` with the inverse-power series, depth = z-index.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .gf2poly import Gf2Poly, Monomial
+from .invseries import _alphabet, _Packing
 from .seqcore import EpsSpec, _check_size, letter_at, positions_predicted
 
 _ZERO = Gf2Poly.zero()
@@ -36,7 +38,7 @@ class ZSeries:
 
     @classmethod
     def one(cls, precision: int) -> "ZSeries":
-        return cls([_ONE] + [_ZERO] * (precision - 1))
+        return cls.indicator((0,), precision)
 
     @classmethod
     def indicator(cls, indices: Iterable[int], precision: int) -> "ZSeries":
@@ -80,22 +82,25 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         p = min(self.precision, other.precision)
-        out = [_ZERO] * p
-        for i, a in enumerate(self.coeffs[:p]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: p - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return ZSeries(out)
+        xs, ys = ([(i, m) for i, c in enumerate(s.coeffs[:p]) for m in c.terms]
+                  for s in (self, other))
+        letters, top = _alphabet(m for _, m in xs)
+        other_letters, other_top = _alphabet(m for _, m in ys)
+        pk = _Packing(letters | other_letters, top + other_top)
+        out = [set() for _ in range(p)]
+        for code in pk.mul([pk.encode(*t) for t in xs],
+                           sorted(pk.encode(*t) for t in ys), p):
+            out[pk.depth(code)].add(pk.decode(code))
+        return ZSeries(Gf2Poly._raw(frozenset(c)) for c in out)
 
     def mul_poly(self, c: Gf2Poly) -> "ZSeries":
         """Multiply by a letter polynomial (coefficient-wise)."""
         return ZSeries(a * c for a in self.coeffs)
 
     def mul_zpow(self, e: int, precision: Optional[int] = None) -> "ZSeries":
-        """Multiply by z**e; default output keeps every known coefficient."""
-        p = self.precision + e if precision is None else precision
+        """Multiply by z**e, keeping every known coefficient (below precision)."""
+        known = self.precision + e
+        p = known if precision is None else min(precision, known)
         out = [_ZERO] * p
         for i, a in enumerate(self.coeffs):
             if i + e < p:
@@ -107,7 +112,8 @@ class ZSeries:
         if k == 0:
             return self if precision is None else self.truncated(precision)
         f = 1 << k
-        p = self.precision * f if precision is None else precision
+        known = self.precision * f
+        p = known if precision is None else min(precision, known)
         out = [_ZERO] * p
         for i, a in enumerate(self.coeffs):
             if a and i * f < p:
@@ -124,7 +130,7 @@ class ZSeries:
         k = 0
         while j:
             if j & 1:
-                f = self.pow2k(k, min(p, self.precision << k))
+                f = self.pow2k(k, p)
                 result = f if result is None else result * f
             j >>= 1
             k += 1

@@ -74,6 +74,16 @@ class TestSeq:
             assert code == 2
             assert "exceeds the size cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps,letter", [("(ab)", "c"), ("a(bc)", "a")])
+    def test_predicted_letter_outside_period(self, eps, letter, capsys):
+        code = main(["seq", "positions", "--eps", eps, "--letter", letter,
+                     "--len", "8", "--predicted"])
+        assert code == 2
+        period = eps[eps.index("(") + 1 : -1]
+        assert f"letter {letter!r} is not in the period {period!r}" in (
+            capsys.readouterr().err
+        )
+
     def test_predicted_needs_distinct_letters(self, capsys):
         code = main(
             ["seq", "positions", "--eps", "(aa)", "--letter", "a",

@@ -262,3 +262,109 @@ class TestArithmetic:
 
     def test_str_empty(self):
         assert str(ZSeries.zero(4)) == "0 + O(z^4)"
+
+    def test_one_keeps_precision_zero(self):
+        assert ZSeries.one(0) == ZSeries([])
+        assert ZSeries([]).power(0).precision == 0
+        assert ZSeries.one(1).precision == 1
+
+
+def _pairwise_mul(a: ZSeries, b: ZSeries) -> ZSeries:
+    """Reference product: coefficient pairs multiplied as letter polynomials."""
+    p = min(a.precision, b.precision)
+    out = [Gf2Poly.zero()] * p
+    for i, x in enumerate(a.coeffs[:p]):
+        for j, y in enumerate(b.coeffs[: p - i]):
+            out[i + j] = out[i + j] + x * y
+    return ZSeries(out)
+
+
+def _pairwise_power(s: ZSeries, j: int, precision=None) -> ZSeries:
+    """Reference power: binary powering over the reference product."""
+    p = s.precision if precision is None else precision
+    if j == 0:
+        return ZSeries(([Gf2Poly.one()] + [Gf2Poly.zero()] * p)[:p])
+    result = None
+    k = 0
+    while j:
+        if j & 1:
+            f = s.pow2k(k, min(p, s.precision << k))
+            result = f if result is None else _pairwise_mul(result, f)
+        j >>= 1
+        k += 1
+    return result.truncated(p)
+
+
+@st.composite
+def z_series(draw):
+    """Short series over a small alphabet ("" gives indicator series),
+    sometimes all zero, sometimes with every coefficient raised to the
+    2**6-th power so that the packed fields must be wide."""
+    letters = draw(st.sampled_from(["", "a", "ab", "cd", "abc"]))
+    precision = draw(st.integers(min_value=0, max_value=10))
+    if not letters or draw(st.booleans()):
+        monos = st.just(())
+    else:
+        monos = st.dictionaries(
+            st.sampled_from(letters), st.integers(1, 3), min_size=1
+        ).map(lambda d: tuple(sorted(d.items())))
+    coeff = st.lists(monos, max_size=3).map(Gf2Poly)
+    coeffs = draw(st.lists(coeff, min_size=precision, max_size=precision))
+    if draw(st.booleans()):
+        coeffs = [c.pow2k(6) for c in coeffs]
+    return ZSeries(coeffs)
+
+
+class TestPackedProduct:
+    """The packed product kernel against the pairwise reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(z_series(), z_series())
+    def test_mul(self, a, b):
+        got, want = a * b, _pairwise_mul(a, b)
+        assert (repr(got), got.precision) == (repr(want), want.precision)
+        assert got.to_json() == want.to_json()
+
+    @settings(max_examples=100, deadline=None)
+    @given(z_series(), st.sampled_from([None, 0, 1, 3, 20]))
+    def test_power(self, s, precision):
+        for j in range(10):
+            got, want = s.power(j, precision), _pairwise_power(s, j, precision)
+            assert (repr(got), got.precision) == (repr(want), want.precision)
+
+    def test_letter_free_and_disjoint(self):
+        ind = ZSeries.indicator([0, 1, 3], 6)
+        x = ZSeries([Gf2Poly.parse("a^3 + b"), Gf2Poly.parse("a*b")] * 3)
+        y = ZSeries([Gf2Poly.zero(), Gf2Poly.parse("c^2 + d")] * 4)
+        for a, b in ((ind, ind), (ind, x), (x, y), (x.pow2k(6), y), (y, y)):
+            assert repr(a * b) == repr(_pairwise_mul(a, b))
+
+
+_CONTRACT_OPS = {
+    "add": lambda F: F + F.mul_zpow(1),
+    "mul": lambda F: F * F.mul_zpow(1),
+    "power": lambda F: F.power(3),
+    "power_even": lambda F: F.power(6),
+    "power_below": lambda F: F.power(5, 7),
+    "power_above": lambda F: F.power(5, 100),
+    "pow2k": lambda F: F.pow2k(2),
+    "pow2k_above": lambda F: F.pow2k(1, 100),
+    "mul_poly": lambda F: F.mul_poly(Gf2Poly.parse("a*b + c")),
+    "mul_zpow": lambda F: F.mul_zpow(3),
+    "mul_zpow_above": lambda F: F.mul_zpow(3, 100),
+    "cartier": lambda F: F.cartier(1),
+    "truncated": lambda F: F.truncated(9),
+}
+
+
+class TestPrecisionContract:
+    """An operation on F at precision P agrees with it on F at 2P."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps_specs(), st.integers(min_value=1, max_value=20),
+           st.sampled_from(sorted(_CONTRACT_OPS)))
+    def test_doubling_the_precision(self, spec, P, name):
+        op = _CONTRACT_OPS[name]
+        low, high = op(compute_F(spec, P)), op(compute_F(spec, 2 * P))
+        assert low.agrees_with(high)
+        assert low.precision <= high.precision
