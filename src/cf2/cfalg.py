@@ -36,6 +36,8 @@ from .zseries import ZSeries, split_z
 
 DEFAULT_VERIFY_PREC = 64
 DEFAULT_FIND_PREC = 256
+# nullspaces up to this dimension are swept for the smallest representative
+_ENUMERATION_CAP = 16
 
 Series = Union[InvSeries, ZSeries]
 
@@ -366,7 +368,6 @@ def find_relation(
     coeff_deg_bound: int,
     z_deg_bound: Optional[int] = None,
     prec: int = DEFAULT_FIND_PREC,
-    enumeration_cap: int = 16,
 ) -> list[Relation]:
     """All bounded-coefficient relations the target satisfies below prec.
 
@@ -480,7 +481,7 @@ def find_relation(
         # every basis vector is a monomial multiple of one generator, so
         # the whole space is {q * generator} and the generator is minimal
         return basis
-    if dim <= enumeration_cap:
+    if dim <= _ENUMERATION_CAP:
         # the whole space consists of multiples of one minimal relation;
         # sweep it for the representative with smallest coefficients
         best_pair = None

@@ -31,6 +31,7 @@ from .riccati import QuotientSeq, baum_sweet_check, fn_witness
 from .seqcore import (
     EpsSpec,
     WordTooLargeError,
+    _check_size,
     build_word,
     kernel,
     kernel_sorted,
@@ -186,6 +187,8 @@ def cmd_cf_series(args) -> int:
         if args.index is None:
             raise SystemExit2("--index is required with --target Gn")
         s = compute_Gn(spec, args.index, prec)
+    elif args.index is not None:
+        raise SystemExit2("--index applies only to --target Gn")
     else:
         s = _target(args, spec)
     text = f"{s}  (depth < {s.precision})"
@@ -213,11 +216,16 @@ def cmd_cf_min_degree(args) -> int:
 
 def cmd_cf_expand(args) -> int:
     prec = args.prec
+    # the series' bits span max - min of its exponents below prec; refuse
+    # a span past the size cap before allocating it
     if args.demo == "unbounded":
+        _check_size(prec, f"precision {prec}")
         s = unbounded_quotient_series(prec)
         var = "x"
     elif args.exponents:
-        exps = [int(x) for x in args.exponents.split(",")]
+        exps = [e for e in map(int, args.exponents.split(",")) if e < prec]
+        _check_size(max(exps, default=0) - min(exps, default=0),
+                    "exponent span")
         s = LaurentSeries.from_exponents(exps, prec)
         var = "t"
     else:

@@ -400,10 +400,8 @@ class UniPoly:
         return UniPoly(acc)
 
     def square(self) -> "UniPoly":
-        acc = 0
-        for e in self.exponents():
-            acc |= 1 << (2 * e)
-        return UniPoly(acc)
+        """Frobenius: the bits spread to even places (binary read in base 4)."""
+        return UniPoly(int(format(self.bits, "b"), 4))
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
@@ -424,12 +422,10 @@ class UniPoly:
         return UniPoly((self.bits >> 1) & even)
 
     def sqrt(self) -> Optional["UniPoly"]:
-        acc = 0
-        for e in self.exponents():
-            if e % 2:
-                return None
-            acc |= 1 << (e // 2)
-        return UniPoly(acc)
+        """Square root when every exponent is even (odd places clear), else None."""
+        if self.bits & ~_even_bit_mask(self.bits.bit_length()):
+            return None
+        return UniPoly(int(format(self.bits, "b")[::2], 2))
 
     def is_square(self) -> bool:
         return self.sqrt() is not None

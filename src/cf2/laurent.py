@@ -57,8 +57,8 @@ class LaurentSeries:
 
     @classmethod
     def from_exponents(cls, exps: Iterable[int], prec=math.inf) -> "LaurentSeries":
-        """Series sum t**-e over the given 1/t-exponents."""
-        exps = sorted(set(exps))
+        """Series sum t**-e over the given 1/t-exponents below the precision."""
+        exps = sorted({e for e in exps if e < prec})
         if not exps:
             return cls.zero(prec)
         v = exps[0]

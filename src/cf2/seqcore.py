@@ -5,8 +5,11 @@ a finite preperiod followed by a forever-repeated period.  The associated
 word tower starts from the empty word and doubles around successive seed
 letters, W_{n+1} = W_n, eps_n, W_n; its limit is the sequence produced
 here.  Every such sequence is 2-automatic, and the n-th letter admits the
-closed form eps_{v2(n+1)} with v2 the 2-adic valuation (an implementation
-device; it is property-tested against the word recurrence).
+closed form eps_{v2(n+1)} with v2 the 2-adic valuation (property-tested
+against the word recurrence).  It builds every occurrence set: the n with
+v2(n+1) = k are the progression 2^k (2m+1) - 1, one int bitset mask.  The
+shift n -> 2n+1 adds one to the valuation; on the indicator polynomial it
+is P(x) -> x P(x)^2, the Frobenius `UniPoly.square`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
+
+from .gf2poly import UniPoly
 
 MAX_WORD_LETTERS = 1 << 26
 
@@ -118,16 +123,6 @@ class PositionSet:
         if self.bits < 0 or self.bits >> self.horizon:
             raise ValueError("indices must lie in [0, horizon)")
 
-    @classmethod
-    def of(cls, horizon: int, indices: Iterable[int]) -> "PositionSet":
-        """The set of the given indices, built in one linear pass."""
-        flags = bytearray(b"0" * horizon)  # digit string, top index first
-        for k in indices:
-            if not 0 <= k < horizon:
-                raise ValueError("indices must lie in [0, horizon)")
-            flags[~k] = 49  # "1"
-        return cls(horizon, int(flags, 2) if flags else 0)
-
     @property
     def indices(self) -> tuple[int, ...]:
         """The members in increasing order."""
@@ -185,47 +180,36 @@ def stream_prefix(spec: EpsSpec, n_letters: int) -> str:
     return "".join(letter_at(spec, n) for n in range(n_letters))
 
 
+def _valuation_bits(valuations: Iterable[int], horizon: int) -> int:
+    """Bitset of the indices n < horizon with v2(n+1) among the valuations.
+
+    Valuation k is the progression from 2^k - 1 with step s = 2^(k+1), the
+    repunit mask ((1 << s*c) - 1) // ((1 << s) - 1) built by doubling
+    (linear in the horizon; the division is quadratic).
+    """
+    bits = 0
+    for k in valuations:
+        mask, width = 1, 2 << k
+        while width < horizon:
+            mask |= mask << width
+            width <<= 1
+        bits |= mask << ((1 << k) - 1)
+    return bits & ((1 << horizon) - 1)
+
+
 def positions(spec: EpsSpec, letter: str, horizon: int) -> PositionSet:
     """All indices k < horizon with s_k equal to the given letter."""
     _check_size(horizon, f"horizon {horizon}")
-    idx = (n for n in range(horizon) if letter_at(spec, n) == letter)
-    return PositionSet.of(horizon, idx)
-
-
-def _predicted_p0(spec: EpsSpec, horizon: int) -> list[int]:
-    """Occurrence set of the first period letter via its recursive law.
-
-    Seeded by direct enumeration on a small window, then grown with
-    P_{j+1} = 2 P_j + 1 around the cycle and
-    P_0 = (2 P_{d-1} + 1)  union  {(2k+1) * 2^l - 1 : k >= 0}.
-    The union's k = 0 element (index 2^l - 1) is required for agreement
-    with enumeration.
-    """
-    l, d = spec.l, spec.d
-    e0 = spec.period[0]
-    base = max(4 << l, 8)
-    p0 = [n for n in range(base) if letter_at(spec, n) == e0]
-    hor = base
-    while hor < horizon:
-        pj = p0
-        h = hor
-        for _ in range(d - 1):
-            pj = [2 * k + 1 for k in pj]
-            h = 2 * h + 1
-        hor = 2 * h + 1
-        # both maps only move indices upward, so clipping every window at
-        # the horizon drops nothing below it
-        cap = min(hor, horizon)
-        merged = {m for m in (2 * k + 1 for k in pj) if m < cap}
-        step = 1 << l
-        merged.update(range(step - 1, cap, 2 * step))
-        p0 = sorted(merged)
-    return [k for k in p0 if k < horizon]
+    ks = (k for k in range(horizon.bit_length()) if spec.letter(k) == letter)
+    return PositionSet(horizon, _valuation_bits(ks, horizon))
 
 
 def positions_predicted(spec: EpsSpec, j: int, horizon: int) -> PositionSet:
     """Occurrences of the j-th period letter, from the shift-by-one law.
 
+    With S(P) = 2P + 1, the first period letter's set is the fixed point
+    of P_0 = S^d(P_0) union {2^l (2m+1) - 1} and the j-th letter's is
+    S^j(P_0); S only moves indices up, so clipping at the horizon is exact.
     Requires all seed letters pairwise distinct (the law's hypothesis).
     """
     if not spec.all_distinct():
@@ -233,10 +217,17 @@ def positions_predicted(spec: EpsSpec, j: int, horizon: int) -> PositionSet:
     if not 0 <= j < spec.d:
         raise ValueError("period index out of range")
     _check_size(horizon, f"horizon {horizon}")
-    pj = _predicted_p0(spec, horizon)
-    for _ in range(j):
-        pj = [2 * k + 1 for k in pj]
-    return PositionSet.of(horizon, (k for k in pj if k < horizon))
+    low = (1 << horizon // 2) - 1  # the indices n with 2n + 1 < horizon
+
+    def shift(p: int, times: int) -> int:
+        for _ in range(times):
+            p = UniPoly(p & low).square().bits << 1
+        return p
+
+    p0 = first = _valuation_bits((spec.l,), horizon)
+    while (grown := shift(p0, spec.d) | first) != p0:
+        p0 = grown
+    return PositionSet(horizon, shift(p0, j))
 
 
 def _element_key(spec: EpsSpec, el: KernelElement):

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .gf2poly import Gf2Poly, Monomial
 from .invseries import _alphabet, _Packing
-from .seqcore import EpsSpec, _check_size, letter_at, positions_predicted
+from .seqcore import EpsSpec, PositionSet, _check_size, _valuation_bits, letter_at
 
 _ZERO = Gf2Poly.zero()
 _ONE = Gf2Poly.one()
@@ -196,24 +196,17 @@ def compute_R(spec: EpsSpec, precision: int) -> ZSeries:
     return ZSeries(coeffs)
 
 
-def _relabeled(spec: EpsSpec) -> EpsSpec:
-    """Same shape with fresh pairwise-distinct letters (role bookkeeping)."""
-    n = spec.l + spec.d
-    if n > 25:
-        raise ValueError("too many seed letters to relabel distinctly")
-    letters = [chr(ord("a") + i) for i in range(n)]
-    return EpsSpec(
-        "".join(letters[: spec.l]), "".join(letters[spec.l :])
-    )
-
-
-def role_positions(spec: EpsSpec, j: int, horizon: int):
+def role_positions(spec: EpsSpec, j: int, horizon: int) -> PositionSet:
     """Occurrences of the j-th *period slot* (not letter), any seed.
 
-    Computed on a distinctly relabeled seed of the same shape, so repeated
-    letters in the actual seed do not conflate slots.
+    The slot holds the valuations l + j + kd, so repeated letters in the
+    seed do not conflate slots.
     """
-    return positions_predicted(_relabeled(spec), j, horizon)
+    if not 0 <= j < spec.d:
+        raise ValueError("period index out of range")
+    _check_size(horizon, f"horizon {horizon}")
+    ks = range(spec.l + j, horizon.bit_length(), spec.d)
+    return PositionSet(horizon, _valuation_bits(ks, horizon))
 
 
 def compute_Fn(spec: EpsSpec, n: int, precision: int) -> ZSeries:

@@ -182,6 +182,20 @@ class TestCf:
         assert data["exponent_law"] is True
         assert data["quotients"][:3] == ["1", "x", "x^3"]
 
+    def test_expand_drops_exponents_past_precision(self, capsys):
+        code, out = run(capsys, "cf", "expand", "--exponents", "0,268435456",
+                        "--prec", "64")
+        assert (code, out.strip()) == (0, "[1]  (exhausted)")
+
+    @pytest.mark.parametrize("argv", [
+        # the series spans --prec bits, or max - min of its exponents
+        ["--demo", "unbounded", "--prec", str(MAX_WORD_LETTERS + 1)],
+        [f"--exponents=-{MAX_WORD_LETTERS + 1},0"],
+    ])
+    def test_expand_oversized_span_is_usage_error(self, argv, capsys):
+        assert main(["cf", "expand", *argv]) == 2
+        assert "exceeds the size cap" in capsys.readouterr().err
+
 
 class TestPs:
     def test_series(self, capsys):
@@ -393,6 +407,12 @@ class TestUsage:
     def test_nonsense_search_bounds_are_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
+
+    def test_index_only_with_gn(self, capsys):
+        argv = ["cf", "series", "--eps", "(ab)", "--target", "G", "--prec", "8"]
+        assert main(argv + ["--index", "7"]) == 2
+        assert "--index applies only to --target Gn" in capsys.readouterr().err
+        assert main(argv) == 0
 
     def test_default_precision_applies(self, capsys):
         code, out = run(capsys, "cf", "series", "--eps", "(ab)", "--target", "G")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +81,24 @@ class TestDerivative:
         assert lhs == rhs
 
 
+def _loop_square(p: UniPoly) -> UniPoly:
+    """Oracle: the square built one exponent at a time."""
+    acc = 0
+    for e in p.exponents():
+        acc |= 1 << (2 * e)
+    return UniPoly(acc)
+
+
+def _loop_sqrt(p: UniPoly):
+    """Oracle: the square root built one exponent at a time, or None."""
+    acc = 0
+    for e in p.exponents():
+        if e % 2:
+            return None
+        acc |= 1 << (e // 2)
+    return UniPoly(acc)
+
+
 class TestSquares:
     @settings.get_profile("thousand")
     @given(polys())
@@ -97,6 +117,16 @@ class TestSquares:
     @given(unipolys())
     def test_unipoly_square_roundtrip(self, p):
         assert p.square().sqrt() == p
+
+    def test_unipoly_square_and_sqrt_match_loops(self):
+        for bits in (
+            0, 1, 2, 3, 0b10101, (1 << 20000) - 1, 1 << 19999, 1 << 20000,
+            random.Random(7).getrandbits(20000),
+            _loop_square(UniPoly(random.Random(8).getrandbits(10000))).bits,
+        ):
+            p = UniPoly(bits)
+            assert p.square() == _loop_square(p)
+            assert p.sqrt() == _loop_sqrt(p)
 
 
 class TestAddMulExamples:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 from hypothesis import example, given, strategies as st
 
@@ -38,6 +39,16 @@ class TestBasics:
         a = LaurentSeries.from_exponents([1, 3], 20)
         b = LaurentSeries.from_exponents([1, 5], 20)
         assert (a + b).support() == [3, 5]
+
+    def test_exponents_past_precision_cost_no_memory(self):
+        tracemalloc.start()
+        try:
+            s = LaurentSeries.from_exponents([0, 1 << 28], 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.support() == [0]
+        assert peak < 1 << 20  # a 2^28-bit shift would take 32 MB
 
     def test_truncation_on_construction(self):
         s = LaurentSeries(1, 0b10001, 4)  # t^-1 + t^-5, precision 4

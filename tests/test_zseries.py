@@ -16,6 +16,8 @@ from cf2 import (
     compute_R,
     letter_at,
     positions,
+    positions_predicted,
+    role_positions,
     verify_relation,
 )
 from cf2.cfalg import Relation
@@ -27,6 +29,16 @@ import random
 
 def _letters(spec, n):
     return [Gf2Poly.variable(letter_at(spec, j)) for j in range(n)]
+
+
+def _distinct(spec):
+    """The seed of the same shape with pairwise-distinct letters."""
+    letters = "abcdefghijklmnopqrstuvwxy"[: spec.l + spec.d]
+    return EpsSpec(letters[: spec.l], letters[spec.l:])
+
+
+def _v2(n):
+    return (n & -n).bit_length() - 1
 
 
 class TestComputeF:
@@ -113,6 +125,29 @@ class TestComputeF0:
         F0 = compute_F0(EpsSpec.parse("(ab)"), P)
         rhs = ZSeries.indicator(range(0, P), P) + F0.pow2k(1, P).mul_zpow(1, P)
         assert rhs.agrees_with(F0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps_specs(), st.integers(min_value=1, max_value=600))
+    def test_slots_match_the_law_on_distinct_letters(self, spec, P):
+        # the shift law runs on the seed's distinct relabeling, so it checks
+        # the slot sets of seeds with repeated letters too
+        relabeled = _distinct(spec)
+        for n in range(spec.d):
+            law = positions_predicted(relabeled, n, P)
+            assert compute_Fn(spec, n, P) == ZSeries.indicator(law.indices, P)
+
+    def test_more_slots_than_letters(self):
+        # l + d = 27 > 25 letters, so no distinct relabeling exists
+        spec = EpsSpec("c", "ab" * 13)
+        P = 600
+        for n in (0, 1, 7, 8, 25):
+            expected = [i for i in range(P) if _v2(i + 1) >= spec.l
+                        and (_v2(i + 1) - spec.l) % spec.d == n]
+            assert role_positions(spec, n, P).indices == tuple(expected)
+            assert compute_Fn(spec, n, P) == ZSeries.indicator(expected, P)
+        assert expected == []  # slot 25 starts at valuation 26
+        with pytest.raises(ValueError):
+            role_positions(spec, 26, P)
 
 
 class TestChainAndClosedForm:
