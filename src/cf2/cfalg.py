@@ -16,6 +16,7 @@ the XOR of its own shifted power rows, cut at the precision they support.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ DEFAULT_VERIFY_PREC = 64
 DEFAULT_FIND_PREC = 256
 # nullspaces up to this dimension are swept for the smallest representative
 _ENUMERATION_CAP = 16
+_ONE = re.compile("1")
 
 Series = Union[InvSeries, ZSeries]
 
@@ -306,16 +308,44 @@ class _RowSupplier:
         return [c + factor for c in codes]
 
 
+def _set_bits(tag: int) -> list[int]:
+    """Indices of the set bits of a tag (the unknowns or rows it combines)."""
+    return [m.start() for m in _ONE.finditer(format(tag, "b")[::-1])]
+
+
+def _combine(rows: list[int], tag: int) -> int:
+    acc = 0
+    for i in _set_bits(tag):
+        acc ^= rows[i]
+    return acc
+
+
+def _block_rows(supports, keys, lo: int, hi: int) -> list[int]:
+    """Each support's row on the equations keys[lo:hi], bit i for keys[lo + i]."""
+    index = {k: i for i, k in enumerate(keys[lo:hi])}
+    start = keys[lo] if lo else -math.inf
+    end = keys[hi] if hi < len(keys) else math.inf
+    rows = []
+    for sup in supports:
+        mask = 0
+        for k in sup[bisect_left(sup, start): bisect_left(sup, end)]:
+            mask |= 1 << index[k]
+        rows.append(mask)
+    return rows
+
+
+def _restrict(tags: list[int], supports, keys, lo: int, hi: int) -> list[int]:
+    """The combinations of null vectors `tags` that vanish on keys[lo:hi]."""
+    block = _block_rows(supports, keys, lo, hi)
+    combos = nullspace([_combine(block, tag) for tag in tags], hi - lo)
+    return [_combine(tags, combo) for combo in combos]
+
+
 def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
     keys: set = set()
-    i = 0
-    t = tag
-    while t:
-        if t & 1:
-            j, factor = shifts[i]
-            keys.symmetric_difference_update(supplier.support(j, factor, bound))
-        t >>= 1
-        i += 1
+    for i in _set_bits(tag):
+        j, factor = shifts[i]
+        keys.symmetric_difference_update(supplier.support(j, factor, bound))
     return keys
 
 
@@ -348,13 +378,9 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
 
 def _materialize(tag: int, unknowns) -> Relation:
     coeffs: dict[int, set] = {}
-    i = 0
-    while tag:
-        if tag & 1:
-            j, mon = unknowns[i]
-            coeffs.setdefault(j, set()).symmetric_difference_update((mon,))
-        tag >>= 1
-        i += 1
+    for i in _set_bits(tag):
+        j, mon = unknowns[i]
+        coeffs.setdefault(j, set()).symmetric_difference_update((mon,))
     return Relation({j: Gf2Poly(ms) for j, ms in coeffs.items() if ms})
 
 
@@ -422,22 +448,16 @@ def find_relation(
         )
     sorted_keys = sorted(all_keys)
 
-    # solve on the shallowest equations first; widen if the solution space
-    # stays implausibly large, since the residual pass below is linear in it
+    # solve on the shallowest equations first.  While the solution space
+    # stays implausibly large (the residual pass below is linear in it),
+    # impose the next block of equations on it alone: null([A | B]) is
+    # {x in null(A) : xB = 0}, and combining the tags by the block's null
+    # combinations gives the basis a solve of [A | B] would (see gf2linalg)
     n_eq = min(len(sorted_keys), len(unknowns) + 256)
-    while True:
-        index = {k: i for i, k in enumerate(sorted_keys[:n_eq])}
-        end = sorted_keys[n_eq] if n_eq < len(sorted_keys) else math.inf
-        rows = []
-        for sup in supports:
-            mask = 0
-            for k in sup[: bisect_left(sup, end)]:
-                mask |= 1 << index[k]
-            rows.append(mask)
-        tags = nullspace(rows, n_eq)
-        if len(tags) <= 24 or n_eq == len(sorted_keys):
-            break
-        n_eq = min(len(sorted_keys), 2 * n_eq)
+    tags = nullspace(_block_rows(supports, sorted_keys, 0, n_eq), n_eq)
+    while len(tags) > 24 and n_eq < len(sorted_keys):
+        lo, n_eq = n_eq, min(len(sorted_keys), 2 * n_eq)
+        tags = _restrict(tags, supports, sorted_keys, lo, n_eq)
 
     if not tags:
         return []
@@ -456,16 +476,7 @@ def find_relation(
                 mask |= 1 << ridx[k]
             rows2.append(mask)
         combos = nullspace(rows2, len(rkeys))
-        final_tags = []
-        for combo in combos:
-            t = 0
-            i = 0
-            while combo:
-                if combo & 1:
-                    t ^= tags[i]
-                combo >>= 1
-                i += 1
-            final_tags.append(t)
+        final_tags = [_combine(tags, combo) for combo in combos]
     else:
         final_tags = tags
 

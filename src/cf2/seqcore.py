@@ -123,6 +123,10 @@ class PositionSet:
         if self.bits < 0 or self.bits >> self.horizon:
             raise ValueError("indices must lie in [0, horizon)")
 
+    def __repr__(self) -> str:
+        # hex has no digit limit, unlike the decimal int repr past 4300 digits
+        return f"PositionSet(horizon={self.horizon}, bits={self.bits:#x})"
+
     @property
     def indices(self) -> tuple[int, ...]:
         """The members in increasing order."""

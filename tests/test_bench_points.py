@@ -2,7 +2,8 @@
 
 `bench/spans.py` wraps module attributes and class methods of `cf2` by
 (owner path, attribute); a renamed or moved function would make every
-traced run fail.  These tests only read `bench/`.
+traced run fail, and a counter that misses calls would misreport a layer.
+These tests only read `bench/`.
 """
 
 from __future__ import annotations
@@ -43,3 +44,28 @@ def test_positions_counters_count_indices():
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["seqcore.indices"] == 2 * len(enumerated.indices) > 0
     assert not hasattr(cf2.seqcore.positions, "__wrapped__")  # restored
+
+
+def test_nullspace_counters_match_the_calls_made(monkeypatch):
+    # (ab) G with coefficient degree 12 widens twice; the traced counters
+    # must add up what `cfalg.nullspace` received, restrictions included
+    spans = _spans()
+    received = []
+    solve = cf2.cfalg.nullspace
+
+    def recording(rows, n_cols):
+        tags = solve(rows, n_cols)
+        received.append((len(rows), n_cols, len(tags)))
+        return tags
+
+    monkeypatch.setattr(cf2.cfalg, "nullspace", recording)
+    g = cf2.compute_G(EpsSpec.parse("(ab)"), 2 * 256 + 16)
+    tracer = spans.Tracer()
+    with tracer.patched(cf2):
+        cf2.cfalg.find_relation(g, 4, 12, prec=256)
+    assert len(received) == 3 and received[1][0] == received[0][2]
+    metrics = tracer.layer_metrics(0, 1.0)
+    assert metrics["gf2linalg.nullspace_calls"] == len(received)
+    assert metrics["gf2linalg.rows"] == sum(r for r, _, _ in received)
+    assert metrics["gf2linalg.cols"] == sum(c for _, c, _ in received)
+    assert metrics["gf2linalg.nullity"] == sum(n for _, _, n in received)

@@ -28,6 +28,8 @@ from cf2 import (
     minimal_degree_report,
     verify_relation,
 )
+from cf2 import cfalg
+from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_mul
 from cf2.zseries import split_z
 from conftest import eps_specs
@@ -60,6 +62,16 @@ PINNED_LISTS = [
         "deg 4: a*b^3*c + a*b*c^3 + b*c^2 + c^3\n",
     ]),
 ]
+
+# the degree-16 (aabb) G search (ydeg 16, coeff 16, prec 512), which widens
+AABB_G_RELATION = (
+    "deg 0: a^11*b^3 + a^10*b^4 + a^3*b^11 + a^2*b^12 + a^6*b^6 + a^4*b^8"
+    " + a^2*b^10 + b^12 + a^6*b^2 + a^4*b^4 + a^2*b^6 + b^8 + 1\n"
+    "deg 1: a^12*b^3 + a^11*b^4 + a^4*b^11 + a^3*b^12\n"
+    "deg 2: a^11*b^3 + a^10*b^4 + a^8*b^6 + a^6*b^8 + a^4*b^10 + a^3*b^11\n"
+    "deg 8: a^6*b^2 + a^4*b^4 + a^2*b^6\n"
+    "deg 16: 1\n"
+)
 
 
 def _inv_letter(ch: str) -> InvSeries:
@@ -417,6 +429,22 @@ class TestFindRelation:
         target = build(EpsSpec.parse(text), 2 * prec + 16)
         rels = find_relation(target, *bounds, prec=prec)
         assert [r.to_file_text() for r in rels] == expected
+
+    def test_widening_restricts_the_first_nullspace(self, monkeypatch):
+        # the first solve leaves 382 null vectors, so the next 2857
+        # equations are imposed on those vectors alone, not on all unknowns
+        calls = []
+
+        def recording(rows, n_cols):
+            tags = nullspace(rows, n_cols)
+            calls.append((len(rows), n_cols, len(tags)))
+            return tags
+
+        monkeypatch.setattr(cfalg, "nullspace", recording)
+        g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
+        rels = find_relation(g, max_ydeg=16, coeff_deg_bound=16, prec=512)
+        assert calls == [(2601, 2857, 382), (382, 2857, 3)]
+        assert [r.to_file_text() for r in rels] == [AABB_G_RELATION]
 
     @pytest.mark.parametrize(
         "build, bounds",

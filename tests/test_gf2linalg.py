@@ -1,0 +1,87 @@
+"""GF(2) nullspaces on int bitsets, and the block widening built on them."""
+
+from __future__ import annotations
+
+from hypothesis import example, given, strategies as st
+
+from cf2.cfalg import _block_rows, _combine, _restrict
+from cf2.gf2linalg import nullspace
+
+
+def _reduced(vectors: list[int]) -> list[int]:
+    """Reference: the reduced echelon basis of the span, read from the
+    highest bit (each vector's highest bit is set in no other vector), in
+    increasing order of that bit."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)  # clears b's highest bit from v
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return sorted(basis)
+
+
+@st.composite
+def systems(draw, min_width=0, max_width=16):
+    """(rows, width): random rows with all-zero and duplicate rows mixed in."""
+    width = draw(st.integers(min_value=min_width, max_value=max_width))
+    base = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    picks = draw(st.lists(st.integers(0, len(base)), max_size=5))
+    rows = draw(st.permutations(base + [(base + [0])[p] for p in picks]))
+    return list(rows), width
+
+
+@given(systems())
+@example(([], 0))
+@example(([], 5))
+@example(([0, 0, 0], 4))
+@example(([0b101, 0b101, 0b11, 0b110], 3))
+def test_tags_are_null_combinations(system):
+    rows, width = system
+    tags = nullspace(rows, width)
+    for tag in tags:
+        assert 0 < tag < 1 << len(rows)
+        assert _combine(rows, tag) == 0
+
+
+@given(systems())
+@example(([], 0))
+@example(([0, 0, 0], 4))
+@example(([0b101, 0b101, 0b11, 0b110], 3))
+def test_tag_count_is_rows_minus_rank(system):
+    rows, width = system
+    assert len(nullspace(rows, width)) == len(rows) - len(_reduced(rows))
+
+
+@given(systems())
+@example(([0, 0, 0], 4))
+@example(([0b101, 0b101, 0b11, 0b110], 3))
+def test_tags_are_already_reduced(system):
+    rows, width = system
+    tags = nullspace(rows, width)
+    assert _reduced(tags) == tags
+
+
+@st.composite
+def widenings(draw):
+    """(rows, width, bounds): a system and the column blocks of 1-3
+    widening steps, bounds[0] = 0 < ... < bounds[-1] = width."""
+    rows, width = draw(systems(min_width=2))
+    cuts = draw(st.sets(st.integers(1, width - 1), min_size=1, max_size=3))
+    return rows, width, [0, *sorted(cuts), width]
+
+
+@given(widenings())
+@example(([0, 0, 0], 4, [0, 1, 4]))
+@example(([0b101, 0b101, 0b11, 0b110, 0b1001], 4, [0, 1, 2, 3, 4]))
+def test_widening_by_blocks_equals_the_full_solve(case):
+    # the search's widening imposes each further block of equations on the
+    # tags alone; the canonical form makes the result the full solve's tags
+    # one for one, not just a basis of the same space
+    rows, width, bounds = case
+    keys = [3 * k + 1 for k in range(width)]  # search keys are sparse codes
+    supports = [[keys[i] for i in range(width) if row >> i & 1] for row in rows]
+    tags = nullspace(_block_rows(supports, keys, 0, bounds[1]), bounds[1])
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        tags = _restrict(tags, supports, keys, lo, hi)
+    assert tags == nullspace(rows, width)

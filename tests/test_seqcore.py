@@ -134,6 +134,13 @@ class TestPositions:
             with pytest.raises(ValueError):
                 PositionSet(10, bits)
 
+    def test_repr_round_trips_past_the_decimal_digit_limit(self):
+        # the decimal repr of `bits` raises past 4300 digits (~14,300 bits)
+        for horizon in (8, 1 << 16):
+            ps = positions(EpsSpec.parse("(ab)"), "a", horizon)
+            assert eval(repr(ps), {"PositionSet": PositionSet}) == ps
+        assert repr(PositionSet(8, 0b1011101)) == "PositionSet(horizon=8, bits=0x5d)"
+
     @settings(max_examples=200, deadline=None)
     @given(
         eps_specs(),
