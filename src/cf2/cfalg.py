@@ -32,11 +32,14 @@ from .gf2poly import (
     mono_pow,
 )
 from .invseries import InvSeries, _alphabet, _Packing
-from .seqcore import EpsSpec
+from .seqcore import EpsSpec, WordTooLargeError
 from .zseries import ZSeries, split_z
 
 DEFAULT_VERIFY_PREC = 64
 DEFAULT_FIND_PREC = 256
+# a relation search refuses more unknowns c * y^j than this (the paper's
+# largest, (aabb) G at ydeg 16 and coefficient degree 16, has 2,601)
+MAX_UNKNOWNS = 1 << 15
 # nullspaces up to this dimension are swept for the smallest representative
 _ENUMERATION_CAP = 16
 _ONE = re.compile("1")
@@ -114,8 +117,13 @@ def compute_inv_cf(spec: EpsSpec, precision: int) -> InvSeries:
 
 
 def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
-    """The continued fraction itself (inverse of the reciprocal sum)."""
-    return compute_inv_cf(spec, precision + 2).inverse(precision)
+    """The continued fraction itself (inverse of the reciprocal sum).
+
+    The result carries the reciprocal sum, which `InvSeries.power` uses.
+    """
+    inv = compute_inv_cf(spec, precision + 2)
+    cf = inv.inverse(precision)
+    return InvSeries._raw(cf.terms, cf.precision, inv)
 
 
 def compute_G(spec: EpsSpec, precision: int) -> InvSeries:
@@ -147,10 +155,6 @@ class Relation:
         if any(j < 0 for j in cleaned):
             raise ValueError("negative powers of the unknown are not allowed")
         self.coeffs = dict(sorted(cleaned.items()))
-
-    @property
-    def ydegree(self) -> int:
-        return max(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Relation) and self.coeffs == other.coeffs
@@ -388,6 +392,38 @@ def _relation_sort_key(rel: Relation):
     return (rel.max_monomial_degree(), rel.monomial_count(), rel.inline_str())
 
 
+def _search_bounds(
+    target: Series, max_ydeg: int, coeff_deg_bound: int,
+    z_deg_bound: Optional[int],
+) -> tuple[list[str], Optional[int]]:
+    """The target's letters and the z-degree bound in force (None on the
+    inverse side), once the bounds are checked.
+
+    The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
+    #letters) letter monomials times the z powers, are counted in closed
+    form, so an oversize search is refused before anything is built.
+    """
+    z_side = isinstance(target, ZSeries)
+    if z_side:
+        if z_deg_bound is None:
+            z_deg_bound = coeff_deg_bound
+    elif isinstance(target, InvSeries):
+        if z_deg_bound is not None:
+            raise ValueError("z-degree bound only applies to z-series targets")
+    else:
+        raise TypeError(f"cannot search relations for {type(target).__name__}")
+    if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
+        raise ValueError("degree bounds must be nonnegative")
+    letters = sorted(_alphabet(t for _, t in _graded_terms(target))[0])
+    n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
+    unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
+    if unknowns > MAX_UNKNOWNS:
+        raise WordTooLargeError(
+            f"the relation search exceeds the size cap of {MAX_UNKNOWNS} unknowns"
+        )
+    return letters, z_deg_bound
+
+
 def find_relation(
     target: Series,
     max_ydeg: int,
@@ -402,22 +438,15 @@ def find_relation(
     common monomial content, deduplicated, and sorted so that the smallest
     representative (lowest coefficient degree, then fewest monomials) comes
     first.  An empty list means no relation exists within the bounds.
+    A search of more than MAX_UNKNOWNS unknowns raises WordTooLargeError
+    before any power is built.
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
-    z_side = isinstance(target, ZSeries)
-    if z_side:
-        if z_deg_bound is None:
-            z_deg_bound = coeff_deg_bound
-    elif isinstance(target, InvSeries):
-        if z_deg_bound is not None:
-            raise ValueError("z-degree bound only applies to z-series targets")
-    else:
-        raise TypeError(f"cannot search relations for {type(target).__name__}")
-    if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
-        raise ValueError("degree bounds must be nonnegative")
-
-    letters = sorted(_alphabet(t for _, t in _graded_terms(target))[0])
+    letters, z_deg_bound = _search_bounds(
+        target, max_ydeg, coeff_deg_bound, z_deg_bound
+    )
+    z_side = z_deg_bound is not None
     powers = {j: target.power(j) for j in range(max_ydeg + 1)}
     supplier = _RowSupplier(powers, letters, coeff_deg_bound)
     verify_bound = min(p.precision for p in powers.values()) - coeff_deg_bound
@@ -471,10 +500,13 @@ def find_relation(
         ridx = {k: i for i, k in enumerate(rkeys)}
         rows2 = []
         for res in residuals:
-            mask = 0
+            # bits set in a byte buffer, one int built per row: or-ing
+            # 1 << i into an int would copy the whole row for every key
+            buf = bytearray((len(rkeys) + 7) >> 3)
             for k in res:
-                mask |= 1 << ridx[k]
-            rows2.append(mask)
+                i = ridx[k]
+                buf[i >> 3] |= 1 << (i & 7)
+            rows2.append(int.from_bytes(buf, "little"))
         combos = nullspace(rows2, len(rkeys))
         final_tags = [_combine(tags, combo) for combo in combos]
     else:
@@ -536,6 +568,7 @@ def minimal_degree_report(
     """
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
+    _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
         rels = find_relation(target, ydeg, coeff_deg_bound, z_deg_bound, prec)
         if rels:

@@ -30,6 +30,17 @@ every exponent of every operand and result lies strictly between
 of the results (computed from the operands' actual exponents, not
 assumed), and the public form stays the tuple one, decoded once per
 result.
+
+Powers are binary powering over the Frobenius powers s^(2^k), which cost
+no product.  A continued fraction from `cfalg.compute_cf` carries its
+reciprocal r = sum of the 1/u_n, a few terms against its thousands, and
+takes a power j that is not a power of two as s^(2^k) * r^(2^k - j), 2^k
+the next power of two above j: a Frobenius power times a sparse one, in
+place of dense products.  Both routes compute the same truncation of
+s^j at the same precision: s has depth norm -1 and precision P >= 0, r
+depth norm 1 and precision P + 2, and the precision rule of `__mul__`
+gives each route (P + 1) * 2^v - j, 2^v the largest power of two
+dividing j.
 """
 
 from __future__ import annotations
@@ -130,9 +141,13 @@ class _Packing:
 
 
 class InvSeries:
-    """Finite term set plus a depth precision (terms of depth >= p dropped)."""
+    """Finite term set plus a depth precision (terms of depth >= p dropped).
 
-    __slots__ = ("terms", "precision")
+    `reciprocal` is set, at construction only, by `cfalg.compute_cf` for
+    `power`; equality, hashing and the JSON form ignore it.
+    """
+
+    __slots__ = ("terms", "precision", "reciprocal")
 
     def __init__(self, terms: Iterable[Monomial] = (), precision=math.inf):
         acc: set[Monomial] = set()
@@ -140,12 +155,16 @@ class InvSeries:
             acc.symmetric_difference_update((t,))
         self.terms = frozenset(t for t in acc if mono_deg(t) < precision)
         self.precision = precision
+        self.reciprocal = None
 
     @classmethod
-    def _raw(cls, terms: frozenset, precision) -> "InvSeries":
+    def _raw(
+        cls, terms: frozenset, precision, reciprocal: Optional["InvSeries"] = None
+    ) -> "InvSeries":
         s = object.__new__(cls)
         s.terms = terms
         s.precision = precision
+        s.reciprocal = reciprocal
         return s
 
     @classmethod
@@ -215,26 +234,21 @@ class InvSeries:
     def pow2k(self, k: int) -> "InvSeries":
         """Frobenius power 2**k; precision multiplies (char 2)."""
         if k == 0:
-            return self
+            return InvSeries._raw(self.terms, self.precision)
         prec = self.precision * (1 << k)
         return InvSeries._raw(
             frozenset(mono_pow(t, 1 << k) for t in self.terms), prec
         )
 
     def power(self, j: int) -> "InvSeries":
+        """j-th power; through the reciprocal when one is carried (see the
+        module docstring), by binary powering otherwise."""
         if j < 0:
             raise ValueError("negative power")
-        if j == 0:
-            return InvSeries.one()
-        result: Optional[InvSeries] = None
-        k = 0
-        while j:
-            if j & 1:
-                f = self.pow2k(k)
-                result = f if result is None else result * f
-            j >>= 1
-            k += 1
-        return result
+        if self.reciprocal is None or j & (j - 1) == 0:
+            return _binary_power(self, j)
+        k = j.bit_length()
+        return self.pow2k(k) * _binary_power(self.reciprocal, (1 << k) - j)
 
     def truncated(self, precision) -> "InvSeries":
         prec = min(self.precision, precision)
@@ -318,3 +332,18 @@ class InvSeries:
             (tuple((str(v), int(n)) for v, n in pairs) for pairs, _ in data["terms"]),
             math.inf if prec is None else prec,
         )
+
+
+def _binary_power(s: InvSeries, j: int) -> InvSeries:
+    """s^j as the product of the Frobenius powers s^(2^k) over the bits of j."""
+    if j == 0:
+        return InvSeries.one()
+    result: Optional[InvSeries] = None
+    k = 0
+    while j:
+        if j & 1:
+            f = s.pow2k(k)
+            result = f if result is None else result * f
+        j >>= 1
+        k += 1
+    return result

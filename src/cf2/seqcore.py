@@ -26,7 +26,7 @@ _SPEC_RE = re.compile(r"([a-y]*)\(([a-y]+)\)\Z")
 
 
 class WordTooLargeError(RuntimeError):
-    """Requested word does not fit in memory limits."""
+    """Requested word or relation search exceeds its size cap."""
 
 
 class DistinctLettersError(ValueError):

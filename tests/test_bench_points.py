@@ -69,3 +69,20 @@ def test_nullspace_counters_match_the_calls_made(monkeypatch):
     assert metrics["gf2linalg.rows"] == sum(r for r, _, _ in received)
     assert metrics["gf2linalg.cols"] == sum(c for _, c, _ in received)
     assert metrics["gf2linalg.nullity"] == sum(n for _, _, n in received)
+
+
+def test_a_cf_search_makes_one_power_span_per_power():
+    # a(bc) CF forms y^3 through its reciprocal without re-entering the
+    # public `power`, so the 5 powers of a ydeg-4 search are 5 spans, none
+    # inside another, and `invseries.power_s` counts no time twice
+    spans = _spans()
+    cf = cf2.compute_cf(EpsSpec.parse("a(bc)"), 2 * 256 + 16)
+    tracer = spans.Tracer()
+    with tracer.patched(cf2):
+        rels = cf2.cfalg.find_relation(cf, 4, 6, prec=256)
+    assert rels
+    names = [s[0] for s in tracer.spans]
+    powers = [s for s in tracer.spans if s[0] == "invseries.power"]
+    assert len(powers) == 5
+    assert {names[s[5]] for s in powers} == {"cfalg.find_relation"}
+    assert tracer.layer_metrics(0, 1.0)["invseries.power_calls"] == 5

@@ -28,7 +28,7 @@ from cf2 import (
     minimal_degree_report,
     verify_relation,
 )
-from cf2 import cfalg
+from cf2 import WordTooLargeError, cfalg
 from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_mul
 from cf2.zseries import split_z
@@ -462,6 +462,38 @@ class TestFindRelation:
         g = compute_G(EpsSpec.parse("(ab)"), 16)
         with pytest.warns(UserWarning):
             find_relation(g, max_ydeg=4, coeff_deg_bound=6, prec=8)
+
+    @pytest.mark.parametrize(
+        "build, bounds, n_unknowns",
+        [
+            # 3 powers times the 6 monomials of degree <= 2 in a, b
+            (compute_G, (2, 2, None), 18),
+            # 2 powers times the 3 monomials of degree <= 1, times 1, z, z^2
+            (compute_F, (1, 1, 2), 18),
+        ],
+        ids=["G", "F"],
+    )
+    def test_unknown_cap_counts_what_the_search_enumerates(
+        self, build, bounds, n_unknowns, monkeypatch
+    ):
+        # the closed-form count refuses exactly the searches whose first
+        # solve would exceed the cap
+        rows = []
+
+        def recording(rs, n_cols):
+            rows.append(len(rs))
+            return nullspace(rs, n_cols)
+
+        monkeypatch.setattr(cfalg, "nullspace", recording)
+        target = build(EpsSpec.parse("(ab)"), 64)
+        monkeypatch.setattr(cfalg, "MAX_UNKNOWNS", n_unknowns)
+        find_relation(target, *bounds, prec=16)
+        assert rows[0] == n_unknowns
+        monkeypatch.setattr(cfalg, "MAX_UNKNOWNS", n_unknowns - 1)
+        with pytest.raises(WordTooLargeError):
+            find_relation(target, *bounds, prec=16)
+        with pytest.raises(WordTooLargeError):
+            minimal_degree_report(target, *bounds, prec=16)
 
 
 class TestMinimalDegree:

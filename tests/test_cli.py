@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -407,6 +408,26 @@ class TestUsage:
     def test_nonsense_search_bounds_are_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, bounds",
+        [
+            ("find-relation", ["--ydeg", "100000", "--coeff-deg", "3"]),
+            ("find-relation", ["--ydeg", "4", "--coeff-deg", "100000"]),
+            ("min-degree", ["--ydeg", "100000", "--coeff-deg", "3"]),
+        ],
+    )
+    def test_oversize_search_is_refused_at_once(self, verb, bounds, capsys):
+        # the unknowns are counted before any monomial or power is built
+        start = time.perf_counter()
+        code = main(["cf", verb, "--eps", "(ab)", "--target", "G", *bounds,
+                     "--prec", "8"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds the size cap" in captured.err
+        assert "Traceback" not in captured.err
+        assert elapsed < 2.0
 
     def test_index_only_with_gn(self, capsys):
         argv = ["cf", "series", "--eps", "(ab)", "--target", "G", "--prec", "8"]

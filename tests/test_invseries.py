@@ -301,6 +301,75 @@ class TestPrecision:
         assert len(s.truncated(8).terms) < len(s.terms)
 
 
+def canonical_seeds(max_len: int) -> list[EpsSpec]:
+    """Every seed with l + d <= max_len in canonical form, up to renaming
+    its letters (they appear first in the order a, b, c, ...)."""
+    words, seeds = [""], []
+    for _ in range(max_len):
+        words = [w + c for w in words for c in "abcd"[: len(set(w)) + 1]]
+        for w in words:
+            for l in range(len(w)):
+                spec = EpsSpec(w[:l], w[l:])
+                if spec.canonical() == spec:
+                    seeds.append(spec)
+    return seeds
+
+
+def binary_powers(s: InvSeries, top: int) -> dict[int, InvSeries]:
+    """s^1 .. s^top by binary powering: s^j is s^(j - 2^k) * s^(2^k) for
+    the highest bit 2^k of j, the products in increasing order of k."""
+    out = {}
+    for j in range(1, top + 1):
+        k = j.bit_length() - 1
+        out[j] = s.pow2k(k) if j == 1 << k else out[j - (1 << k)] * s.pow2k(k)
+    return out
+
+
+class TestReciprocalRoute:
+    """A continued fraction takes its powers through its reciprocal."""
+
+    @pytest.mark.parametrize(
+        "p, seeds",
+        [
+            *((p, canonical_seeds(4)) for p in (1, 2, 3, 64)),
+            # at the search depth the binary reference takes minutes over
+            # all 51 seeds (19 s for (abcd) alone), so the paper's seeds
+            (529, [EpsSpec.parse(t) for t in ("(ab)", "a(bc)", "(aabb)")]),
+        ],
+        ids=["1", "2", "3", "64", "529"],
+    )
+    def test_power_equals_binary_powering(self, p, seeds):
+        for spec in seeds:
+            cf = compute_cf(spec, p)
+            for j, ref in binary_powers(cf, 16).items():
+                got = cf.power(j)
+                assert (got.terms, got.precision) == (ref.terms, ref.precision), (
+                    str(spec), j)
+
+    @pytest.mark.parametrize("text", ["(ab)", "a(bc)", "ab(cd)"])
+    def test_powers_agree_with_a_deeper_recompute(self, text):
+        spec = EpsSpec.parse(text)
+        low, high = compute_cf(spec, 64), compute_cf(spec, 128)
+        for j in range(17):
+            lo, hi = low.power(j), high.power(j)
+            assert lo.precision <= hi.precision
+            assert hi.truncated(lo.precision).terms == lo.terms, j
+
+    def test_equality_hash_and_json_ignore_the_reciprocal(self):
+        cf = compute_cf(EpsSpec.parse("a(bc)"), 64)
+        plain = InvSeries(cf.terms, cf.precision)
+        assert cf.reciprocal == compute_inv_cf(EpsSpec.parse("a(bc)"), 66)
+        assert plain.reciprocal is None
+        assert cf == plain and hash(cf) == hash(plain)
+        assert cf.to_json() == plain.to_json()
+
+    def test_other_operations_carry_no_reciprocal(self):
+        cf = compute_cf(EpsSpec.parse("a(bc)"), 64)
+        results = [cf + cf, cf * cf, cf.truncated(32), cf.pow2k(0),
+                   cf.pow2k(1), cf.power(1), cf.power(3), cf.inverse()]
+        assert all(r.reciprocal is None for r in results)
+
+
 class TestEvalRelation:
     def test_self_defining_head(self):
         s = compute_inv_cf(EpsSpec.parse("(ab)"), 64)
