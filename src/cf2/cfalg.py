@@ -16,7 +16,6 @@ the XOR of its own shifted power rows, cut at the precision they support.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -30,6 +29,8 @@ from .gf2poly import (
     mono_gcd,
     mono_mul,
     mono_pow,
+    set_bits,
+    sorted_monomials,
 )
 from .invseries import InvSeries, _alphabet, _Packing
 from .seqcore import EpsSpec, WordTooLargeError
@@ -42,7 +43,6 @@ DEFAULT_FIND_PREC = 256
 MAX_UNKNOWNS = 1 << 15
 # nullspaces up to this dimension are swept for the smallest representative
 _ENUMERATION_CAP = 16
-_ONE = re.compile("1")
 
 Series = Union[InvSeries, ZSeries]
 
@@ -259,13 +259,8 @@ def _coeff_monomials(
             for m in monos
             for e in range(z_deg_bound + 1)
         ]
-    universe = tuple(sorted(set(letters) | {"z"}))
-
-    def order_key(m: Monomial):
-        d = dict(m)
-        return (mono_deg(m), tuple(d.get(v, 0) for v in universe))
-
-    return sorted(monos, key=order_key)
+    # ascending graded order: the canonical print order, reversed
+    return sorted_monomials(monos)[::-1]
 
 
 def _graded_terms(s: Series) -> list[tuple[int, Monomial]]:
@@ -289,19 +284,20 @@ def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
 class _RowSupplier:
     """Support rows of the unknowns c * y^j, for both series kinds.
 
-    The powers' (depth, term) pairs are packed once, over their letters
-    and those of the coefficient factors, with fields wide enough for
-    factors whose exponents stay within `factor_top`; a row is the codes
-    of one power shifted by the bias-free code of a coefficient factor and
-    cut at a depth bound.  Code order is depth order.
+    The powers' (depth, term) pairs are packed once, over `letters` (those
+    of the target and of the coefficient factors), with fields holding
+    exponents up to `bound`: a term of y^j is a product of j target terms,
+    so j times the target's largest |exponent|, plus the factors' largest,
+    bounds every product.  A row is the codes of one power shifted by the
+    bias-free code of a coefficient factor and cut at a depth bound.  Code
+    order is depth order, whatever the field width.
     """
 
-    def __init__(self, powers: dict, factor_letters, factor_top: int):
-        graded = {j: _graded_terms(p) for j, p in powers.items()}
-        letters, top = _alphabet(t for g in graded.values() for _, t in g)
-        self.packing = pk = _Packing(letters | set(factor_letters), top + factor_top)
+    def __init__(self, powers: dict, letters, bound: int):
+        self.packing = pk = _Packing(letters, bound)
         self.codes = {
-            j: sorted(pk.encode(d, t) for d, t in g) for j, g in graded.items()
+            j: sorted(pk.encode(d, t) for d, t in _graded_terms(p))
+            for j, p in powers.items()
         }
 
     def support(self, j: int, factor: int, bound) -> list[int]:
@@ -312,30 +308,40 @@ class _RowSupplier:
         return [c + factor for c in codes]
 
 
-def _set_bits(tag: int) -> list[int]:
-    """Indices of the set bits of a tag (the unknowns or rows it combines)."""
-    return [m.start() for m in _ONE.finditer(format(tag, "b")[::-1])]
-
-
 def _combine(rows: list[int], tag: int) -> int:
+    """XOR of the rows whose indices are the set bits of a tag."""
     acc = 0
-    for i in _set_bits(tag):
+    for i in set_bits(tag):
         acc ^= rows[i]
     return acc
 
 
-def _block_rows(supports, keys, lo: int, hi: int) -> list[int]:
-    """Each support's row on the equations keys[lo:hi], bit i for keys[lo + i]."""
-    index = {k: i for i, k in enumerate(keys[lo:hi])}
-    start = keys[lo] if lo else -math.inf
-    end = keys[hi] if hi < len(keys) else math.inf
+def _mask_rows(supports, keys: list) -> list[int]:
+    """Each support's GF(2) row over the equations `keys`, bit i for keys[i].
+
+    Bits are set in a byte buffer and each row is built by one int: or-ing
+    1 << i into an int would copy the whole row for every key.
+    """
+    index = {k: i for i, k in enumerate(keys)}
+    size = (len(keys) + 7) >> 3
     rows = []
     for sup in supports:
-        mask = 0
-        for k in sup[bisect_left(sup, start): bisect_left(sup, end)]:
-            mask |= 1 << index[k]
-        rows.append(mask)
+        buf = bytearray(size)
+        for k in sup:
+            i = index[k]
+            buf[i >> 3] |= 1 << (i & 7)
+        rows.append(int.from_bytes(buf, "little"))
     return rows
+
+
+def _block_rows(supports, keys, lo: int, hi: int) -> list[int]:
+    """Each support's row on the equations keys[lo:hi], bit i for keys[lo + i]."""
+    start = keys[lo] if lo else -math.inf
+    end = keys[hi] if hi < len(keys) else math.inf
+    return _mask_rows(
+        (sup[bisect_left(sup, start): bisect_left(sup, end)] for sup in supports),
+        keys[lo:hi],
+    )
 
 
 def _restrict(tags: list[int], supports, keys, lo: int, hi: int) -> list[int]:
@@ -347,7 +353,7 @@ def _restrict(tags: list[int], supports, keys, lo: int, hi: int) -> list[int]:
 
 def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
     keys: set = set()
-    for i in _set_bits(tag):
+    for i in set_bits(tag):
         j, factor = shifts[i]
         keys.symmetric_difference_update(supplier.support(j, factor, bound))
     return keys
@@ -370,8 +376,11 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
         powers[j].precision + min(0, min(d for d, _ in fs))
         for j, fs in factors.items()
     )
-    letters, top = _alphabet(t for fs in factors.values() for _, t in fs)
-    supplier = _RowSupplier(powers, letters, top)
+    letters, top = _alphabet(t for _, t in _graded_terms(target))
+    f_letters, f_top = _alphabet(t for fs in factors.values() for _, t in fs)
+    supplier = _RowSupplier(
+        powers, letters | f_letters, max(rel.coeffs) * top + f_top
+    )
     pk = supplier.packing
     shifts = [(j, pk.factor(d, t)) for j, fs in factors.items() for d, t in fs]
     residual = _residual_support(supplier, shifts, (1 << len(shifts)) - 1, precision)
@@ -381,11 +390,12 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
 
 
 def _materialize(tag: int, unknowns) -> Relation:
-    coeffs: dict[int, set] = {}
-    for i in _set_bits(tag):
+    """The relation a null vector spells; its unknowns (j, m) are distinct."""
+    coeffs: dict[int, list] = {}
+    for i in set_bits(tag):
         j, mon = unknowns[i]
-        coeffs.setdefault(j, set()).symmetric_difference_update((mon,))
-    return Relation({j: Gf2Poly(ms) for j, ms in coeffs.items() if ms})
+        coeffs.setdefault(j, []).append(mon)
+    return Relation({j: Gf2Poly._raw(frozenset(ms)) for j, ms in coeffs.items()})
 
 
 def _relation_sort_key(rel: Relation):
@@ -395,9 +405,9 @@ def _relation_sort_key(rel: Relation):
 def _search_bounds(
     target: Series, max_ydeg: int, coeff_deg_bound: int,
     z_deg_bound: Optional[int],
-) -> tuple[list[str], Optional[int]]:
-    """The target's letters and the z-degree bound in force (None on the
-    inverse side), once the bounds are checked.
+) -> tuple[list[str], int, Optional[int]]:
+    """The target's letters, its largest |exponent| and the z-degree bound
+    in force (None on the inverse side), once the bounds are checked.
 
     The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
     #letters) letter monomials times the z powers, are counted in closed
@@ -414,14 +424,14 @@ def _search_bounds(
         raise TypeError(f"cannot search relations for {type(target).__name__}")
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
-    letters = sorted(_alphabet(t for _, t in _graded_terms(target))[0])
+    letters, top = _alphabet(t for _, t in _graded_terms(target))
     n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
     unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
     if unknowns > MAX_UNKNOWNS:
         raise WordTooLargeError(
             f"the relation search exceeds the size cap of {MAX_UNKNOWNS} unknowns"
         )
-    return letters, z_deg_bound
+    return sorted(letters), top, z_deg_bound
 
 
 def find_relation(
@@ -443,12 +453,12 @@ def find_relation(
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
-    letters, z_deg_bound = _search_bounds(
+    letters, top, z_deg_bound = _search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
     z_side = z_deg_bound is not None
     powers = {j: target.power(j) for j in range(max_ydeg + 1)}
-    supplier = _RowSupplier(powers, letters, coeff_deg_bound)
+    supplier = _RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
     verify_bound = min(p.precision for p in powers.values()) - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
@@ -497,17 +507,7 @@ def find_relation(
     ]
     if any(residuals):
         rkeys = sorted(set().union(*residuals))
-        ridx = {k: i for i, k in enumerate(rkeys)}
-        rows2 = []
-        for res in residuals:
-            # bits set in a byte buffer, one int built per row: or-ing
-            # 1 << i into an int would copy the whole row for every key
-            buf = bytearray((len(rkeys) + 7) >> 3)
-            for k in res:
-                i = ridx[k]
-                buf[i >> 3] |= 1 << (i & 7)
-            rows2.append(int.from_bytes(buf, "little"))
-        combos = nullspace(rows2, len(rkeys))
+        combos = nullspace(_mask_rows(residuals, rkeys), len(rkeys))
         final_tags = [_combine(tags, combo) for combo in combos]
     else:
         final_tags = tags

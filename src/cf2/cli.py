@@ -283,9 +283,7 @@ def cmd_riccati_check(args) -> int:
     q = QuotientSeq.parse(args.pattern, args.a, args.b)
     rows = []
     data = []
-    for n in range(-1, min(args.n, len(q.pattern)) + 1):
-        if n >= len(q.pattern):
-            break
+    for n in range(-1, min(args.n, len(q.pattern) - 1) + 1):
         w = fn_witness(q, n)
         val = "-" if w.residual_valuation is None else (
             "inf" if w.residual_valuation == math.inf else str(w.residual_valuation)

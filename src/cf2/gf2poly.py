@@ -10,6 +10,11 @@ sign, so they also serve the inverse-power terms of `invseries`.
 Univariate polynomials over GF(2) are plain int bitsets (bit ``i`` is the
 coefficient of ``t^i``), which keeps the convergent arithmetic in the
 Riccati checks cheap.
+
+The bit-level primitives the other modules share live here once:
+`set_bits` walks the set bits of an int (exponents, occurrence indices,
+series supports, the unknowns a null vector combines), and `binary_power`
+forms x^j as a product of Frobenius powers x^(2^k) for every ring here.
 """
 
 from __future__ import annotations
@@ -22,6 +27,24 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 ONE_MONO: Monomial = ()
 
 _TOKEN_RE = re.compile(r"\s*([a-z]|\^|\*|\+|-?\d+)")
+_ONE = re.compile("1")
+
+
+def set_bits(n: int) -> list[int]:
+    """Indices of the set bits of n >= 0, ascending (one scan of its digits)."""
+    return [m.start() for m in _ONE.finditer(format(n, "b")[::-1])]
+
+
+def binary_power(frob, j: int, one):
+    """x^j as the product of the Frobenius powers frob(k) = x^(2^k) over the
+    set bits k of j; `one` for j = 0."""
+    if j < 0:
+        raise ValueError("negative power")
+    result = None
+    for k in set_bits(j):
+        f = frob(k)
+        result = f if result is None else result * f
+    return one if result is None else result
 
 
 def _even_bit_mask(n: int) -> int:
@@ -243,17 +266,7 @@ class Gf2Poly:
         return Gf2Poly._raw(frozenset(acc))
 
     def __pow__(self, k: int) -> "Gf2Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Gf2Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base.pow2k(1)
-        return result
+        return binary_power(self.pow2k, k, Gf2Poly.one())
 
     def pow2k(self, k: int) -> "Gf2Poly":
         """Frobenius power: every exponent is multiplied by 2**k."""
@@ -360,11 +373,7 @@ class UniPoly:
         return cls(bits)
 
     def exponents(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(set_bits(self.bits))
 
     def degree(self) -> int:
         return self.bits.bit_length() - 1
@@ -403,18 +412,12 @@ class UniPoly:
         """Frobenius: the bits spread to even places (binary read in base 4)."""
         return UniPoly(int(format(self.bits, "b"), 4))
 
+    def pow2k(self, k: int) -> "UniPoly":
+        """Frobenius power 2**k: bit i moves to place i * 2**k."""
+        return UniPoly(int(("0" * ((1 << k) - 1)).join(format(self.bits, "b")), 2))
+
     def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = UniPoly(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base.square()
-        return result
+        return binary_power(self.pow2k, k, UniPoly(1))
 
     def derivative(self) -> "UniPoly":
         """Formal d/dt: only odd exponents survive in char 2."""

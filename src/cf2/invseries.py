@@ -31,8 +31,8 @@ of the results (computed from the operands' actual exponents, not
 assumed), and the public form stays the tuple one, decoded once per
 result.
 
-Powers are binary powering over the Frobenius powers s^(2^k), which cost
-no product.  A continued fraction from `cfalg.compute_cf` carries its
+Powers are `gf2poly.binary_power` over the Frobenius powers s^(2^k), which
+cost no product.  A continued fraction from `cfalg.compute_cf` carries its
 reciprocal r = sum of the 1/u_n, a few terms against its thousands, and
 takes a power j that is not a power of two as s^(2^k) * r^(2^k - j), 2^k
 the next power of two above j: a Frobenius power times a sparse one, in
@@ -53,6 +53,7 @@ from .gf2poly import (
     Gf2Poly,
     Monomial,
     ONE_MONO,
+    binary_power,
     mono_deg,
     mono_pow,
     mono_str,
@@ -245,10 +246,11 @@ class InvSeries:
         module docstring), by binary powering otherwise."""
         if j < 0:
             raise ValueError("negative power")
+        one = InvSeries.one()
         if self.reciprocal is None or j & (j - 1) == 0:
-            return _binary_power(self, j)
+            return binary_power(self.pow2k, j, one)
         k = j.bit_length()
-        return self.pow2k(k) * _binary_power(self.reciprocal, (1 << k) - j)
+        return self.pow2k(k) * binary_power(self.reciprocal.pow2k, (1 << k) - j, one)
 
     def truncated(self, precision) -> "InvSeries":
         prec = min(self.precision, precision)
@@ -332,18 +334,3 @@ class InvSeries:
             (tuple((str(v), int(n)) for v, n in pairs) for pairs, _ in data["terms"]),
             math.inf if prec is None else prec,
         )
-
-
-def _binary_power(s: InvSeries, j: int) -> InvSeries:
-    """s^j as the product of the Frobenius powers s^(2^k) over the bits of j."""
-    if j == 0:
-        return InvSeries.one()
-    result: Optional[InvSeries] = None
-    k = 0
-    while j:
-        if j & 1:
-            f = s.pow2k(k)
-            result = f if result is None else result * f
-        j >>= 1
-        k += 1
-    return result

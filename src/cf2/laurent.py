@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .gf2poly import UniPoly, _even_bit_mask
+from .gf2poly import UniPoly, _even_bit_mask, set_bits
 from .invseries import InvSeries
 
 
@@ -48,12 +48,8 @@ class LaurentSeries:
     def from_unipoly(cls, p: UniPoly, prec=math.inf) -> "LaurentSeries":
         if not p:
             return cls.zero(prec)
-        d = p.degree()
-        # t^e has 1/t-exponent -e; reverse the bit order around degree d
-        bits = 0
-        for e in p.exponents():
-            bits |= 1 << (d - e)
-        return cls(-d, bits, prec)
+        # t^e has 1/t-exponent -e; reverse the bit order around the degree
+        return cls(-p.degree(), int(f"{p.bits:b}"[::-1], 2), prec)
 
     @classmethod
     def from_exponents(cls, exps: Iterable[int], prec=math.inf) -> "LaurentSeries":
@@ -76,15 +72,7 @@ class LaurentSeries:
 
     def support(self) -> list[int]:
         """Stored 1/t-exponents, ascending."""
-        out = []
-        bits = self.bits
-        i = 0
-        while bits:
-            if bits & 1:
-                out.append(self.val + i)
-            bits >>= 1
-            i += 1
-        return out
+        return [self.val + i for i in set_bits(self.bits)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .gf2poly import UniPoly
+from .gf2poly import UniPoly, set_bits
 
 MAX_WORD_LETTERS = 1 << 26
 
@@ -130,8 +130,7 @@ class PositionSet:
     @property
     def indices(self) -> tuple[int, ...]:
         """The members in increasing order."""
-        digits = format(self.bits, "b")[::-1]
-        return tuple(i for i, c in enumerate(digits) if c == "1")
+        return tuple(set_bits(self.bits))
 
 
 @dataclass(frozen=True)

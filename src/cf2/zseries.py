@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2poly import Gf2Poly, Monomial
+from .gf2poly import Gf2Poly, Monomial, binary_power
 from .invseries import _alphabet, _Packing
 from .seqcore import EpsSpec, PositionSet, _check_size, _valuation_bits, letter_at
 
@@ -121,20 +121,9 @@ class ZSeries:
         return ZSeries(out)
 
     def power(self, j: int, precision: Optional[int] = None) -> "ZSeries":
+        """j-th power, cut at `precision` (by default this series' own)."""
         p = self.precision if precision is None else precision
-        if j < 0:
-            raise ValueError("negative power")
-        if j == 0:
-            return ZSeries.one(p)
-        result: Optional[ZSeries] = None
-        k = 0
-        while j:
-            if j & 1:
-                f = self.pow2k(k, p)
-                result = f if result is None else result * f
-            j >>= 1
-            k += 1
-        return result.truncated(p)
+        return binary_power(lambda k: self.pow2k(k, p), j, ZSeries.one(p))
 
     def cartier(self, r: int) -> "ZSeries":
         """Halving operator: coefficient j of the output is coefficient 2j+r."""

@@ -86,3 +86,25 @@ def test_a_cf_search_makes_one_power_span_per_power():
     assert len(powers) == 5
     assert {names[s[5]] for s in powers} == {"cfalg.find_relation"}
     assert tracer.layer_metrics(0, 1.0)["invseries.power_calls"] == 5
+
+
+def test_a_z_sweep_makes_one_power_span_per_power():
+    # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4,
+    # so it forms 2 + 3 + 4 + 5 = 14 powers; `ZSeries.power` builds each
+    # from Frobenius powers and products, never through itself, so no
+    # power span sits inside another and `zseries.power_s` counts no time
+    # twice
+    spans = _spans()
+    f = cf2.compute_F(EpsSpec.parse("(aabb)"), 2 * 256 + 16)
+    tracer = spans.Tracer()
+    with tracer.patched(cf2):
+        ydeg, _ = cf2.cfalg.minimal_degree_report(f, 8, 4, 8, prec=256)
+    assert ydeg == 4
+    powers = [s for s in tracer.spans if s[0] == "zseries.power"]
+    assert len(powers) == 14
+    for span in powers:
+        parent = span[5]
+        while parent is not None:
+            assert tracer.spans[parent][0] != "zseries.power"
+            parent = tracer.spans[parent][5]
+    assert tracer.layer_metrics(0, 1.0)["zseries.power_calls"] == 14
