@@ -33,7 +33,7 @@ from .gf2poly import (
     sorted_monomials,
 )
 from .invseries import InvSeries, _alphabet, _Packing
-from .seqcore import EpsSpec, WordTooLargeError
+from .seqcore import EpsSpec, WordTooLargeError, _check_size
 from .zseries import ZSeries, split_z
 
 DEFAULT_VERIFY_PREC = 64
@@ -60,6 +60,7 @@ def continuants(spec: EpsSpec, n: int) -> ContinuantPair:
     """Pair built by u_{k+1} = eps_k u_k^2, v_{k+1} = eps_k u_k v_k + 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_size((1 << n) - 1, f"continuant of degree 2^{n}-1")
     u = Gf2Poly.variable(spec.letter(0))
     v = Gf2Poly.one()
     for k in range(1, n):
@@ -451,20 +452,25 @@ def find_relation(
     A search of more than MAX_UNKNOWNS unknowns raises WordTooLargeError
     before any power is built.
     """
+    return _find_relation(target, max_ydeg, coeff_deg_bound, z_deg_bound, prec, {})
+
+
+def _find_relation(target, max_ydeg, coeff_deg_bound, z_deg_bound, prec, powers):
+    """`find_relation` with y^0, y^1, ... from `powers`, which gains any missing."""
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
     letters, top, z_deg_bound = _search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
     z_side = z_deg_bound is not None
-    powers = {j: target.power(j) for j in range(max_ydeg + 1)}
+    powers.update({j: target.power(j) for j in range(len(powers), max_ydeg + 1)})
     supplier = _RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
     verify_bound = min(p.precision for p in powers.values()) - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
             f"target precision supports verification below {verify_bound}, "
             f"less than twice the solve precision {prec}",
-            stacklevel=2,
+            stacklevel=3,
         )
     p_sys = min(prec, verify_bound)
 
@@ -483,7 +489,7 @@ def find_relation(
         warnings.warn(
             f"under-determined system: {len(all_keys)} equations for "
             f"{len(unknowns)} unknowns below depth {p_sys}",
-            stacklevel=2,
+            stacklevel=3,
         )
     sorted_keys = sorted(all_keys)
 
@@ -497,9 +503,6 @@ def find_relation(
     while len(tags) > 24 and n_eq < len(sorted_keys):
         lo, n_eq = n_eq, min(len(sorted_keys), 2 * n_eq)
         tags = _restrict(tags, supports, sorted_keys, lo, n_eq)
-
-    if not tags:
-        return []
 
     # impose the remaining equations exactly, at full available precision
     residuals = [
@@ -544,7 +547,7 @@ def find_relation(
         warnings.warn(
             f"nullspace dimension {dim} exceeds the enumeration cap; "
             "the first relation may not be the smallest representative",
-            stacklevel=2,
+            stacklevel=3,
         )
         best = min(basis, key=_relation_sort_key)
 
@@ -569,8 +572,11 @@ def minimal_degree_report(
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
     _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
+    powers: dict = {}
     for ydeg in range(1, ydeg_cap + 1):
-        rels = find_relation(target, ydeg, coeff_deg_bound, z_deg_bound, prec)
+        rels = _find_relation(
+            target, ydeg, coeff_deg_bound, z_deg_bound, prec, powers
+        )
         if rels:
             return ydeg, rels[0]
     return None, None

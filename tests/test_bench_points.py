@@ -10,19 +10,26 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import sys
 
 import cf2
 import cf2.cli  # noqa: F401  (the benchmark imports the CLI too)
 from cf2 import EpsSpec
 
-_SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+_BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench(name: str):
+    path = _BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench("spans")
 
 
 def test_every_point_resolves():
@@ -89,11 +96,11 @@ def test_a_cf_search_makes_one_power_span_per_power():
 
 
 def test_a_z_sweep_makes_one_power_span_per_power():
-    # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4,
-    # so it forms 2 + 3 + 4 + 5 = 14 powers; `ZSeries.power` builds each
-    # from Frobenius powers and products, never through itself, so no
-    # power span sits inside another and `zseries.power_s` counts no time
-    # twice
+    # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4;
+    # the sweep keeps the powers of one degree for the next, so it forms
+    # y^0 .. y^4 once each, 5 powers.  `ZSeries.power` builds each from
+    # Frobenius powers and products, never through itself, so no power
+    # span sits inside another and `zseries.power_s` counts no time twice
     spans = _spans()
     f = cf2.compute_F(EpsSpec.parse("(aabb)"), 2 * 256 + 16)
     tracer = spans.Tracer()
@@ -101,10 +108,28 @@ def test_a_z_sweep_makes_one_power_span_per_power():
         ydeg, _ = cf2.cfalg.minimal_degree_report(f, 8, 4, 8, prec=256)
     assert ydeg == 4
     powers = [s for s in tracer.spans if s[0] == "zseries.power"]
-    assert len(powers) == 14
+    assert len(powers) == 5
     for span in powers:
         parent = span[5]
         while parent is not None:
             assert tracer.spans[parent][0] != "zseries.power"
             parent = tracer.spans[parent][5]
-    assert tracer.layer_metrics(0, 1.0)["zseries.power_calls"] == 14
+    assert tracer.layer_metrics(0, 1.0)["zseries.power_calls"] == 5
+
+
+def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
+    # the benchmark's three inverse-power searches solve 5 systems: one
+    # first solve each, and one widening step each for a(bc) CF and
+    # (aabb) G.  The tags do not depend on how `nullspace` pivots, so
+    # neither does the widening schedule nor any of these counts
+    spans = _spans()
+    workload = _bench("workloads").build("inv-search", cf2, 7, tmp_path)
+    tracer = spans.Tracer()
+    with tracer.patched(cf2):
+        for _, task in workload.tasks:
+            assert task()
+    metrics = tracer.layer_metrics(0, 1.0)
+    assert metrics["gf2linalg.nullspace_calls"] == 5
+    assert metrics["gf2linalg.rows"] == 3478
+    assert metrics["gf2linalg.cols"] == 7343
+    assert metrics["gf2linalg.nullity"] == 415

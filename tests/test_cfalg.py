@@ -102,6 +102,16 @@ class TestContinuants:
     def test_third_numerator(self):
         assert continuants(EpsSpec.parse("(ab)"), 3).u == Gf2Poly.parse("a^5*b^2")
 
+    def test_degree_is_capped_like_the_word(self):
+        # u_n has degree 2^n - 1, the length of the word it spells, so
+        # continuants refuse the n that `build_word` refuses, and no other
+        spec = EpsSpec.parse("(ab)")
+        pair = continuants(spec, 26)
+        assert pair.u.degree() == (1 << 26) - 1
+        assert len(pair.v.terms) == 26
+        with pytest.raises(WordTooLargeError):
+            continuants(spec, 27)
+
     @settings(max_examples=200, deadline=None)
     @given(eps_specs(), st.integers(min_value=0, max_value=12))
     def test_numerator_is_letter_stack(self, spec, n):

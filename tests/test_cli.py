@@ -100,6 +100,13 @@ class TestCf:
         assert "u_2 = a^2*b" in out
         assert "v_2 = a*b + 1" in out
 
+    def test_oversized_convergent_index_is_usage_error(self, capsys):
+        code = main(["cf", "convergents", "--eps", "(ab)", "--n", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "size cap" in captured.err and "Traceback" not in captured.err
+
     def test_series_json_roundtrip(self, capsys):
         code, out = run(
             capsys, "cf", "series", "--eps", "(ab)", "--target", "invcf",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from hypothesis import example, given, strategies as st
 
+import cf2
+from cf2 import EpsSpec
 from cf2.cfalg import _block_rows, _combine, _restrict
 from cf2.gf2linalg import nullspace
 
@@ -85,3 +87,64 @@ def test_widening_by_blocks_equals_the_full_solve(case):
     for lo, hi in zip(bounds[1:], bounds[2:]):
         tags = _restrict(tags, supports, keys, lo, hi)
     assert tags == nullspace(rows, width)
+
+
+def _lowest_bit_nullspace(rows: list[int], n_cols: int) -> list[int]:
+    """Reference: elimination pivoting on the lowest set bit of the
+    equation part, with each row's tag kept above its equation bits."""
+    basis: dict[int, int] = {}
+    tags: list[int] = []
+    eq_mask = (1 << n_cols) - 1
+    for i, row in enumerate(rows):
+        r = (row & eq_mask) | (1 << (n_cols + i))
+        while True:
+            rv = r & eq_mask
+            if rv == 0:
+                tags.append(r >> n_cols)
+                break
+            p = (rv & -rv).bit_length() - 1
+            b = basis.get(p)
+            if b is None:
+                basis[p] = r
+                break
+            r ^= b
+    return tags
+
+
+@st.composite
+def overwide_systems(draw):
+    """(rows, width): systems whose rows may set bits at or above the
+    width, which are not equations and must be ignored."""
+    rows, width = draw(systems())
+    extra = draw(st.lists(st.integers(0, 7), min_size=len(rows),
+                          max_size=len(rows)))
+    return [row | e << width for row, e in zip(rows, extra)], width
+
+
+@given(overwide_systems())
+@example(([], 0))
+@example(([1, 2, 3], 0))
+@example(([0b100, 0b110, 0b010, 0b001], 2))
+@example(([0b11, 0b10, 0b01, 0b10], 2))
+def test_pivot_choice_does_not_change_the_tags(system):
+    rows, width = system
+    assert nullspace(rows, width) == _lowest_bit_nullspace(rows, width)
+
+
+def test_the_largest_search_system_gives_the_reference_tags(monkeypatch):
+    # the (aabb) G first solve, 2,601 unknowns over 2,857 equations, is
+    # the largest system the paper's searches pose
+    received = []
+
+    def recording(rows, n_cols):
+        received.append((rows, n_cols))
+        return nullspace(rows, n_cols)
+
+    monkeypatch.setattr(cf2.cfalg, "nullspace", recording)
+    g = cf2.compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
+    assert cf2.find_relation(g, 16, 16, prec=512)
+    rows, n_cols = received[0]
+    assert (len(rows), n_cols) == (2601, 2857)
+    tags = nullspace(rows, n_cols)
+    assert len(tags) == 382
+    assert tags == _lowest_bit_nullspace(rows, n_cols)
