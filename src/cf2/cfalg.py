@@ -19,7 +19,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .gf2linalg import nullspace
 from .gf2poly import (
@@ -83,21 +83,30 @@ def continuant_monomial(spec: EpsSpec, n: int) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def general_continuant(quotients: list) -> tuple:
-    """Three-term recurrence from (1, 0) and (q_0, 1).
-
-    Runs in the ring of the quotients (Gf2Poly or UniPoly); an empty list
-    gives the Gf2Poly pair (1, 0).
-    """
-    ring = type(quotients[0]) if quotients else Gf2Poly
-    p_prev, q_prev = ring.one(), ring.zero()
-    if not quotients:
-        return p_prev, q_prev
-    p_cur, q_cur = quotients[0], ring.one()
-    for u in quotients[1:]:
+def _convergents(quotients: Iterable) -> Iterator[tuple]:
+    """(P_n, Q_n) for n = 0, 1, ... by the three-term recurrence from
+    (P_{-1}, Q_{-1}) = (1, 0) and (P_0, Q_0) = (q_0, 1), in the ring of the
+    quotients (Gf2Poly or UniPoly); the quotients may be an endless iterator."""
+    it = iter(quotients)
+    u = next(it, None)
+    if u is None:
+        return
+    ring = type(u)
+    p_prev, q_prev, p_cur, q_cur = ring.one(), ring.zero(), u, ring.one()
+    yield p_cur, q_cur
+    for u in it:
         p_cur, p_prev = u * p_cur + p_prev, p_cur
         q_cur, q_prev = u * q_cur + q_prev, q_cur
-    return p_cur, q_cur
+        yield p_cur, q_cur
+
+
+def general_continuant(quotients: list) -> tuple:
+    """The last convergent (P_n, Q_n); an empty list gives the Gf2Poly pair
+    (1, 0)."""
+    last = (Gf2Poly.one(), Gf2Poly.zero())
+    for last in _convergents(quotients):
+        pass
+    return last
 
 
 def _reciprocal_sum(spec: EpsSpec, first: int, step: int, precision: int):

@@ -310,9 +310,6 @@ class Gf2Poly:
             return -1
         return max(mono_deg(m) for m in self.terms)
 
-    def variables(self) -> set[str]:
-        return {v for m in self.terms for v, _ in m}
-
     def content(self) -> Monomial:
         """Largest monomial dividing every term (1 for the zero poly)."""
         return mono_gcd(self.terms)
@@ -365,13 +362,6 @@ class UniPoly:
     def t(cls) -> "UniPoly":
         return cls(2)
 
-    @classmethod
-    def from_exponents(cls, exps: Iterable[int]) -> "UniPoly":
-        bits = 0
-        for e in exps:
-            bits ^= 1 << e
-        return cls(bits)
-
     def exponents(self) -> Iterator[int]:
         return iter(set_bits(self.bits))
 
@@ -413,8 +403,8 @@ class UniPoly:
         return UniPoly(int(format(self.bits, "b"), 4))
 
     def pow2k(self, k: int) -> "UniPoly":
-        """Frobenius power 2**k: bit i moves to place i * 2**k."""
-        return UniPoly(int(("0" * ((1 << k) - 1)).join(format(self.bits, "b")), 2))
+        """Frobenius power 2**k: `square` applied k times."""
+        return self if k == 0 else self.square().pow2k(k - 1)
 
     def __pow__(self, k: int) -> "UniPoly":
         return binary_power(self.pow2k, k, UniPoly(1))
@@ -429,9 +419,6 @@ class UniPoly:
         if self.bits & ~_even_bit_mask(self.bits.bit_length()):
             return None
         return UniPoly(int(format(self.bits, "b")[::2], 2))
-
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
 
     @classmethod
     def parse(cls, text: str, var: Optional[str] = None) -> "UniPoly":

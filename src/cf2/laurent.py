@@ -9,14 +9,18 @@ continued fractions handled symbolically) carry infinite precision.
 Continued-fraction expansion reads the stored bits as a rational function
 and runs Euclid's algorithm on int bitsets, with the known precision
 shrinking by twice each quotient's degree; exact input gives the exact
-finite expansion.
+finite expansion.  The converse, the value of a finite or eventually
+periodic continued fraction, is one convergent P_n/Q_n of the package's
+three-term recurrence (`cfalg`): P_n times one inverse of Q_n.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain, cycle
+from typing import Iterable, NamedTuple
 
+from .cfalg import _convergents, general_continuant
 from .gf2poly import UniPoly, _even_bit_mask, set_bits
 from .invseries import InvSeries
 
@@ -107,9 +111,6 @@ class LaurentSeries:
             return LaurentSeries.zero(prec)
         bits = (UniPoly(self.bits) * UniPoly(other.bits)).bits
         return LaurentSeries(self.val + other.val, bits, prec)
-
-    def mul_poly(self, p: UniPoly) -> "LaurentSeries":
-        return self * LaurentSeries.from_unipoly(p)
 
     def square(self) -> "LaurentSeries":
         prec = self.prec if self.prec == math.inf else 2 * self.prec
@@ -224,45 +225,41 @@ def cf_expand(s: LaurentSeries, count: int) -> CfExpansion:
 def cf_value(
     quotients: list[UniPoly], tail_period: int = 0, precision: int = 64
 ) -> LaurentSeries:
-    """Laurent value of a continued fraction given by polynomial quotients.
+    """Laurent value of a continued fraction: one convergent P_n/Q_n.
 
-    With tail_period = k > 0, the final k quotients repeat forever; the
-    periodic tail value is found by iterating its self-map to precision.
+    A finite list gives its last convergent, exact when Q_n = 1 and else
+    known below `precision` + 2 * (total quotient degree) + 4.  With
+    tail_period = k > 0 the final k quotients repeat forever, and n is the
+    first index past the head with deg Q_n >= deg Q_{n-1} and
+    deg Q_{n-1} + deg Q_n >= precision: the error of P_{n-1}/Q_{n-1} is
+    1/(Q_{n-1}(alpha_n Q_{n-1} + Q_{n-2})), of that degree, and P_n/Q_n is
+    closer still, so it is exact below the precision.  Q_n = 0 (no value)
+    raises ValueError.
     """
     if tail_period < 0 or tail_period > len(quotients):
         raise ValueError("bad tail period")
     head = list(quotients[: len(quotients) - tail_period])
     tail = list(quotients[len(quotients) - tail_period :])
-    for q in tail:
-        if q.degree() < 1:
-            raise ValueError("periodic tail quotients must be non-constant")
-    # evaluate with enough working precision that the head folds survive
-    work = precision + 2 * sum(max(q.degree(), 0) for q in quotients) + 4
-
-    def fold(value: Optional[LaurentSeries], qs) -> LaurentSeries:
-        for q in reversed(qs):
-            lead = LaurentSeries.from_unipoly(q, math.inf if value is None else work)
-            value = lead if value is None else lead + value.inverse(work)
-        return value
-
-    if tail:
-        x = fold(None, tail)
-        prev = None
-        while prev is None or not _agree(prev, x, work):
-            prev = x
-            x = fold(x, tail)
-        value = x
-    else:
-        value = None
-    value = fold(value, head)
-    if value is None:
+    if any(q.degree() < 1 for q in tail):
+        raise ValueError("periodic tail quotients must be non-constant")
+    if not quotients:
         raise ValueError("empty continued fraction")
-    return value.truncated(precision if tail else math.inf)
-
-
-def _agree(a: LaurentSeries, b: LaurentSeries, prec: int) -> bool:
-    d = a + b
-    return d.is_zero() or d.valuation() >= prec
+    if tail:
+        prec = precision
+        d_prev = -1  # deg Q_{-1}, Q_{-1} = 0
+        for n, (p, q) in enumerate(_convergents(chain(head, cycle(tail)))):
+            d = q.degree()
+            if n >= len(head) and d >= d_prev and d_prev + d >= precision:
+                break
+            d_prev = d
+    else:
+        p, q = general_continuant(head)
+        work = precision + 2 * sum(max(u.degree(), 0) for u in head) + 4
+        prec = math.inf if q == UniPoly.one() else work
+    if not q:
+        raise ValueError("continued fraction has no value")
+    inv = LaurentSeries.from_unipoly(q).inverse(prec + max(p.degree(), 0))
+    return (LaurentSeries.from_unipoly(p) * inv).truncated(prec)
 
 
 def specialize_inv(

@@ -89,23 +89,19 @@ def _fn_poly(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> UniPoly:
 def riccati_residual(q: QuotientSeq, n: int) -> Union[int, float]:
     """1/t-valuation of (ab(a+b) f_n)' + (ab)'(1 + f_n^2), f_n = P_n/Q_n.
 
-    Computed exactly as a rational function: the numerator over Q_n^2 is
-    F_n' by the quotient rule (squares have zero derivative in char 2).
+    Computed exactly as a rational function: by the quotient rule its
+    numerator over Q_n^2 is F_n' (squares have zero derivative in char 2),
+    so the valuation is 2 deg Q_n - deg F_n', with F_n from `_fn_poly`.
     """
     p, qq = convergents_uni(q, n)
     if not qq:
         raise ValueError("Q_n is zero")
-    return _residual_valuation(q, p, qq)
+    return _residual_valuation(_fn_poly(q, p, qq), qq)
 
 
-def _residual_valuation(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> Union[int, float]:
-    ab = q.a * q.b
-    s = q.a + q.b
-    num = (
-        (ab * s * p).derivative() * qq
-        + ab * s * p * qq.derivative()
-        + ab.derivative() * (p * p + qq * qq)
-    )
+def _residual_valuation(f_n: UniPoly, qq: UniPoly) -> Union[int, float]:
+    """2 deg Q_n - deg F_n', or inf when F_n' = 0."""
+    num = f_n.derivative()
     if not num:
         return math.inf
     return 2 * qq.degree() - num.degree()
@@ -118,7 +114,7 @@ def fn_witness(q: QuotientSeq, n: int) -> RiccatiWitness:
     root = (f_n + q.a * q.b).sqrt()
     if root is None:
         raise SquareInvariantError(f"F_{n} + ab is not a square for {q}")
-    val = _residual_valuation(q, p, qq) if qq else None
+    val = _residual_valuation(f_n, qq) if qq else None
     return RiccatiWitness(n, f_n, root, val)
 
 
@@ -135,7 +131,7 @@ def baum_sweet_check(alpha: LaurentSeries, prec: int) -> bool:
     t_poly = UniPoly.parse("t^2 + t")
     one = LaurentSeries.from_unipoly(UniPoly.one())
     residual = (
-        alpha.mul_poly(t_poly).derivative()
+        (alpha * LaurentSeries.from_unipoly(t_poly)).derivative()
         + alpha.square()
         + one.truncated(alpha.prec)
     )

@@ -468,6 +468,29 @@ class TestFindRelation:
         with pytest.raises(ValueError, match="nonnegative"):
             find_relation(target, prec=16, **bounds)
 
+    def test_rejects_ydeg_below_one(self):
+        g = compute_G(EpsSpec.parse("(ab)"), 64)
+        with pytest.raises(ValueError, match="max_ydeg must be at least 1"):
+            find_relation(g, max_ydeg=0, coeff_deg_bound=3, prec=16)
+
+    def test_z_bound_only_on_the_z_side(self):
+        g = compute_G(EpsSpec.parse("(ab)"), 64)
+        with pytest.raises(ValueError, match="only applies to z-series"):
+            find_relation(g, max_ydeg=2, coeff_deg_bound=2, z_deg_bound=1, prec=16)
+
+    def test_rejects_a_target_that_is_not_a_series(self):
+        with pytest.raises(TypeError, match="cannot search relations for list"):
+            find_relation([1, 0, 1], max_ydeg=2, coeff_deg_bound=2, prec=16)
+
+    def test_z_bound_defaults_to_the_coefficient_bound(self):
+        # the (ab) F relation has z-degree 3: found with the default bound
+        # of coefficient degree 3, and not with z-degree 2
+        F = compute_F(EpsSpec.parse("(ab)"), 160)
+        found = find_relation(F, max_ydeg=2, coeff_deg_bound=3, prec=64)
+        assert found
+        assert found == find_relation(F, 2, 3, z_deg_bound=3, prec=64)
+        assert found != find_relation(F, 2, 3, z_deg_bound=2, prec=64)
+
     def test_underdetermined_warns(self):
         g = compute_G(EpsSpec.parse("(ab)"), 16)
         with pytest.warns(UserWarning):

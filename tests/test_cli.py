@@ -128,6 +128,29 @@ class TestCf:
             "(a*b + b^2 + 1) + (a^2*b + a*b^2)*y + (a*b)*y^2 + y^4"
         )
 
+    def test_min_degree_without_relation_exits_1(self, capsys):
+        code, out = run(
+            capsys, "cf", "min-degree", "--eps", "(ab)", "--target", "G",
+            "--ydeg", "3", "--coeff-deg", "3", "--prec", "64",
+        )
+        assert (code, out.strip()) == (1, "no relation within bounds")
+
+    def test_expand_needs_a_series(self, capsys):
+        assert main(["cf", "expand"]) == 2
+        err = capsys.readouterr().err
+        assert "need --demo unbounded or --exponents" in err
+
+    def test_exponent_law_fails_on_a_non_monomial_quotient(self, capsys):
+        # 1/(t^2 + t): the quotient t^2 + t has lowest exponent 1, which
+        # alone would fit the law
+        code, out = run(
+            capsys, "cf", "expand", "--exponents", "2,3,4,5,6,7", "--prec", "8",
+            "--count", "2", "--check-exponent-law",
+        )
+        assert code == 1
+        assert out.splitlines() == ["[0, t^2 + t]  (exhausted)",
+                                    "exponent law: fails"]
+
     def test_find_relation_empty_exits_1(self, capsys):
         code, out = run(
             capsys, "cf", "find-relation", "--eps", "(ab)", "--target", "G",
@@ -279,6 +302,22 @@ class TestRiccati:
             "--periodic-tail", "1",
         )
         assert code == 1
+
+    def test_baum_sweet_without_value_is_an_error(self, capsys):
+        # [0; 0] has Q_1 = 0: no value, so neither member nor non-member
+        code = main(["riccati", "baum-sweet", "--quotients", "0, 0",
+                     "--periodic-tail", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: continued fraction has no value" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_baum_sweet_on_a_degenerate_finite_list(self, capsys):
+        # [0; t, 0] has the value 0, which the fold could not reach
+        code, out = run(capsys, "riccati", "baum-sweet", "--quotients",
+                        "0, t, 0", "--periodic-tail", "0")
+        assert (code, out.strip()) == (
+            1, "degree-one partial quotient class member: False")
 
 
 RELATION_FILES = {

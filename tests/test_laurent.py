@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from cf2 import (
@@ -107,6 +108,45 @@ class TestCfExpand:
         residual = alpha.square() + t * alpha + one
         assert residual.truncated(70).is_zero()
         assert alpha.support()[:4] == [1, 3, 7, 15]
+
+    @pytest.mark.parametrize(
+        "quots, tail, message",
+        [
+            (["t", "t"], -1, "bad tail period"),
+            (["t", "t"], 3, "bad tail period"),
+            (["t", "1"], 1, "periodic tail quotients must be non-constant"),
+            (["0", "t", "0"], 2, "periodic tail quotients must be non-constant"),
+            ([], 0, "empty continued fraction"),
+            # Q_1 = 0 * 1 + 0: the convergent has no value
+            (["0", "0"], 0, "continued fraction has no value"),
+            (["t", "1", "1", "t", "0"], 0, "continued fraction has no value"),
+        ],
+    )
+    def test_input_checks(self, quots, tail, message):
+        with pytest.raises(ValueError, match=message):
+            cf_value([UniPoly.parse(q) for q in quots], tail_period=tail)
+
+    @pytest.mark.parametrize(
+        "quots, tail, expansion",
+        [
+            (["t", "t^2 + 1", "t"], 2, ["t", "t^2 + 1"] * 3),
+            # the zero quotient merges its neighbours: [0; t, 0, t, ...] is
+            # [t; t, ...], so P_1/Q_1 = 1/t is wrong already at t^1
+            (["0", "t", "0", "t"], 1, ["t"] * 6),
+            # Q_2 = 1 after Q_1 = t^3, and Q_3 = 0 in the tail
+            (["0", "t^3", "0", "t^3"], 1, ["t^3"] * 6),
+        ],
+    )
+    def test_periodic_value_is_exact_below_the_precision(self, quots, tail, expansion):
+        # Euclid's algorithm reads the canonical quotients back from the
+        # deep value, and every precision's value is the deep value cut
+        # there, so the convergent's stopping rule never stops early
+        quots = [UniPoly.parse(q) for q in quots]
+        deep = cf_value(quots, tail_period=tail, precision=400)
+        assert [str(q) for q in cf_expand(deep, 6).quotients] == expansion
+        for prec in range(-2, 90):
+            got = cf_value(quots, tail_period=tail, precision=prec)
+            assert got == deep.truncated(prec)
 
 
 def _inverse_loop_expand(s: LaurentSeries, count: int) -> CfExpansion:

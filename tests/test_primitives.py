@@ -4,7 +4,10 @@ Each reference below is a test-only copy of a per-module loop that the
 shared primitive took over: the set-bit walks of `UniPoly.exponents`,
 `PositionSet.indices` and `LaurentSeries.support`, the four binary-powering
 loops, the `|=` row masks, the graded monomial order of the relation
-search, and the bit reversal of `LaurentSeries.from_unipoly`.
+search, the bit reversal of `LaurentSeries.from_unipoly`, the digit-joining
+`UniPoly.pow2k`, and the two re-derivations the convergent recurrence
+replaced: `cf_value`'s backward fold with its fixed-point loop, and the
+hand-expanded quotient rule of the Riccati residual.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
@@ -21,15 +25,21 @@ from cf2 import (
     InvSeries,
     LaurentSeries,
     PositionSet,
+    QuotientSeq,
     UniPoly,
     ZSeries,
+    cf_value,
     compute_cf,
     compute_F,
     compute_G,
+    convergents_uni,
+    general_continuant,
+    riccati_residual,
     unbounded_quotient_series,
 )
 from cf2.cfalg import _block_rows, _coeff_monomials, _mask_rows
 from cf2.gf2poly import mono_deg, set_bits
+from cf2.riccati import _fn_poly
 
 
 def _random_ints(rng, count=40, max_bits=20_000):
@@ -131,6 +141,10 @@ def _frobenius_loop(frob, j, one):
 JS = range(34)
 
 
+def _joined_digits_pow2k(p, k):
+    return UniPoly(int(("0" * ((1 << k) - 1)).join(format(p.bits, "b")), 2))
+
+
 class TestBinaryPower:
     def test_gf2poly(self):
         for text in ("a + b", "a*b + c^2 + 1", "a^3*b + b*c + c"):
@@ -148,6 +162,7 @@ class TestBinaryPower:
         for p in polys:
             for k in range(8):
                 assert p.pow2k(k) == _square_loop(p, 1 << k, UniPoly(1), UniPoly.square)
+                assert p.pow2k(k) == _joined_digits_pow2k(p, k)
             for j in JS:
                 assert p ** j == _square_loop(p, j, UniPoly(1), UniPoly.square)
         with pytest.raises(ValueError):
@@ -291,3 +306,125 @@ class TestBitReversal:
             for prec in (math.inf, 0, 5, -3):
                 got = LaurentSeries.from_unipoly(p, prec)
                 assert got == _from_unipoly_loop(p, prec)
+
+
+# ------------------------------------------------- continued-fraction value
+
+
+def _fold_value(quotients, tail_period=0, precision=64):
+    """The backward fold: one inverse per quotient, the periodic tail
+    iterated until two iterates agree below the working precision."""
+    if tail_period < 0 or tail_period > len(quotients):
+        raise ValueError("bad tail period")
+    head = list(quotients[: len(quotients) - tail_period])
+    tail = list(quotients[len(quotients) - tail_period :])
+    for q in tail:
+        if q.degree() < 1:
+            raise ValueError("periodic tail quotients must be non-constant")
+    work = precision + 2 * sum(max(q.degree(), 0) for q in quotients) + 4
+
+    def fold(value, qs):
+        for q in reversed(qs):
+            lead = LaurentSeries.from_unipoly(q, math.inf if value is None else work)
+            value = lead if value is None else lead + value.inverse(work)
+        return value
+
+    def agree(a, b):
+        d = a + b
+        return d.is_zero() or d.valuation() >= work
+
+    value = None
+    if tail:
+        value = fold(None, tail)
+        prev = None
+        while prev is None or not agree(prev, value):
+            prev = value
+            value = fold(value, tail)
+    value = fold(value, head)
+    if value is None:
+        raise ValueError("empty continued fraction")
+    return value.truncated(precision if tail else math.inf)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
+@st.composite
+def quotient_lists(draw):
+    """0-8 quotients of degree <= 3 (zero and constant ones included), a tail
+    period (sometimes out of range) and a precision, possibly <= 0."""
+    quots = draw(st.lists(st.integers(0, 15).map(UniPoly), max_size=8))
+    tail = draw(st.integers(-1, len(quots) + 1))
+    return quots, tail, draw(st.integers(-2, 149))
+
+
+class TestCfValueAgainstFold:
+    @settings(max_examples=400)
+    @given(quotient_lists())
+    @example(([UniPoly(0), UniPoly(2), UniPoly(0), UniPoly(2)], 1, 1))
+    @example(([UniPoly(0), UniPoly(8), UniPoly(0), UniPoly(8)], 1, -1))
+    def test_identity_rules(self, case):
+        quots, tail, prec = case
+        old = _outcome(_fold_value, quots, tail, prec)
+        new = _outcome(cf_value, quots, tail, prec)
+        regular = all(not q.is_constant() for q in quots[1:])
+        if isinstance(old, ZeroDivisionError):
+            # only a finite list with a constant quotient past q_0 divides
+            # by zero partway; the convergent has a value unless Q_n = 0
+            assert tail == 0 and not regular
+            p, q = general_continuant(quots)
+            if not q:
+                assert str(new) == "continued fraction has no value"
+            else:
+                assert new * LaurentSeries.from_unipoly(q) == (
+                    LaurentSeries.from_unipoly(p).truncated(new.prec - q.degree())
+                )
+        elif isinstance(old, Exception):
+            assert (type(new), str(new)) == (type(old), str(old))
+        elif tail != 0 or regular:
+            assert new == old
+        else:
+            # a degenerate finite list: the same bits below the fold's
+            # precision, known at least as far
+            assert isinstance(new, LaurentSeries)
+            assert new.prec >= old.prec
+            assert new.truncated(old.prec) == old
+
+
+# ------------------------------------------------------ Riccati numerator
+
+
+def _quotient_rule_numerator(q, p, qq):
+    ab = q.a * q.b
+    s = q.a + q.b
+    return (
+        (ab * s * p).derivative() * qq
+        + ab * s * p * qq.derivative()
+        + ab.derivative() * (p * p + qq * qq)
+    )
+
+
+@st.composite
+def quotient_seqs(draw):
+    """Patterns over {a, b, a+b} with a, b of degree 1-4."""
+    a = draw(st.integers(2, 31))
+    b = draw(st.integers(2, 31).filter(lambda b: b != a))
+    tags = "abc" if a ^ b > 1 else "ab"  # a+b must be non-constant to be used
+    pattern = draw(st.text(tags, min_size=1, max_size=24))
+    return QuotientSeq(tuple(pattern), UniPoly(a), UniPoly(b))
+
+
+class TestResidualNumerator:
+    @given(quotient_seqs())
+    def test_quotient_rule_is_the_derivative_of_fn(self, q):
+        for n in range(-1, len(q.pattern)):
+            p, qq = convergents_uni(q, n)
+            num = _quotient_rule_numerator(q, p, qq)
+            assert _fn_poly(q, p, qq).derivative() == num
+            if qq:
+                expected = 2 * qq.degree() - num.degree() if num else math.inf
+                assert riccati_residual(q, n) == expected

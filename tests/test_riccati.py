@@ -54,6 +54,14 @@ class TestConvergents:
             # a + b constant while the pattern uses it
             QuotientSeq.parse("c", "t + 1", "t")
 
+    def test_index_range(self):
+        q = QuotientSeq.parse("ab", "t", "t + 1")
+        with pytest.raises(ValueError, match="at least -1"):
+            convergents_uni(q, -2)
+        with pytest.raises(ValueError, match="pattern too short"):
+            convergents_uni(q, 2)
+        assert convergents_uni(q, 1)[1] == UniPoly.parse("t + 1")
+
     def test_cross_identity(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -159,6 +167,13 @@ class TestResidual:
             for n in range(0, 15, 4):
                 _, qq = convergents_uni(q, n)
                 assert riccati_residual(q, n) >= 2 * qq.degree() - ab_prime.degree()
+
+    def test_no_residual_before_the_first_convergent(self):
+        # Q_{-1} = 0, so f_{-1} = P_{-1}/Q_{-1} is not a rational function
+        q = QuotientSeq.parse("ab", "t", "t + 1")
+        with pytest.raises(ValueError, match="Q_n is zero"):
+            riccati_residual(q, -1)
+        assert fn_witness(q, -1).residual_valuation is None
 
     def test_zero_derivative_gives_infinite_valuation(self):
         # ab a perfect square makes (ab)' vanish identically
