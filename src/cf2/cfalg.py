@@ -299,8 +299,9 @@ class _RowSupplier:
     exponents up to `bound`: a term of y^j is a product of j target terms,
     so j times the target's largest |exponent|, plus the factors' largest,
     bounds every product.  A row is the codes of one power shifted by the
-    bias-free code of a coefficient factor and cut at a depth bound.  Code
-    order is depth order, whatever the field width.
+    bias-free code of a coefficient factor and cut at a depth bound, from
+    its `start`-th code on.  Code order is depth order, whatever the field
+    width.
     """
 
     def __init__(self, powers: dict, letters, bound: int):
@@ -310,12 +311,34 @@ class _RowSupplier:
             for j, p in powers.items()
         }
 
-    def support(self, j: int, factor: int, bound) -> list[int]:
+    def support(self, j: int, factor: int, bound, start: int = 0) -> list[int]:
         codes = self.codes[j]
         limit = self.packing.limit(bound)
-        if limit is not None:
-            codes = codes[: bisect_left(codes, limit - factor)]
-        return [c + factor for c in codes]
+        end = len(codes) if limit is None else bisect_left(codes, limit - factor)
+        return [c + factor for c in codes[start:end]]
+
+
+class _GrownRows:
+    """The rows of the unknowns `shifts` and their sorted keys, grown by
+    depth bands (-inf, D), [D, 2D), ... up to p_sys, D = max(8, p_sys / 8)."""
+
+    def __init__(self, supplier: _RowSupplier, shifts, p_sys):
+        self.supplier, self.shifts, self.p_sys = supplier, shifts, p_sys
+        self.rows: list[list[int]] = [[] for _ in shifts]
+        self.keys: list[int] = []
+        self.depth = -math.inf
+
+    def grow(self, n: int) -> int:
+        """Grow until n keys are known or p_sys is reached; the key count."""
+        while len(self.keys) < n and self.depth < self.p_sys:
+            self.depth = min(self.p_sys, max(8, self.p_sys / 8, 2 * self.depth))
+            band: set = set()
+            for row, (j, f) in zip(self.rows, self.shifts):
+                new = self.supplier.support(j, f, self.depth, len(row))
+                row += new
+                band.update(new)
+            self.keys.extend(sorted(band))
+        return len(self.keys)
 
 
 def _combine(rows: list[int], tag: int) -> int:
@@ -461,16 +484,16 @@ def find_relation(
     A search of more than MAX_UNKNOWNS unknowns raises WordTooLargeError
     before any power is built.
     """
-    return _find_relation(target, max_ydeg, coeff_deg_bound, z_deg_bound, prec, {})
-
-
-def _find_relation(target, max_ydeg, coeff_deg_bound, z_deg_bound, prec, powers):
-    """`find_relation` with y^0, y^1, ... from `powers`, which gains any missing."""
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
-    letters, top, z_deg_bound = _search_bounds(
-        target, max_ydeg, coeff_deg_bound, z_deg_bound
-    )
+    bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
+    return _find_relation(target, max_ydeg, coeff_deg_bound, prec, {}, bounds)
+
+
+def _find_relation(target, max_ydeg, coeff_deg_bound, prec, powers, bounds):
+    """`find_relation` with y^0, y^1, ... from `powers`, which gains any
+    missing, and the checked `_search_bounds` of a y-degree >= max_ydeg."""
+    letters, top, z_deg_bound = bounds
     z_side = z_deg_bound is not None
     powers.update({j: target.power(j) for j in range(len(powers), max_ydeg + 1)})
     supplier = _RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
@@ -490,28 +513,30 @@ def _find_relation(target, max_ydeg, coeff_deg_bound, z_deg_bound, prec, powers)
     unknowns = [(j, m) for j in range(max_ydeg + 1) for m in mons]
     shifts = [(j, f) for j in range(max_ydeg + 1) for f in factors]
 
-    supports = [supplier.support(j, f, p_sys) for j, f in shifts]
-    all_keys: set = set()
-    for sup in supports:
-        all_keys.update(sup)
-    if len(all_keys) < len(unknowns):
-        warnings.warn(
-            f"under-determined system: {len(all_keys)} equations for "
-            f"{len(unknowns)} unknowns below depth {p_sys}",
-            stacklevel=3,
-        )
-    sorted_keys = sorted(all_keys)
+    # rows grow by depth only as deep as the solve reads them.  Codes order
+    # by depth first, so once grown to a depth the keys are every key of
+    # the system shallower than it, sorted, and none deeper: the first n
+    # are the n shallowest that rows cut at p_sys would give, and fewer
+    # than n are known only when they are the whole system
+    grown = _GrownRows(supplier, shifts, p_sys)
+    rows, keys = grown.rows, grown.keys
 
     # solve on the shallowest equations first.  While the solution space
     # stays implausibly large (the residual pass below is linear in it),
     # impose the next block of equations on it alone: null([A | B]) is
     # {x in null(A) : xB = 0}, and combining the tags by the block's null
     # combinations gives the basis a solve of [A | B] would (see gf2linalg)
-    n_eq = min(len(sorted_keys), len(unknowns) + 256)
-    tags = nullspace(_block_rows(supports, sorted_keys, 0, n_eq), n_eq)
-    while len(tags) > 24 and n_eq < len(sorted_keys):
-        lo, n_eq = n_eq, min(len(sorted_keys), 2 * n_eq)
-        tags = _restrict(tags, supports, sorted_keys, lo, n_eq)
+    n_eq = min(grown.grow(len(unknowns) + 256), len(unknowns) + 256)
+    if n_eq < len(unknowns):
+        warnings.warn(
+            f"under-determined system: {n_eq} equations for "
+            f"{len(unknowns)} unknowns below depth {p_sys}",
+            stacklevel=3,
+        )
+    tags = nullspace(_block_rows(rows, keys, 0, n_eq), n_eq)
+    while len(tags) > 24 and n_eq < grown.grow(2 * n_eq):
+        lo, n_eq = n_eq, min(len(keys), 2 * n_eq)
+        tags = _restrict(tags, rows, keys, lo, n_eq)
 
     # impose the remaining equations exactly, at full available precision
     residuals = [
@@ -580,12 +605,10 @@ def minimal_degree_report(
     """
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
-    _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
+    bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
     powers: dict = {}
     for ydeg in range(1, ydeg_cap + 1):
-        rels = _find_relation(
-            target, ydeg, coeff_deg_bound, z_deg_bound, prec, powers
-        )
+        rels = _find_relation(target, ydeg, coeff_deg_bound, prec, powers, bounds)
         if rels:
             return ydeg, rels[0]
     return None, None

@@ -27,7 +27,7 @@ from .cfalg import (
 )
 from .gf2poly import UniPoly
 from .laurent import LaurentSeries, cf_expand, cf_value, unbounded_quotient_series
-from .riccati import QuotientSeq, baum_sweet_check, fn_witness
+from .riccati import QuotientSeq, baum_sweet_check, witness_table
 from .seqcore import (
     EpsSpec,
     WordTooLargeError,
@@ -283,8 +283,7 @@ def cmd_riccati_check(args) -> int:
     q = QuotientSeq.parse(args.pattern, args.a, args.b)
     rows = []
     data = []
-    for n in range(-1, min(args.n, len(q.pattern) - 1) + 1):
-        w = fn_witness(q, n)
+    for w in witness_table(q, min(args.n, len(q.pattern) - 1)):
         val = "-" if w.residual_valuation is None else (
             "inf" if w.residual_valuation == math.inf else str(w.residual_valuation)
         )

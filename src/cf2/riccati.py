@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .cfalg import general_continuant
+from .cfalg import _convergents, general_continuant
 from .gf2poly import UniPoly
 from .laurent import LaurentSeries
 
@@ -70,12 +70,16 @@ class SquareInvariantError(RuntimeError):
     """F_n + ab failed to be a perfect square (must never happen)."""
 
 
-def convergents_uni(q: QuotientSeq, n: int) -> tuple[UniPoly, UniPoly]:
-    """(P_n, Q_n) by the three-term recurrence from (1, 0) and (u_0, 1)."""
+def _check_index(q: QuotientSeq, n: int) -> None:
     if n < -1:
         raise ValueError("n must be at least -1")
     if n >= len(q.pattern):
         raise ValueError("pattern too short")
+
+
+def convergents_uni(q: QuotientSeq, n: int) -> tuple[UniPoly, UniPoly]:
+    """(P_n, Q_n) by the three-term recurrence from (1, 0) and (u_0, 1)."""
+    _check_index(q, n)
     if n == -1:
         return UniPoly.one(), UniPoly.zero()
     return general_continuant([q.quotient(i) for i in range(n + 1)])
@@ -109,7 +113,18 @@ def _residual_valuation(f_n: UniPoly, qq: UniPoly) -> Union[int, float]:
 
 def fn_witness(q: QuotientSeq, n: int) -> RiccatiWitness:
     """Witness g_n with F_n = ab + g_n^2; fails loudly if there is none."""
-    p, qq = convergents_uni(q, n)
+    return _witness(q, n, *convergents_uni(q, n))
+
+
+def witness_table(q: QuotientSeq, n: int) -> list[RiccatiWitness]:
+    """`fn_witness(q, k)` for k = -1, ..., n from one pass of convergents."""
+    _check_index(q, n)
+    pairs = [(UniPoly.one(), UniPoly.zero())]
+    pairs += _convergents(q.quotient(i) for i in range(n + 1))
+    return [_witness(q, k, *pair) for k, pair in enumerate(pairs, -1)]
+
+
+def _witness(q: QuotientSeq, n: int, p: UniPoly, qq: UniPoly) -> RiccatiWitness:
     f_n = _fn_poly(q, p, qq)
     root = (f_n + q.a * q.b).sqrt()
     if root is None:

@@ -133,3 +133,20 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     assert metrics["gf2linalg.rows"] == 3478
     assert metrics["gf2linalg.cols"] == 7343
     assert metrics["gf2linalg.nullity"] == 415
+
+
+def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
+    # the benchmark's three F sweeps solve 12 systems over their y-degrees.
+    # Rows grown by depth give each solve the equations that rows cut at
+    # the solve precision would, so these counts are the full-row search's
+    spans = _spans()
+    workload = _bench("workloads").build("z-sweep", cf2, 7, tmp_path)
+    tracer = spans.Tracer()
+    with tracer.patched(cf2):
+        for _, task in workload.tasks:
+            assert task()
+    metrics = tracer.layer_metrics(0, 1.0)
+    assert metrics["gf2linalg.nullspace_calls"] == 12
+    assert metrics["gf2linalg.rows"] == 3165
+    assert metrics["gf2linalg.cols"] == 7967
+    assert metrics["gf2linalg.nullity"] == 196

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -527,6 +528,116 @@ class TestFindRelation:
             find_relation(target, *bounds, prec=16)
         with pytest.raises(WordTooLargeError):
             minimal_degree_report(target, *bounds, prec=16)
+
+
+class _FullRows:
+    """Test-only copy of the full-row search: every row cut at p_sys and
+    every key of the system sorted before the first solve."""
+
+    def __init__(self, supplier, shifts, p_sys):
+        self.rows = [supplier.support(j, f, p_sys) for j, f in shifts]
+        all_keys: set = set()
+        for sup in self.rows:
+            all_keys.update(sup)
+        self.keys = sorted(all_keys)
+
+    def grow(self, n):
+        return len(self.keys)
+
+
+def _recorded_search(search, target, bounds, prec, rows_class):
+    """Relations, warnings and `nullspace` inputs of one search whose rows
+    come from `rows_class`."""
+    solves = []
+
+    def recording(rows, n_cols):
+        solves.append((tuple(rows), n_cols))
+        return nullspace(rows, n_cols)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(cfalg, "nullspace", recording)
+        mp.setattr(cfalg, "_GrownRows", rows_class)
+        found = search(target, *bounds, prec=prec)
+    if search is minimal_degree_report:
+        found = [found[0], found[1] and found[1].to_file_text()]
+    else:
+        found = [r.to_file_text() for r in found]
+    return found, [(str(w.message), w.filename, w.lineno) for w in caught], solves
+
+
+def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
+    """The supplier and the (power, factor) shifts `find_relation` builds."""
+    letters, top, z_deg_bound = cfalg._search_bounds(
+        target, max_ydeg, coeff_deg_bound, z_deg_bound
+    )
+    powers = {j: target.power(j) for j in range(max_ydeg + 1)}
+    supplier = cfalg._RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
+    mons = cfalg._coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
+    z_side = z_deg_bound is not None
+    shifts = [
+        (j, supplier.packing.factor(*cfalg._graded_coefficient(m, z_side)))
+        for j in powers
+        for m in mons
+    ]
+    return supplier, shifts
+
+
+_small_searches = st.tuples(
+    eps_specs(max_pre=2, max_per=3, n_letters=3),
+    st.sampled_from([compute_G, compute_cf, compute_F]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([4, 8, 32, 64, 128]),
+    st.booleans(),
+)
+
+
+class TestDepthGrownRows:
+    """Rows grown by depth make the search the full-row search exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_small_searches, st.booleans())
+    @example(
+        (EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False), False
+    )  # under-determined, grown to p_sys
+    @example((EpsSpec.parse("a(bc)"), compute_cf, 4, 6, 0, 128, True), False)
+    def test_matches_the_full_row_search(self, case, sweep):
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        # a shallow target lowers p_sys to its verification bound
+        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        bounds = (ydeg, coeff, z_bound if build is compute_F else None)
+        search = minimal_degree_report if sweep else find_relation
+        grown = _recorded_search(search, target, bounds, prec, cfalg._GrownRows)
+        full = _recorded_search(search, target, bounds, prec, _FullRows)
+        assert grown == full
+        assert all(filename == __file__ for _, filename, _ in grown[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_searches)
+    def test_grown_keys_are_the_shallowest_of_the_system(self, case):
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        z_bound = z_bound if build is compute_F else None
+        supplier, shifts = _search_rows(target, ydeg, coeff, z_bound)
+        p_sys = min(prec, target.precision - coeff)
+        full = _FullRows(supplier, shifts, p_sys)
+        depth = supplier.packing.depth
+        grown = cfalg._GrownRows(supplier, shifts, p_sys)
+        while grown.depth < p_sys:
+            count = len(grown.keys)
+            assert grown.grow(count + 1) == len(grown.keys)
+            # every key shallower than the depth reached, and no other
+            assert grown.keys == full.keys[: len(grown.keys)]
+            for row, full_row in zip(grown.rows, full.rows):
+                assert row == [k for k in full_row if depth(k) < grown.depth]
+            # growth stops only once it knows the keys asked for, or at p_sys
+            fresh = cfalg._GrownRows(supplier, shifts, p_sys)
+            assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
+        assert grown.keys == full.keys and grown.rows == full.rows
 
 
 class TestMinimalDegree:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
 
 import cf2
 from cf2.cli import main
+from cf2.riccati import QuotientSeq, fn_witness
 from cf2.seqcore import MAX_WORD_LETTERS
 
 
@@ -287,6 +289,21 @@ class TestRiccati:
         )
         data = json.loads(out)
         assert [w["n"] for w in data["witnesses"]] == [-1, 0, 1, 2]
+
+    def test_check_table_is_the_per_index_witnesses(self, capsys):
+        rng = random.Random(11)
+        pattern = "".join(rng.choice("abc") for _ in range(60))
+        q = QuotientSeq.parse(pattern, "t^3 + t", "t^2 + 1")
+        code, out = run(
+            capsys, "riccati", "check", "--pattern", pattern,
+            "--a", "t^3 + t", "--b", "t^2 + 1", "--n", "80", "--json",
+        )
+        assert code == 0
+        expected = [fn_witness(q, n) for n in range(-1, 60)]
+        got = json.loads(out)["witnesses"]
+        assert [(w["n"], w["f_n"], w["g_n"]) for w in got] == [
+            (w.n, str(w.f_n), str(w.g_n)) for w in expected
+        ]
 
     def test_baum_sweet_member(self, capsys):
         code, out = run(

@@ -17,6 +17,7 @@ from cf2 import (
     convergents_uni,
     fn_witness,
     riccati_residual,
+    witness_table,
 )
 
 
@@ -95,6 +96,22 @@ class TestSquareWitness:
             for n in range(-1, 30):
                 w = fn_witness(q, n)
                 assert w.f_n == ab + w.g_n * w.g_n
+
+    def test_one_pass_table_equals_the_per_index_witnesses(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            length = rng.randint(1, 40)
+            q = _random_quotient_seq(rng, length)
+            n = rng.randint(-1, length - 1)
+            expected = [fn_witness(q, k) for k in range(-1, n + 1)]
+            assert witness_table(q, n) == expected
+
+    def test_table_index_range(self):
+        q = QuotientSeq.parse("ab", "t", "t + 1")
+        with pytest.raises(ValueError, match="at least -1"):
+            witness_table(q, -2)
+        with pytest.raises(ValueError, match="pattern too short"):
+            witness_table(q, 2)
 
     def test_induction_step_identity(self):
         # F_n = u_n^2 F_{n-1} + F_{n-2} + u_n ab(a+b)
