@@ -44,7 +44,7 @@ MAX_UNKNOWNS = 1 << 15
 # nullspaces up to this dimension are swept for the smallest representative
 _ENUMERATION_CAP = 16
 
-Series = Union[InvSeries, ZSeries]
+Series = Union["InvSeries", "ZSeries"]
 
 
 @dataclass(frozen=True)

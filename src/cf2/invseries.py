@@ -215,9 +215,10 @@ class InvSeries:
     __sub__ = __add__
 
     def __mul__(self, other: "InvSeries") -> "InvSeries":
+        # an operand with no terms below its precision has depth at least that
         prec = min(
-            self.precision + other.depth_norm(),
-            other.precision + self.depth_norm(),
+            self.precision + min(other.depth_norm(), other.precision),
+            other.precision + min(self.depth_norm(), self.precision),
         )
         if math.isnan(prec):
             prec = math.inf

@@ -102,8 +102,10 @@ class LaurentSeries:
     __sub__ = __add__
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        # an operand zero below its precision has valuation at least that
         prec = min(
-            self.prec + other.valuation(), other.prec + self.valuation()
+            self.prec + min(other.valuation(), other.prec),
+            other.prec + min(self.valuation(), self.prec),
         )
         if math.isnan(prec):
             prec = math.inf

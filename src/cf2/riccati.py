@@ -7,16 +7,21 @@ residual (ab(a+b) f_n)' + (ab)'(1 + f_n^2) collapses to (a'b + ab')/Q_n^2,
 whose 1/t-valuation grows with n.  The module also decides membership in
 the class of continued fractions with all partial quotients of degree one,
 via the equivalent differential / even-square characterizations.
+
+Every quotient is a, b or a+b, so the convergents are built on int bitsets:
+multiplying by a quotient is one shift-XOR per set bit of it, and the
+convergents of one n take a single pass of O(n) shifts.  `convergents_uni`
+and `fn_witness` keep only the last pair (O(n) memory), and nothing is
+cached, so a `QuotientSeq` and every value returned stay immutable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
-from .cfalg import _convergents, general_continuant
-from .gf2poly import UniPoly
+from .gf2poly import UniPoly, set_bits
 from .laurent import LaurentSeries
 
 
@@ -56,7 +61,7 @@ class QuotientSeq:
         return self.a + self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiccatiWitness:
     """F_n = ab + g_n^2 together with the residual's 1/t-valuation."""
 
@@ -77,17 +82,34 @@ def _check_index(q: QuotientSeq, n: int) -> None:
         raise ValueError("pattern too short")
 
 
+def _pairs(q: QuotientSeq, n: int) -> Iterator[tuple[int, int]]:
+    """The bits of (P_k, Q_k) for k = -1, ..., n, by the three-term
+    recurrence from (P_-2, Q_-2) = (0, 1) and (P_-1, Q_-1) = (1, 0)."""
+    a, b = q.a.bits, q.b.bits
+    shifts = {"a": set_bits(a), "b": set_bits(b), "c": set_bits(a ^ b)}
+    p_prev, q_prev, p, qq = 0, 1, 1, 0
+    yield p, qq
+    for tag in q.pattern[: n + 1]:
+        p_next, q_next = p_prev, q_prev
+        for e in shifts[tag]:
+            p_next ^= p << e
+            q_next ^= qq << e
+        p_prev, q_prev, p, qq = p, qq, p_next, q_next
+        yield p, qq
+
+
 def convergents_uni(q: QuotientSeq, n: int) -> tuple[UniPoly, UniPoly]:
     """(P_n, Q_n) by the three-term recurrence from (1, 0) and (u_0, 1)."""
     _check_index(q, n)
-    if n == -1:
-        return UniPoly.one(), UniPoly.zero()
-    return general_continuant([q.quotient(i) for i in range(n + 1)])
+    # a loop, not `*_, last = ...`, so that only the last pair is held
+    for p, qq in _pairs(q, n):
+        pass
+    return UniPoly(p), UniPoly(qq)
 
 
 def _fn_poly(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> UniPoly:
-    ab = q.a * q.b
-    return ab * (q.a + q.b) * p * qq + ab * (p * p + qq * qq)
+    """ab(a+b) P Q + ab(P^2 + Q^2), with P^2 + Q^2 = (P + Q)^2 in char 2."""
+    return q.a * q.b * ((q.a + q.b) * p * qq + (p + qq).square())
 
 
 def riccati_residual(q: QuotientSeq, n: int) -> Union[int, float]:
@@ -119,9 +141,10 @@ def fn_witness(q: QuotientSeq, n: int) -> RiccatiWitness:
 def witness_table(q: QuotientSeq, n: int) -> list[RiccatiWitness]:
     """`fn_witness(q, k)` for k = -1, ..., n from one pass of convergents."""
     _check_index(q, n)
-    pairs = [(UniPoly.one(), UniPoly.zero())]
-    pairs += _convergents(q.quotient(i) for i in range(n + 1))
-    return [_witness(q, k, *pair) for k, pair in enumerate(pairs, -1)]
+    return [
+        _witness(q, k, UniPoly(p), UniPoly(qq))
+        for k, (p, qq) in enumerate(_pairs(q, n), -1)
+    ]
 
 
 def _witness(q: QuotientSeq, n: int, p: UniPoly, qq: UniPoly) -> RiccatiWitness:

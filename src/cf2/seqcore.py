@@ -147,7 +147,7 @@ class Constant:
     letter: str
 
 
-KernelElement = Union[Shift, Constant]
+KernelElement = Union["Shift", "Constant"]
 
 
 def letter_at(spec: EpsSpec, n: int) -> str:

@@ -187,6 +187,16 @@ class TestCf:
         assert code == 1
         assert json.loads(out)["vanished"] is False
 
+    def test_verify_reports_the_precision_it_proves(self, capsys, tmp_path):
+        # G at precision 1 holds no terms; G^3 is zero below 3, not exact
+        path = tmp_path / "rel.txt"
+        path.write_text("deg 3: 1\n")
+        argv = ["cf", "verify", "--eps", "(ab)", "--target", "G", "--prec", "1",
+                "--relation-file", str(path)]
+        assert run(capsys, *argv) == (0, "vanished below precision 3\n")
+        code, out = run(capsys, *argv, "--json")
+        assert (code, json.loads(out)["precision"]) == (0, 3)
+
     def test_min_degree(self, capsys):
         code, out = run(
             capsys, "cf", "min-degree", "--eps", "(ab)", "--target", "G",

@@ -206,12 +206,20 @@ class TestSpecialisation:
     @example(InvSeries.zero(6), InvSeries.parse("a + b^-2", 9))
     @example(InvSeries.one(), InvSeries.zero())
     @example(InvSeries.parse("a^2*b + c + 1"), InvSeries.parse("a + d^3"))
+    @example(InvSeries.parse("a^-5*b^-5", 11),
+             InvSeries.parse("a^-5*b^-5*c^-5", 16))
+    @example(InvSeries.parse("a^-7", 5), InvSeries.parse("b^-6", 5))  # no terms
     def test_product(self, x, y):
         prod = x * y
         assert all(mono_deg(t) < prod.precision for t in prod.terms)
         depth = min(prod.precision, EXACT_DEPTH)
-        dx = min(x.precision, depth - y.depth_norm() if y else depth)
-        dy = min(y.precision, depth - x.depth_norm() if x else depth)
+        # each operand imaged at its own precision (an image cut tighter
+        # holds fewer terms and so proves less); an exact one as deep as the
+        # other's lowest term needs
+        dx = x.precision if x.precision < math.inf else (
+            depth - y.depth_norm() if y else depth)
+        dy = y.precision if y.precision < math.inf else (
+            depth - x.depth_norm() if x else depth)
         assert_agree_below(image(prod, depth), image(x, dx) * image(y, dy), depth)
 
     @given(units())
@@ -295,6 +303,14 @@ class TestPrecision:
         high = compute_inv_cf(spec, 128).inverse()
         p = min(low.precision, high.precision)
         assert high.truncated(p).terms == low.truncated(p).terms
+
+    def test_product_of_series_without_terms(self):
+        # a^-7 is past precision 5: the square is zero below 10, not exact
+        x = InvSeries.parse("a^-7", 5)
+        assert x * x == InvSeries.zero(10)
+        y = InvSeries.parse("a^-7", 10)
+        assert y * y == InvSeries.parse("a^-14", 17)
+        assert x * InvSeries.parse("a^-1", 9) == InvSeries.zero(6)
 
     def test_truncation_drops_terms(self):
         s = compute_inv_cf(EpsSpec.parse("(ab)"), 64)

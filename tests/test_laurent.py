@@ -63,6 +63,12 @@ class TestBasics:
             if v < p.prec:
                 assert p.valuation() == v
 
+    def test_product_of_series_zero_below_precision(self):
+        # t^-7 is past precision 5, so x = O(t^-5) and x^2 = O(t^-10)
+        x = LaurentSeries.from_exponents([7], 5)
+        assert x * x == LaurentSeries.zero(10)
+        assert x * LaurentSeries.from_exponents([1], 20) == LaurentSeries.zero(6)
+
     def test_inverse_roundtrip(self):
         s = LaurentSeries.from_unipoly(UniPoly.parse("t^2 + t + 1"))
         inv = s.inverse(24)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cf2 import (
     LaurentSeries,
@@ -16,9 +18,11 @@ from cf2 import (
     cf_value,
     convergents_uni,
     fn_witness,
+    general_continuant,
     riccati_residual,
     witness_table,
 )
+from cf2.riccati import _fn_poly
 
 
 def _random_quotient_seq(rng: random.Random, length: int) -> QuotientSeq:
@@ -35,7 +39,36 @@ def _random_quotient_seq(rng: random.Random, length: int) -> QuotientSeq:
         return QuotientSeq(tuple(pattern), a, b)
 
 
+@st.composite
+def quotient_seqs(draw, max_len=60):
+    a = UniPoly(draw(st.integers(min_value=2, max_value=63)))
+    b = UniPoly(draw(st.integers(min_value=2, max_value=63)))
+    pattern = draw(st.text(alphabet="abc", min_size=1, max_size=max_len))
+    assume(a != b and ("c" not in pattern or not (a + b).is_constant()))
+    return QuotientSeq(tuple(pattern), a, b)
+
+
 class TestConvergents:
+    @settings(max_examples=80)
+    @given(quotient_seqs(), st.data())
+    def test_bitset_loop_equals_the_generic_recurrence(self, q, data):
+        n = data.draw(st.integers(min_value=0, max_value=len(q.pattern) - 1))
+        expected = general_continuant([q.quotient(i) for i in range(n + 1)])
+        assert convergents_uni(q, n) == expected
+
+    def test_memory_stays_linear_in_n(self):
+        # only the last pair is kept: holding all 3,000 pairs of this
+        # pattern would take about 3.5 MB, the last one takes 2 KB
+        q = QuotientSeq.parse("abc" * 1000, "t^3 + t + 1", "t^2 + 1")
+        tracemalloc.start()
+        try:
+            _, qq = convergents_uni(q, 2999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qq.degree() == 7997
+        assert peak < 1 << 20
+
     def test_seed_pairs(self):
         q = QuotientSeq.parse("ab", "t", "t + 1")
         assert convergents_uni(q, -1) == (UniPoly.one(), UniPoly.zero())
@@ -113,10 +146,18 @@ class TestSquareWitness:
         with pytest.raises(ValueError, match="pattern too short"):
             witness_table(q, 2)
 
+    def test_one_square_equals_the_two_product_form(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            q = _random_quotient_seq(rng, 20)
+            ab = q.a * q.b
+            for n in range(-1, 20):
+                p, qq = convergents_uni(q, n)
+                expected = ab * (q.a + q.b) * p * qq + ab * (p * p + qq * qq)
+                assert _fn_poly(q, p, qq) == expected
+
     def test_induction_step_identity(self):
         # F_n = u_n^2 F_{n-1} + F_{n-2} + u_n ab(a+b)
-        from cf2.riccati import _fn_poly
-
         rng = random.Random(17)
         for _ in range(30):
             q = _random_quotient_seq(rng, 10)

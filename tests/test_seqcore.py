@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -234,3 +239,26 @@ class TestCanonicalSpec:
            st.integers(min_value=0, max_value=40))
     def test_shift_semantics(self, spec, j, n):
         assert spec.shifted(j).letter(n) == spec.letter(j + n)
+
+
+def _drop_cf2_modules() -> dict:
+    names = [k for k in sys.modules if k == "cf2" or k.startswith("cf2.")]
+    return {k: sys.modules.pop(k) for k in names}
+
+
+class TestImport:
+    def test_fresh_import_frees_the_previous_copy(self):
+        # module-level aliases such as KernelElement must not pin cf2's
+        # classes (and through them each module's globals) in typing's
+        # cache, or every fresh import keeps the previous copy alive
+        saved = _drop_cf2_modules()
+        try:
+            first = weakref.ref(importlib.import_module("cf2").InvSeries)
+            _drop_cf2_modules()
+            assert importlib.import_module("cf2").KernelElement is not None
+            _drop_cf2_modules()
+            gc.collect()
+            assert first() is None
+        finally:
+            _drop_cf2_modules()
+            sys.modules.update(saved)
