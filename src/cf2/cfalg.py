@@ -41,7 +41,7 @@ DEFAULT_FIND_PREC = 256
 # a relation search refuses more unknowns c * y^j than this (the paper's
 # largest, (aabb) G at ydeg 16 and coefficient degree 16, has 2,601)
 MAX_UNKNOWNS = 1 << 15
-# nullspaces up to this dimension are swept for the smallest representative
+# a search's least-degree relations are swept up to this dimension
 _ENUMERATION_CAP = 16
 
 Series = Union["InvSeries", "ZSeries"]
@@ -431,6 +431,22 @@ def _materialize(tag: int, unknowns) -> Relation:
     return Relation({j: Gf2Poly._raw(frozenset(ms)) for j, ms in coeffs.items()})
 
 
+def _least_degree_span(tags: list[int], unknowns) -> list[int]:
+    """Basis of the least-degree part of the span of the independent `tags`,
+    echelonised so that each lead is its highest (degree, index) unknown."""
+    deg = [mono_deg(m) for _, m in unknowns]
+    order = sorted(range(len(deg)), key=deg.__getitem__)  # stable: ties by index
+    rank = {i: r for r, i in enumerate(order)}
+    leads: dict[int, tuple[int, int]] = {}
+    for tag in tags:
+        key = sum(1 << rank[i] for i in set_bits(tag))
+        while (lead := key.bit_length() - 1) in leads:
+            key, tag = key ^ leads[lead][0], tag ^ leads[lead][1]
+        leads[lead] = (key, tag)
+    least = deg[order[min(leads)]]
+    return [t for r, (_, t) in leads.items() if deg[order[r]] == least]
+
+
 def _relation_sort_key(rel: Relation):
     return (rel.max_monomial_degree(), rel.monomial_count(), rel.inline_str())
 
@@ -480,9 +496,11 @@ def find_relation(
     precision (at least twice `prec` when the target allows), stripped of
     common monomial content, deduplicated, and sorted so that the smallest
     representative (lowest coefficient degree, then fewest monomials) comes
-    first.  An empty list means no relation exists within the bounds.
-    A search of more than MAX_UNKNOWNS unknowns raises WordTooLargeError
-    before any power is built.
+    first.  It is ranked among the least-degree relations only, since
+    degrees add over multiples of the minimal relation, with a warning when
+    they span over _ENUMERATION_CAP dimensions.  An empty list means no
+    relation exists within the bounds.  A search of more than MAX_UNKNOWNS
+    unknowns raises WordTooLargeError before any power is built.
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
@@ -556,37 +574,24 @@ def _find_relation(target, max_ydeg, coeff_deg_bound, prec, powers, bounds):
         _materialize(tag, unknowns).content_stripped() for tag in final_tags
     ))
 
-    dim = len(final_tags)
-    if len(basis) == 1:
-        # every basis vector is a monomial multiple of one generator, so
-        # the whole space is {q * generator} and the generator is minimal
-        return basis
-    if dim <= _ENUMERATION_CAP:
-        # the whole space consists of multiples of one minimal relation;
-        # sweep it for the representative with smallest coefficients
-        best_pair = None
-        ties: list[Relation] = []
-        cur = 0
-        for g in range(1, 1 << dim):
-            cur ^= final_tags[(g & -g).bit_length() - 1]
-            rel = _materialize(cur, unknowns).content_stripped()
-            pair = (rel.max_monomial_degree(), rel.monomial_count())
-            if best_pair is None or pair < best_pair:
-                best_pair = pair
-                ties = [rel]
-            elif pair == best_pair:
-                ties.append(rel)
-        best = min(ties, key=lambda r: r.inline_str())
-    else:
+    # rank only V_min, the relations of least largest coefficient degree.
+    # Every relation is Q * P, P primitive and minimal (Gauss's lemma), and
+    # degrees add, so V_min is P times polynomials in y: max_ydeg - deg_y P
+    # + 1 dimensions.  On a deep enough target stripping a content keeps a
+    # relation in the null space, so the least stripped one lies in V_min
+    v_min = _least_degree_span(final_tags, unknowns)
+    candidates = (_materialize(_combine(v_min, g), unknowns).content_stripped()
+                  for g in range(1, 1 << len(v_min)))
+    if len(v_min) > _ENUMERATION_CAP:
         warnings.warn(
-            f"nullspace dimension {dim} exceeds the enumeration cap; "
+            f"least-degree dimension {len(v_min)} exceeds the enumeration cap; "
             "the first relation may not be the smallest representative",
             stacklevel=3,
         )
-        best = min(basis, key=_relation_sort_key)
+        candidates = basis
+    best = min(candidates, key=_relation_sort_key)
 
-    rest = [r for r in basis if r != best]
-    rest.sort(key=_relation_sort_key)
+    rest = sorted((r for r in basis if r != best), key=_relation_sort_key)
     return [best, *rest]
 
 

@@ -298,7 +298,7 @@ class InvSeries:
         m_free = pk.factor(m_depth, m)
         r = sorted(pk.encode(mono_deg(t), t) - m_free for t in others)
         limit = pk.limit(s_prec)
-        acc = {pk.encode(0, ONE_MONO)}
+        acc = {pk.encode(0, ONE_MONO)} if s_prec > 0 else set()
         cur = set(r if limit is None else r[: bisect_left(r, limit)])
         while cur:
             acc ^= cur

@@ -6,7 +6,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
@@ -31,7 +31,7 @@ from cf2 import (
 )
 from cf2 import WordTooLargeError, cfalg
 from cf2.gf2linalg import nullspace
-from cf2.gf2poly import mono_mul
+from cf2.gf2poly import mono_deg, mono_mul, set_bits
 from cf2.zseries import split_z
 from conftest import eps_specs
 
@@ -545,9 +545,9 @@ class _FullRows:
         return len(self.keys)
 
 
-def _recorded_search(search, target, bounds, prec, rows_class):
-    """Relations, warnings and `nullspace` inputs of one search whose rows
-    come from `rows_class`."""
+def _recorded_search(search, target, bounds, prec, **patches):
+    """Relations, warnings and `nullspace` inputs of one search with the
+    `cfalg` names in `patches` replaced."""
     solves = []
 
     def recording(rows, n_cols):
@@ -559,7 +559,8 @@ def _recorded_search(search, target, bounds, prec, rows_class):
     ) as caught:
         warnings.simplefilter("always")
         mp.setattr(cfalg, "nullspace", recording)
-        mp.setattr(cfalg, "_GrownRows", rows_class)
+        for name, value in patches.items():
+            mp.setattr(cfalg, name, value)
         found = search(target, *bounds, prec=prec)
     if search is minimal_degree_report:
         found = [found[0], found[1] and found[1].to_file_text()]
@@ -611,8 +612,8 @@ class TestDepthGrownRows:
         target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
         bounds = (ydeg, coeff, z_bound if build is compute_F else None)
         search = minimal_degree_report if sweep else find_relation
-        grown = _recorded_search(search, target, bounds, prec, cfalg._GrownRows)
-        full = _recorded_search(search, target, bounds, prec, _FullRows)
+        grown = _recorded_search(search, target, bounds, prec)
+        full = _recorded_search(search, target, bounds, prec, _GrownRows=_FullRows)
         assert grown == full
         assert all(filename == __file__ for _, filename, _ in grown[1])
 
@@ -638,6 +639,129 @@ class TestDepthGrownRows:
             fresh = cfalg._GrownRows(supplier, shifts, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
         assert grown.keys == full.keys and grown.rows == full.rows
+
+
+@st.composite
+def _tagged_unknowns(draw):
+    """Unknowns (j, m) of mixed monomial degrees and independent tags."""
+    degrees = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                            max_size=10))
+    unknowns = [(draw(st.integers(min_value=0, max_value=2)),
+                 (("a", d),) if d else ()) for d in degrees]
+    words = st.integers(min_value=1, max_value=(1 << len(degrees)) - 1)
+    tags, leads = [], {}
+    for tag in draw(st.lists(words, min_size=1, max_size=6)):
+        v = tag
+        while v and v.bit_length() in leads:
+            v ^= leads[v.bit_length()]
+        if v:
+            leads[v.bit_length()] = v
+            tags.append(tag)
+    return tags, unknowns
+
+
+def _span(tags: list[int]) -> set[int]:
+    """The nonzero combinations of some tags."""
+    return {cfalg._combine(tags, g) for g in range(1, 1 << len(tags))}
+
+
+class TestCanonicalPick:
+    """The first relation is the least of the least-degree part V_min."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tagged_unknowns())
+    def test_least_degree_span_against_brute_force(self, case):
+        tags, unknowns = case
+        basis = cfalg._least_degree_span(tags, unknowns)
+
+        def degree(v):
+            return max(mono_deg(unknowns[i][1]) for i in set_bits(v))
+
+        space = _span(tags)
+        least = min(map(degree, space))
+        assert len(_span(basis)) == (1 << len(basis)) - 1  # independent
+        assert _span(basis) == {v for v in space if degree(v) == least}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_searches, st.booleans())
+    # null spaces of dimension 2 to 8 whose V_min has dimension 2 to 4
+    @example((EpsSpec.parse("a(aa)"), compute_F, 2, 4, 1, 32, True), False)
+    @example((EpsSpec.parse("(bbb)"), compute_F, 4, 1, 1, 32, True), True)
+    @example((EpsSpec.parse("c(b)"), compute_G, 3, 3, 0, 16, True), False)
+    @example((EpsSpec.parse("(a)"), compute_cf, 3, 3, 0, 32, False), False)
+    # picks that are no basis relation, only a combination of them
+    @example((EpsSpec.parse("(aab)"), compute_G, 3, 2, 0, 4, False), False)
+    @example((EpsSpec.parse("(ba)"), compute_G, 4, 4, 0, 16, False), False)
+    # a target too shallow: the sweep's pick is no relation
+    @example((EpsSpec.parse("(a)"), compute_F, 1, 1, 4, 4, False), False)
+    def test_matches_the_sweep_over_the_whole_space(self, case, sweep):
+        # the reference ranks every combination of the null space, by
+        # handing the whole basis to the same pick
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        bounds = (ydeg, coeff, z_bound if build is compute_F else None)
+        search = minimal_degree_report if sweep else find_relation
+        dims = []
+
+        def recording(tags, unknowns):
+            dims.append(len(tags))
+            return least_degree_span(tags, unknowns)
+
+        least_degree_span = cfalg._least_degree_span
+        picked = _recorded_search(
+            search, target, bounds, prec, _least_degree_span=recording
+        )
+        assume(max(dims, default=0) <= 12)
+        swept = _recorded_search(
+            search, target, bounds, prec,
+            _least_degree_span=lambda tags, unknowns: tags,
+        )
+        assert picked[1:] == swept[1:]
+        assert all(filename == __file__ for _, filename, _ in picked[1])
+        if picked[0] != swept[0]:
+            # the degree argument assumes that stripping a monomial content
+            # keeps a relation in the null space.  Only a target too shallow
+            # for the search breaks that, and the sweep then ranks first a
+            # stripped relation that the target does not satisfy
+            first = swept[0][1] if sweep else swept[0][0]
+            rel = Relation.from_file_text(first)
+            assert not verify_relation(rel, target).vanished
+
+    def test_one_letter_seed_skips_the_full_sweep(self, monkeypatch):
+        # a null space of dimension 16 whose least-degree part has
+        # dimension 2: 16 basis relations and 3 combinations, not 2^16 - 1
+        calls = []
+        materialize = cfalg._materialize
+
+        def counting(tag, unknowns):
+            calls.append(tag)
+            return materialize(tag, unknowns)
+
+        monkeypatch.setattr(cfalg, "_materialize", counting)
+        F = compute_F(EpsSpec.parse("(c)"), 144)
+        rels = find_relation(F, 2, 4, 2, prec=64)
+        assert len(rels) == 5
+        assert rels[0].to_file_text() == "deg 0: c\n" "deg 1: z + 1\n"
+        assert len(calls) <= 20
+
+    def test_shallow_target_ranks_a_relation_it_satisfies(self):
+        # known below z^6 only, (a) F has null vectors such as z^5 * y^0,
+        # whose stripped forms (here 1) are no relations; they are not
+        # in V_min, so the pick is the true relation a + (z + 1) y
+        F = compute_F(EpsSpec.parse("(a)"), 6)
+        with pytest.warns(UserWarning):  # too shallow for the search
+            rels = find_relation(F, 1, 1, 4, prec=4)
+        assert rels[0].to_file_text() == "deg 0: a\n" "deg 1: z + 1\n"
+        assert verify_relation(rels[0], F).vanished
+        assert verify_relation(rels[0], compute_F(EpsSpec.parse("(a)"), 400)).vanished
+
+    def test_cap_warns_past_the_least_degree_dimension(self, monkeypatch):
+        monkeypatch.setattr(cfalg, "_ENUMERATION_CAP", 1)
+        F = compute_F(EpsSpec.parse("(c)"), 144)
+        with pytest.warns(UserWarning, match="enumeration cap") as caught:
+            rels = find_relation(F, 2, 4, 2, prec=64)
+        assert [w.filename for w in caught] == [__file__]
+        assert rels[0].to_file_text() == "deg 0: c\n" "deg 1: z + 1\n"
 
 
 class TestMinimalDegree:
