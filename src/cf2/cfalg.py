@@ -187,10 +187,10 @@ class Relation:
     def monomial_count(self) -> int:
         return sum(len(c.terms) for c in self.coeffs.values())
 
-    def inline_str(self, unknown: str = "y") -> str:
+    def inline_str(self) -> str:
         parts = []
         for j, c in self.coeffs.items():
-            yp = "" if j == 0 else (unknown if j == 1 else f"{unknown}^{j}")
+            yp = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
             if j == 0:
                 parts.append(f"({c})")
             elif c == Gf2Poly.one():

@@ -284,19 +284,11 @@ def cmd_riccati_check(args) -> int:
     rows = []
     data = []
     for w in witness_table(q, min(args.n, len(q.pattern) - 1)):
-        val = "-" if w.residual_valuation is None else (
-            "inf" if w.residual_valuation == math.inf else str(w.residual_valuation)
-        )
-        rows.append(f"n={w.n:3d}  deg F_n={w.f_n.degree():4d}  "
-                    f"g_n={w.g_n}  residual valuation={val}")
-        data.append({
-            "n": w.n,
-            "f_n": str(w.f_n),
-            "g_n": str(w.g_n),
-            "residual_valuation": None if w.residual_valuation is None
-            else (str(math.inf) if w.residual_valuation == math.inf
-                  else w.residual_valuation),
-        })
+        val = "inf" if w.residual_valuation == math.inf else w.residual_valuation
+        rows.append(f"n={w.n:3d}  deg F_n={w.f_n.degree():4d}  g_n={w.g_n}  "
+                    f"residual valuation={'-' if val is None else val}")
+        data.append({"n": w.n, "f_n": str(w.f_n), "g_n": str(w.g_n),
+                     "residual_valuation": val})
     _emit(args, {"pattern": args.pattern, "a": args.a, "b": args.b,
                  "witnesses": data}, "\n".join(rows))
     return 0

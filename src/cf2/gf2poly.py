@@ -421,19 +421,12 @@ class UniPoly:
         return UniPoly(int(format(self.bits, "b")[::2], 2))
 
     @classmethod
-    def parse(cls, text: str, var: Optional[str] = None) -> "UniPoly":
-        terms = parse_terms(text)
+    def parse(cls, text: str) -> "UniPoly":
         bits = 0
-        for m in terms:
+        for m in parse_terms(text):
             if len(m) > 1:
                 raise ParseError(text, 0, "more than one variable")
-            if m:
-                v, e = m[0]
-                if var is not None and v != var:
-                    raise ParseError(text, 0, f"expected variable {var!r}")
-                bits ^= 1 << e
-            else:
-                bits ^= 1
+            bits ^= 1 << (m[0][1] if m else 0)
         return cls(bits)
 
     def __str__(self) -> str:

@@ -29,7 +29,9 @@ every exponent of every operand and result lies strictly between
 -2**(w-1) and 2**(w-1); `_Packing` derives w from a bound on the exponents
 of the results (computed from the operands' actual exponents, not
 assumed), and the public form stays the tuple one, decoded once per
-result.
+result.  An inverse is Newton's iteration x <- s * x^2 (2x - s * x^2 in
+characteristic 2): each step is a Frobenius square, one int operation per
+code, and one product, and doubles the depth to which x is known.
 
 Powers are `gf2poly.binary_power` over the Frobenius powers s^(2^k), which
 cost no product.  A continued fraction from `cfalg.compute_cf` carries its
@@ -260,11 +262,13 @@ class InvSeries:
         )
 
     def inverse(self, precision=None) -> "InvSeries":
-        """Multiplicative inverse, via the geometric series of the unit part.
+        """Multiplicative inverse by Newton's iteration.
 
-        Requires a unique minimal-depth term m, so that self = m * (1 + r)
-        with depth(r) > 0.  Output precision is the input precision less
-        twice the depth of m (capped by the explicit argument).
+        Requires a unique minimal-depth term m.  Output precision is the
+        input precision less twice the depth of m (capped by the explicit
+        argument).  From x = m^-1, each step x <- self * x^2 (Newton's
+        2x - self * x^2 in characteristic 2), one Frobenius square and one
+        product, doubles the depth below which x is known (Kung, 1974).
         """
         if not self.terms:
             raise NotInvertibleError("zero (at this precision) is not invertible")
@@ -280,32 +284,28 @@ class InvSeries:
         )
         if precision is not None:
             out_prec = min(out_prec, precision)
-        others = [t for t in self.terms if t != m]
-        if others and out_prec == math.inf:
+        if len(self.terms) == 1:
+            return InvSeries((mono_pow(m, -1),), out_prec)
+        if out_prec == math.inf:
             raise ValueError("inverse of a non-monomial needs a finite precision")
-        # geometric sum 1 + r + r^2 + ... with r = self / m - 1; S truncated
-        # so that m^-1 * S is complete below out_prec
-        s_prec = out_prec + m_depth if out_prec != math.inf else math.inf
-        # the terms of r have depth >= r_depth >= 1 and exponents within
-        # 2 * top, so a term of r^k below s_prec has k <= kmax, and the
-        # products formed from it (in r^(k+1)) stay within the bound
+        # Depths relative to m^-1: x is known below `known`, wanted below
+        # s_prec.  Every iterate is the inverse cut at a depth, so each of
+        # its terms is m^-1 times k terms of r = self / m - 1, k <= s_prec /
+        # r_depth, with exponents within (2k + 1) * top.  A square doubles
+        # that and a product with a term of self adds top, so the bound
+        # holds every code formed, squares that the product's cut drops too.
+        s_prec = out_prec + m_depth
+        r_depth = min(mono_deg(t) for t in self.terms if t != m) - m_depth
         letters, top = _alphabet(self.terms)
-        kmax = 0
-        if others:
-            r_depth = min(map(mono_deg, others)) - m_depth
-            kmax = max(0, (math.ceil(s_prec) - 1) // r_depth)
-        pk = _Packing(letters, 2 * (kmax + 1) * top)
-        m_free = pk.factor(m_depth, m)
-        r = sorted(pk.encode(mono_deg(t), t) - m_free for t in others)
-        limit = pk.limit(s_prec)
-        acc = {pk.encode(0, ONE_MONO)} if s_prec > 0 else set()
-        cur = set(r if limit is None else r[: bisect_left(r, limit)])
-        while cur:
-            acc ^= cur
-            cur = pk.mul(cur, r, s_prec)
-        return InvSeries._raw(
-            frozenset(pk.decode(c - m_free) for c in acc), out_prec
-        )
+        pk = _Packing(letters, 4 * (max(0, math.ceil(s_prec)) // r_depth + 1) * top)
+        codes = [pk.encode(mono_deg(t), t) for t in self.terms]
+        x = {pk.encode(-m_depth, mono_pow(m, -1))} if s_prec > 0 else set()
+        known = r_depth
+        while known < s_prec:
+            known = min(2 * known, s_prec)
+            # a code's double less the bias is the code of the term's square
+            x = pk.mul(codes, sorted(2 * c - pk.bias for c in x), known - m_depth)
+        return InvSeries._raw(frozenset(map(pk.decode, x)), out_prec)
 
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms, key=lambda t: (mono_deg(t), t))

@@ -222,5 +222,3 @@ class TestUniPoly:
     def test_single_variable_enforced(self):
         with pytest.raises(ParseError):
             UniPoly.parse("a*b")
-        with pytest.raises(ParseError):
-            UniPoly.parse("t + 1", var="x")

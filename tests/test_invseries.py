@@ -20,8 +20,9 @@ from cf2 import (
     specialize_inv,
     verify_relation,
 )
+from cf2 import invseries
 from cf2.cfalg import Relation
-from cf2.gf2poly import mono_deg, mono_mul
+from cf2.gf2poly import mono_deg, mono_mul, mono_pow
 
 
 @st.composite
@@ -85,6 +86,63 @@ def reference_product(x: InvSeries, y: InvSeries) -> frozenset:
             if mono_deg(t1) + mono_deg(t2) < prec:
                 acc.symmetric_difference_update((mono_mul(t1, t2),))
     return frozenset(acc)
+
+
+def geometric_inverse(s: InvSeries, precision=None) -> InvSeries:
+    """m^-1 * (1 + r + r^2 + ...) with r = s / m - 1, cut where the result
+    is known: the geometric series that `inverse` once summed, on tuple
+    terms, kept as the reference for Newton's iteration."""
+    if not s.terms:
+        raise NotInvertibleError("zero")
+    m_depth = s.depth_norm()
+    leading = [t for t in s.terms if mono_deg(t) == m_depth]
+    if len(leading) > 1:
+        raise NotInvertibleError("no unique leading term")
+    m_inv = mono_pow(leading[0], -1)
+    out_prec = s.precision - 2 * m_depth
+    if precision is not None:
+        out_prec = min(out_prec, precision)
+    r = [mono_mul(t, m_inv) for t in s.terms if t != leading[0]]
+    if r and out_prec == math.inf:
+        raise ValueError("needs a finite precision")
+    s_prec = out_prec + m_depth
+    acc: set = set()
+    power = {()} if s_prec > 0 else set()
+    while power:
+        acc ^= power
+        nxt: set = set()
+        for t in power:
+            for u in r:
+                if mono_deg(t) + mono_deg(u) < s_prec:
+                    nxt.symmetric_difference_update((mono_mul(t, u),))
+        power = nxt
+    return InvSeries((mono_mul(t, m_inv) for t in acc), out_prec)
+
+
+@st.composite
+def inverse_operands(draw):
+    """Series over 1-4 letters with mixed-sign exponents, at a finite or
+    infinite precision, half of them cut to a unique leading term, and a
+    precision cap or None."""
+    terms = draw(alphabets.flatmap(
+        lambda letters: inv_series(letters=letters, max_terms=5, max_exp=4,
+                                   finite_prec=False))).terms
+    if terms and draw(st.booleans()):
+        head = min(terms, key=lambda t: (mono_deg(t), t))
+        terms = [head, *(t for t in terms if mono_deg(t) > mono_deg(head))]
+    prec = draw(st.one_of(st.integers(min_value=-5, max_value=48),
+                          st.just(math.inf)))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=-10, max_value=60)))
+    return InvSeries(terms, prec), cap
+
+
+def outcome(f, *args):
+    """(terms, precision) of a result, or the type of the exception raised."""
+    try:
+        r = f(*args)
+    except (ValueError, ArithmeticError) as e:
+        return type(e)
+    return r.terms, r.precision
 
 
 class TestDepthNorm:
@@ -167,6 +225,29 @@ class TestInverse:
         inv = x.inverse()
         prod = x * inv
         assert (prod + InvSeries.one()).depth_norm() >= prod.precision
+
+    @settings(max_examples=400, deadline=None)
+    @given(inverse_operands())
+    # packing bounds (s_prec // r_depth + 1) * top and top decode these wrong
+    @example((InvSeries.parse("a^3*b^2 + b^-1 + a^-3*b^-1", 46), None))
+    @example((InvSeries.parse(
+        "1 + a^-1*d^-4 + a^3*b^-5*c^-4 + b^2*c^-6*d^-2"), 13))
+    # and 2 * (s_prec // r_depth) * top this one, whose only term d needs
+    # top, the (2k + 1) * top of k = 0
+    @example((InvSeries.parse("d + d^-1"), 2))
+    def test_matches_the_geometric_series(self, operand):
+        x, cap = operand
+        assert outcome(x.inverse, cap) == outcome(geometric_inverse, x, cap)
+
+    def test_newton_doubles_the_depth_per_product(self, monkeypatch):
+        # the geometric series made one product per step of depth, 1,000 here
+        inv = compute_inv_cf(EpsSpec.parse("(ab)"), 2002)
+        calls = []
+        mul = invseries._Packing.mul
+        monkeypatch.setattr(invseries._Packing, "mul",
+                            lambda pk, *args: calls.append(1) or mul(pk, *args))
+        inv.inverse(2000)
+        assert len(calls) <= 10
 
     def test_cf_head_matches_worked_expansion(self):
         # the three-quotient value a + 1/(b + 1/a) expands to

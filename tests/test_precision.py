@@ -1,4 +1,5 @@
-"""The precision contract of both inverse-power series kinds.
+"""The precision contract of both inverse-power series kinds, of the
+continued-fraction expansion and of relation verification.
 
 A result computed from operands known below some precisions equals the
 same computation from the operands known deeper, truncated to the first
@@ -13,7 +14,18 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from cf2 import InvSeries, LaurentSeries, compute_cf
+from cf2 import (
+    EpsSpec,
+    Gf2Poly,
+    InvSeries,
+    LaurentSeries,
+    cf_expand,
+    compute_F,
+    compute_G,
+    compute_cf,
+    verify_relation,
+)
+from cf2.cfalg import Relation
 from cf2.gf2poly import mono_deg
 from conftest import eps_specs
 
@@ -148,3 +160,76 @@ class TestLaurentSeries:
         if p == INF:
             assert_exact_contract(op, (x,), (p,), INF if cap is None else cap)
 
+
+
+class TestCfExpand:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_laurent(), st.integers(min_value=1, max_value=24),
+           st.integers(min_value=0, max_value=12))
+    def test_quotients_agree_with_deeper_runs(self, x, p, count):
+        # every quotient a run returns is known, exhausted or not, so it
+        # heads the run at twice the precision and the exact one
+        lo = cf_expand(x.truncated(p), count)
+        for deeper in (x.truncated(2 * p), x):
+            assert cf_expand(deeper, count).quotients[: len(lo.quotients)] == (
+                lo.quotients)
+
+
+# the paper's relations, each on its target
+RELATIONS = {
+    "G": ("(ab)", compute_G,
+          "deg 0: a*b + b^2 + 1\ndeg 1: a^2*b + a*b^2\ndeg 2: a*b\ndeg 4: 1"),
+    "CF": ("a(bc)", compute_cf,
+           "deg 0: a^2\ndeg 2: a^2*b*c\ndeg 3: a^2*b^2*c + a^2*b*c^2\n"
+           "deg 4: a*b^2*c + a*b*c^2 + c^2"),
+    "F": ("(ab)", compute_F,
+          "deg 0: a^2*z + a*b*z + b^2*z + a^2 + a*b\n"
+          "deg 1: a*z^2 + b*z^2 + a + b\ndeg 2: z^3 + z"),
+}
+
+
+@st.composite
+def relations(draw, kinds):
+    """A paper relation on its target, with one monomial of up to degree 6
+    added at y-degree 0..4 (or none), so that the residual starts at a
+    varied depth, often near the precision."""
+    text, build, rel = RELATIONS[draw(st.sampled_from(kinds))]
+    coeffs = dict(Relation.from_file_text(rel).coeffs)
+    if draw(st.booleans()):
+        letters = "abz" if build is compute_F else "abc"
+        exps = draw(st.lists(st.integers(min_value=0, max_value=2),
+                             min_size=3, max_size=3))
+        mono = Gf2Poly.parse("*".join(
+            f"{v}^{e}" for v, e in zip(letters, exps) if e) or "1")
+        j = draw(st.integers(min_value=0, max_value=4))
+        coeffs[j] = coeffs.get(j, Gf2Poly.zero()) + mono
+    return EpsSpec.parse(text), build, Relation(coeffs)
+
+
+class TestVerifyRelation:
+    """A deeper target never contradicts the reported precision or the
+    residual depth: a residual reported below the precision stays at that
+    depth, and one that vanished starts no shallower than the precision."""
+
+    def check(self, case, p, e):
+        spec, build, rel = case
+        lo = verify_relation(rel, build(spec, p))
+        hi = verify_relation(rel, build(spec, p + e))
+        assert lo.precision <= hi.precision
+        if lo.vanished:
+            assert hi.vanished or hi.residual_depth >= lo.precision
+        else:
+            assert lo.residual_depth < lo.precision
+            assert (hi.vanished, hi.residual_depth) == (False, lo.residual_depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relations(["G", "CF"]), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=24))
+    def test_inverse_power_targets(self, case, p, e):
+        self.check(case, p, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(relations(["F"]), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=24))
+    def test_z_series_targets(self, case, p, e):
+        self.check(case, p, e)
