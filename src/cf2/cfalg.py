@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .gf2linalg import nullspace
@@ -152,8 +154,8 @@ class Relation:
     """Candidate algebraic equation sum_j c_j * y^j = 0.
 
     Coefficients are letter polynomials (optionally with z); at least one
-    must be nonzero.  The canonical form produced by the finder carries no
-    common monomial factor.
+    must be nonzero.  The finder strips common monomial factors wherever
+    the target shows that the stripped form still holds.
     """
 
     __slots__ = ("coeffs",)
@@ -250,19 +252,11 @@ def _coeff_monomials(
     letters: list[str], coeff_deg_bound: int, z_deg_bound: Optional[int]
 ) -> list[Monomial]:
     """Letter monomials of total degree <= bound, times optional z powers."""
-    monos: list[Monomial] = []
-
-    def rec(i: int, remaining: int, cur: list):
-        if i == len(letters):
-            monos.append(tuple(cur))
-            return
-        rec(i + 1, remaining, cur)
-        for e in range(1, remaining + 1):
-            cur.append((letters[i], e))
-            rec(i + 1, remaining - e, cur)
-            cur.pop()
-
-    rec(0, coeff_deg_bound, [])
+    monos = [
+        tuple(Counter(c).items())
+        for d in range(coeff_deg_bound + 1)
+        for c in combinations_with_replacement(letters, d)
+    ]
     if z_deg_bound is not None:
         monos = [
             mono_mul(m, (("z", e),)) if e else m
@@ -447,6 +441,26 @@ def _least_degree_span(tags: list[int], unknowns) -> list[int]:
     return [t for r, (_, t) in leads.items() if deg[order[r]] == least]
 
 
+def _stripped_basis(tags: list[int], unknowns) -> list[Relation]:
+    """The relations of the reduced null basis `tags`, each stripped of its
+    content if that stays a null vector (on a shallow target it may not).
+    Each tag's highest bit is in no other tag, so x is in the span exactly
+    when the XOR of the tags whose highest bits are set in x is x."""
+    rels = [_materialize(tag, unknowns) for tag in tags]
+    if not any(rel.content() for rel in rels):
+        return rels
+    index = {u: i for i, u in enumerate(unknowns)}
+    leads = [0] * len(unknowns)
+    for tag in tags:
+        leads[tag.bit_length() - 1] = tag
+    out = []
+    for rel in rels:
+        stripped = rel.content_stripped()
+        x = sum(1 << index[j, m] for j, c in stripped.coeffs.items() for m in c.terms)
+        out.append(stripped if _combine(leads, x) == x else rel)
+    return out
+
+
 def _relation_sort_key(rel: Relation):
     return (rel.max_monomial_degree(), rel.monomial_count(), rel.inline_str())
 
@@ -494,13 +508,14 @@ def find_relation(
 
     The returned relations are canonical: verified at the target's full
     precision (at least twice `prec` when the target allows), stripped of
-    common monomial content, deduplicated, and sorted so that the smallest
-    representative (lowest coefficient degree, then fewest monomials) comes
-    first.  It is ranked among the least-degree relations only, since
-    degrees add over multiples of the minimal relation, with a warning when
-    they span over _ENUMERATION_CAP dimensions.  An empty list means no
-    relation exists within the bounds.  A search of more than MAX_UNKNOWNS
-    unknowns raises WordTooLargeError before any power is built.
+    common monomial content where that stays verified, deduplicated, and
+    sorted so that the smallest representative (lowest coefficient degree,
+    then fewest monomials) comes first.  It is ranked among the
+    least-degree relations only, since degrees add over multiples of the
+    minimal relation, with a warning when they span over _ENUMERATION_CAP
+    dimensions.  An empty list means no relation exists within the bounds.
+    A search of more than MAX_UNKNOWNS unknowns raises WordTooLargeError
+    before any power is built.
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
@@ -570,17 +585,15 @@ def _find_relation(target, max_ydeg, coeff_deg_bound, prec, powers, bounds):
     if not final_tags:
         return []
 
-    basis = list(dict.fromkeys(
-        _materialize(tag, unknowns).content_stripped() for tag in final_tags
-    ))
+    basis = list(dict.fromkeys(_stripped_basis(final_tags, unknowns)))
 
     # rank only V_min, the relations of least largest coefficient degree.
     # Every relation is Q * P, P primitive and minimal (Gauss's lemma), and
     # degrees add, so V_min is P times polynomials in y: max_ydeg - deg_y P
-    # + 1 dimensions.  On a deep enough target stripping a content keeps a
-    # relation in the null space, so the least stripped one lies in V_min
+    # + 1 dimensions.  On a target deep enough for the search no element of
+    # V_min has a content: its stripped form would have a lower degree
     v_min = _least_degree_span(final_tags, unknowns)
-    candidates = (_materialize(_combine(v_min, g), unknowns).content_stripped()
+    candidates = (_materialize(_combine(v_min, g), unknowns)
                   for g in range(1, 1 << len(v_min)))
     if len(v_min) > _ENUMERATION_CAP:
         warnings.warn(

@@ -9,7 +9,8 @@ A series of precision p stores exactly its terms of depth below p.  The
 norm of a series with minimal term depth m is 2**-m, which makes the ring
 ultrametric; precision is propagated pessimistically through every
 operation so that reported terms never change when a pipeline is re-run
-at higher precision.
+at higher precision.  `product_precision` and `inverse_precision` state
+the rules for products and inverses once, for `laurent` too.
 
 Products, inverses and relation-search rows are computed on packed terms
 (packed exponent vectors, after Monagan and Pearce): over a fixed sorted
@@ -40,9 +41,8 @@ takes a power j that is not a power of two as s^(2^k) * r^(2^k - j), 2^k
 the next power of two above j: a Frobenius power times a sparse one, in
 place of dense products.  Both routes compute the same truncation of
 s^j at the same precision: s has depth norm -1 and precision P >= 0, r
-depth norm 1 and precision P + 2, and the precision rule of `__mul__`
-gives each route (P + 1) * 2^v - j, 2^v the largest power of two
-dividing j.
+depth norm 1 and precision P + 2, and `product_precision` gives each
+route (P + 1) * 2^v - j, 2^v the largest power of two dividing j.
 """
 
 from __future__ import annotations
@@ -65,6 +65,22 @@ from .gf2poly import (
 
 class NotInvertibleError(ValueError):
     """No unique minimal-depth term at the current precision."""
+
+
+def product_precision(px, vx, py, vy):
+    """min(p_x + lo_y, p_y + lo_x) for factors of precisions p and least stored
+    depths (valuations) v, +inf if none, lo = min(v, p).  A bound is +inf when
+    its p (an exact factor) or its lo (an exact zero partner) is, so inf - inf
+    never arises and an exact zero times anything is exact."""
+    def known(p, lo):
+        return math.inf if math.inf in (p, lo) else p + lo
+    return min(known(px, min(vy, py)), known(py, min(vx, px)))
+
+
+def inverse_precision(precision, depth, cap=None):
+    """Precision of the inverse of a series with its least term at `depth`:
+    the precision less twice that depth, capped by `cap` when given."""
+    return min(precision - 2 * depth, math.inf if cap is None else cap)
 
 
 def _alphabet(terms: Iterable[Monomial]) -> tuple[set[str], int]:
@@ -121,10 +137,12 @@ class _Packing:
     def depth(self, code: int) -> int:
         return code >> self.shift
 
-    def limit(self, precision) -> Optional[int]:
-        """Least code of depth >= precision; None when nothing is cut."""
+    def limit(self, precision):
+        """Least code of depth >= precision; None (-inf) if none (all) is cut."""
         if precision == math.inf:
             return None
+        if precision == -math.inf:
+            return precision
         return math.ceil(precision) << self.shift
 
     def mul(self, xs: Iterable[int], ys: list[int], precision) -> set[int]:
@@ -212,18 +230,14 @@ class InvSeries:
         terms = self.terms ^ other.terms
         if prec != math.inf:
             terms = frozenset(t for t in terms if mono_deg(t) < prec)
-        return InvSeries._raw(frozenset(terms), prec)
+        return InvSeries._raw(terms, prec)
 
     __sub__ = __add__
 
     def __mul__(self, other: "InvSeries") -> "InvSeries":
-        # an operand with no terms below its precision has depth at least that
-        prec = min(
-            self.precision + min(other.depth_norm(), other.precision),
-            other.precision + min(self.depth_norm(), self.precision),
+        prec = product_precision(
+            self.precision, self.depth_norm(), other.precision, other.depth_norm()
         )
-        if math.isnan(prec):
-            prec = math.inf
         letters, top = _alphabet(self.terms)
         other_letters, other_top = _alphabet(other.terms)
         pk = _Packing(letters | other_letters, top + other_top)
@@ -264,11 +278,11 @@ class InvSeries:
     def inverse(self, precision=None) -> "InvSeries":
         """Multiplicative inverse by Newton's iteration.
 
-        Requires a unique minimal-depth term m.  Output precision is the
-        input precision less twice the depth of m (capped by the explicit
-        argument).  From x = m^-1, each step x <- self * x^2 (Newton's
-        2x - self * x^2 in characteristic 2), one Frobenius square and one
-        product, doubles the depth below which x is known (Kung, 1974).
+        Requires a unique minimal-depth term m; the output precision is
+        `inverse_precision` at the depth of m.  From x = m^-1, each step
+        x <- self * x^2 (Newton's 2x - self * x^2 in characteristic 2), one
+        Frobenius square and one product, doubles the depth below which x
+        is known (Kung, 1974).
         """
         if not self.terms:
             raise NotInvertibleError("zero (at this precision) is not invertible")
@@ -279,11 +293,7 @@ class InvSeries:
                 f"no unique minimal-depth term (depth {m_depth})"
             )
         m = leading[0]
-        out_prec = (
-            math.inf if self.precision == math.inf else self.precision - 2 * m_depth
-        )
-        if precision is not None:
-            out_prec = min(out_prec, precision)
+        out_prec = inverse_precision(self.precision, m_depth, precision)
         if len(self.terms) == 1:
             return InvSeries((mono_pow(m, -1),), out_prec)
         if out_prec == math.inf:
@@ -295,11 +305,13 @@ class InvSeries:
         # that and a product with a term of self adds top, so the bound
         # holds every code formed, squares that the product's cut drops too.
         s_prec = out_prec + m_depth
+        if s_prec <= 0:
+            return InvSeries.zero(out_prec)
         r_depth = min(mono_deg(t) for t in self.terms if t != m) - m_depth
         letters, top = _alphabet(self.terms)
-        pk = _Packing(letters, 4 * (max(0, math.ceil(s_prec)) // r_depth + 1) * top)
+        pk = _Packing(letters, 4 * (math.ceil(s_prec) // r_depth + 1) * top)
         codes = [pk.encode(mono_deg(t), t) for t in self.terms]
-        x = {pk.encode(-m_depth, mono_pow(m, -1))} if s_prec > 0 else set()
+        x = {pk.encode(-m_depth, mono_pow(m, -1))}
         known = r_depth
         while known < s_prec:
             known = min(2 * known, s_prec)

@@ -5,6 +5,8 @@ term, negative for honest polynomials), an int bitset whose bit i is the
 coefficient of t**-(v+i), and a precision: 1/t-exponents below the
 precision are exact.  Exactly known series (embedded polynomials, finite
 continued fractions handled symbolically) carry infinite precision.
+Products and inverses take their precisions from the rules of
+`invseries`, the valuation in the place of the depth.
 
 Continued-fraction expansion reads the stored bits as a rational function
 and runs Euclid's algorithm on int bitsets, with the known precision
@@ -20,9 +22,9 @@ import math
 from itertools import chain, cycle
 from typing import Iterable, NamedTuple
 
-from .cfalg import _convergents, general_continuant
+from .cfalg import _convergents
 from .gf2poly import UniPoly, _even_bit_mask, set_bits
-from .invseries import InvSeries
+from .invseries import InvSeries, inverse_precision, product_precision
 
 
 class LaurentSeries:
@@ -91,10 +93,6 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         prec = min(self.prec, other.prec)
-        if self.bits == 0:
-            return LaurentSeries(other.val, other.bits, prec)
-        if other.bits == 0:
-            return LaurentSeries(self.val, self.bits, prec)
         v = min(self.val, other.val)
         bits = (self.bits << (self.val - v)) ^ (other.bits << (other.val - v))
         return LaurentSeries(v, bits, prec)
@@ -102,21 +100,15 @@ class LaurentSeries:
     __sub__ = __add__
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        # an operand zero below its precision has valuation at least that
-        prec = min(
-            self.prec + min(other.valuation(), other.prec),
-            other.prec + min(self.valuation(), self.prec),
+        prec = product_precision(
+            self.prec, self.valuation(), other.prec, other.valuation()
         )
-        if math.isnan(prec):
-            prec = math.inf
-        if self.bits == 0 or other.bits == 0:
-            return LaurentSeries.zero(prec)
         bits = (UniPoly(self.bits) * UniPoly(other.bits)).bits
         return LaurentSeries(self.val + other.val, bits, prec)
 
     def square(self) -> "LaurentSeries":
-        prec = self.prec if self.prec == math.inf else 2 * self.prec
-        return LaurentSeries(2 * self.val, UniPoly(self.bits).square().bits, prec)
+        bits = UniPoly(self.bits).square().bits
+        return LaurentSeries(2 * self.val, bits, 2 * self.prec)
 
     def derivative(self) -> "LaurentSeries":
         """Formal d/dt; only odd t-exponents survive in char 2."""
@@ -124,8 +116,7 @@ class LaurentSeries:
         even = _even_bit_mask(n)
         # t-exponent of bit i is -(val + i); it is odd iff val + i is odd
         keep = even << 1 if self.val % 2 == 0 else even
-        prec = self.prec if self.prec == math.inf else self.prec + 1
-        return LaurentSeries(self.val + 1, self.bits & keep, prec)
+        return LaurentSeries(self.val + 1, self.bits & keep, self.prec + 1)
 
     def truncated(self, prec) -> "LaurentSeries":
         return LaurentSeries(self.val, self.bits, min(self.prec, prec))
@@ -135,9 +126,7 @@ class LaurentSeries:
         if self.bits == 0:
             raise ZeroDivisionError("zero (at this precision) is not invertible")
         v = self.val
-        out_prec = self.prec if self.prec == math.inf else self.prec - 2 * v
-        if precision is not None:
-            out_prec = min(out_prec, precision)
+        out_prec = inverse_precision(self.prec, v, precision)
         if out_prec == math.inf:
             if self.bits == 1:
                 return LaurentSeries(-v, 1, math.inf)
@@ -246,22 +235,19 @@ def cf_value(
         raise ValueError("periodic tail quotients must be non-constant")
     if not quotients:
         raise ValueError("empty continued fraction")
-    if tail:
-        prec = precision
-        d_prev = -1  # deg Q_{-1}, Q_{-1} = 0
-        for n, (p, q) in enumerate(_convergents(chain(head, cycle(tail)))):
-            d = q.degree()
-            if n >= len(head) and d >= d_prev and d_prev + d >= precision:
-                break
-            d_prev = d
-    else:
-        p, q = general_continuant(head)
+    d_prev = -1  # deg Q_{-1}, Q_{-1} = 0
+    for n, (p, q) in enumerate(_convergents(chain(head, cycle(tail)))):
+        d = q.degree()
+        if n >= len(head) and d >= d_prev and d_prev + d >= precision:
+            break
+        d_prev = d
+    if not tail:
         work = precision + 2 * sum(max(u.degree(), 0) for u in head) + 4
-        prec = math.inf if q == UniPoly.one() else work
+        precision = math.inf if q == UniPoly.one() else work
     if not q:
         raise ValueError("continued fraction has no value")
-    inv = LaurentSeries.from_unipoly(q).inverse(prec + max(p.degree(), 0))
-    return (LaurentSeries.from_unipoly(p) * inv).truncated(prec)
+    inv = LaurentSeries.from_unipoly(q).inverse(precision + max(p.degree(), 0))
+    return (LaurentSeries.from_unipoly(p) * inv).truncated(precision)
 
 
 def specialize_inv(
@@ -282,12 +268,10 @@ def specialize_inv(
                 den = den * (p ** n)
             else:
                 num = num * (p ** (-n))
-        img = LaurentSeries.from_unipoly(num, math.inf)
-        if den.degree() > 0 or den.bits != 1:
-            img = img * LaurentSeries.from_unipoly(den).inverse(
-                precision + max(num.degree(), 0) + 1
-            )
-        out = out + img.truncated(out.prec)
+        inv = LaurentSeries.from_unipoly(den).inverse(
+            precision + max(num.degree(), 0) + 1
+        )
+        out = out + (LaurentSeries.from_unipoly(num) * inv).truncated(out.prec)
     return out
 
 

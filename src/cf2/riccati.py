@@ -112,21 +112,13 @@ def _fn_poly(q: QuotientSeq, p: UniPoly, qq: UniPoly) -> UniPoly:
     return q.a * q.b * ((q.a + q.b) * p * qq + (p + qq).square())
 
 
-def riccati_residual(q: QuotientSeq, n: int) -> Union[int, float]:
+def _residual_valuation(f_n: UniPoly, qq: UniPoly) -> Union[int, float]:
     """1/t-valuation of (ab(a+b) f_n)' + (ab)'(1 + f_n^2), f_n = P_n/Q_n.
 
-    Computed exactly as a rational function: by the quotient rule its
-    numerator over Q_n^2 is F_n' (squares have zero derivative in char 2),
-    so the valuation is 2 deg Q_n - deg F_n', with F_n from `_fn_poly`.
+    Exact, as a rational function: by the quotient rule its numerator over
+    Q_n^2 is F_n' (squares have zero derivative in char 2), so the
+    valuation is 2 deg Q_n - deg F_n', or inf when F_n' = 0.
     """
-    p, qq = convergents_uni(q, n)
-    if not qq:
-        raise ValueError("Q_n is zero")
-    return _residual_valuation(_fn_poly(q, p, qq), qq)
-
-
-def _residual_valuation(f_n: UniPoly, qq: UniPoly) -> Union[int, float]:
-    """2 deg Q_n - deg F_n', or inf when F_n' = 0."""
     num = f_n.derivative()
     if not num:
         return math.inf

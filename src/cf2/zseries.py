@@ -109,15 +109,11 @@ class ZSeries:
 
     def pow2k(self, k: int, precision: Optional[int] = None) -> "ZSeries":
         """Frobenius power: coefficients squared 2**k-fold, exponents spread."""
-        if k == 0:
-            return self if precision is None else self.truncated(precision)
         f = 1 << k
         known = self.precision * f
-        p = known if precision is None else min(precision, known)
+        p = known if precision is None else max(0, min(precision, known))
         out = [_ZERO] * p
-        for i, a in enumerate(self.coeffs):
-            if a and i * f < p:
-                out[i * f] = a.pow2k(k)
+        out[::f] = [a.pow2k(k) for a in self.coeffs[: -(-p // f)]]  # ceil(p / f)
         return ZSeries(out)
 
     def power(self, j: int, precision: Optional[int] = None) -> "ZSeries":

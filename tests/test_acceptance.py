@@ -38,7 +38,7 @@ from cf2 import (
     unbounded_quotient_series,
 )
 from cf2.gf2poly import mono_mul
-from cf2.riccati import QuotientSeq, convergents_uni, fn_witness, riccati_residual
+from cf2.riccati import QuotientSeq, convergents_uni, fn_witness
 from conftest import random_distinct_spec, random_spec
 
 
@@ -304,7 +304,7 @@ def test_criterion_11_riccati_suite():
                     math.inf if not ab_prime
                     else 2 * qq.degree() - ab_prime.degree()
                 )
-                ok = ok and riccati_residual(q, n) == expected
+                ok = ok and w.residual_valuation == expected
     member = cf_value([UniPoly.zero(), UniPoly.t()], tail_period=1, precision=160)
     ok = ok and baum_sweet_check(member, 128)
     non_member = cf_value(

@@ -692,7 +692,7 @@ class TestCanonicalPick:
     # picks that are no basis relation, only a combination of them
     @example((EpsSpec.parse("(aab)"), compute_G, 3, 2, 0, 4, False), False)
     @example((EpsSpec.parse("(ba)"), compute_G, 4, 4, 0, 16, False), False)
-    # a target too shallow: the sweep's pick is no relation
+    # a target too shallow for the search, with contents it cannot strip
     @example((EpsSpec.parse("(a)"), compute_F, 1, 1, 4, 4, False), False)
     def test_matches_the_sweep_over_the_whole_space(self, case, sweep):
         # the reference ranks every combination of the null space, by
@@ -716,16 +716,9 @@ class TestCanonicalPick:
             search, target, bounds, prec,
             _least_degree_span=lambda tags, unknowns: tags,
         )
-        assert picked[1:] == swept[1:]
+        # the least relation has the least degree, shallow target or not
+        assert picked == swept
         assert all(filename == __file__ for _, filename, _ in picked[1])
-        if picked[0] != swept[0]:
-            # the degree argument assumes that stripping a monomial content
-            # keeps a relation in the null space.  Only a target too shallow
-            # for the search breaks that, and the sweep then ranks first a
-            # stripped relation that the target does not satisfy
-            first = swept[0][1] if sweep else swept[0][0]
-            rel = Relation.from_file_text(first)
-            assert not verify_relation(rel, target).vanished
 
     def test_one_letter_seed_skips_the_full_sweep(self, monkeypatch):
         # a null space of dimension 16 whose least-degree part has
@@ -754,6 +747,36 @@ class TestCanonicalPick:
         assert rels[0].to_file_text() == "deg 0: a\n" "deg 1: z + 1\n"
         assert verify_relation(rels[0], F).vanished
         assert verify_relation(rels[0], compute_F(EpsSpec.parse("(a)"), 400)).vanished
+        # below z^5, the search's verification bound, a*z^4 + z^4 * y holds
+        # and a + y does not: the rest keep the contents they cannot strip
+        assert [r.inline_str() for r in rels[1:]] == [
+            "(a*z^4) + (z^4)*y",
+            "(a*z^4 + a*z^3) + (z^3)*y",
+            "(a*z^4 + a*z^3 + a*z^2) + (z^2)*y",
+            "(a*z^4 + a*z^3 + a*z^2 + a*z) + (z)*y",
+            "(a*z^4 + a*z^3 + a*z^2 + a*z + a) + y",
+        ]
+        assert all(verify_relation(r, F.truncated(5)).vanished for r in rels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps_specs(max_pre=2, max_per=3, n_letters=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=12),
+           st.sampled_from([4, 8, 16]))
+    @example(EpsSpec.parse("(a)"), 1, 1, 4, 5, 4)
+    def test_shallow_z_searches_return_only_relations(
+        self, spec, ydeg, coeff, z_bound, extra, prec
+    ):
+        # every relation vanishes below the verification bound the search
+        # names: the least power precision less the coefficient bound
+        F = compute_F(spec, coeff + extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rels = find_relation(F, ydeg, coeff, z_bound, prec=prec)
+        for rel in rels:
+            assert verify_relation(rel, F.truncated(extra)).vanished
 
     def test_cap_warns_past_the_least_degree_dimension(self, monkeypatch):
         monkeypatch.setattr(cfalg, "_ENUMERATION_CAP", 1)

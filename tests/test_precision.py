@@ -162,6 +162,55 @@ class TestLaurentSeries:
 
 
 
+edge_cuts = st.one_of(cuts, st.just(-INF))
+x_exact, u_nowhere = InvSeries.parse("a^-1"), InvSeries.zero(-INF)
+
+
+def _is_zero(s):
+    return s.is_zero() if isinstance(s, LaurentSeries) else not s
+
+
+def assert_product_edges(x, y):
+    """The product's precision is symmetric, an exact zero times anything
+    is exact, and an exact nonzero series times one of precision -inf has
+    precision -inf."""
+    assert x * y == y * x
+    for a, b in ((x, y), (y, x)):
+        if _prec(a) == INF and _is_zero(a):
+            assert _prec(a * b) == INF and _is_zero(a * b)
+        elif _prec(a) == INF and _prec(b) == -INF:
+            assert _prec(a * b) == -INF
+
+
+class TestInfinitePrecisions:
+    """Precisions of either infinite sign, for both series kinds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_inv, exact_inv, edge_cuts, edge_cuts)
+    @example(x_exact, u_nowhere, INF, -INF)  # once called exact
+    @example(u_nowhere, x_exact, -INF, INF)  # once raised OverflowError
+    @example(InvSeries.zero(), u_nowhere, INF, -INF)
+    def test_inv_products(self, x, y, px, py):
+        assert_product_edges(x.truncated(px), y.truncated(py))
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_laurent(), exact_laurent(), edge_cuts, edge_cuts)
+    @example(LaurentSeries(1, 1), LaurentSeries.zero(), INF, -INF)
+    @example(LaurentSeries.zero(), LaurentSeries(1, 1), -INF, INF)
+    @example(LaurentSeries.zero(), LaurentSeries.zero(), INF, -INF)
+    def test_laurent_products(self, x, y, px, py):
+        assert_product_edges(x.truncated(px), y.truncated(py))
+
+    @settings(max_examples=100, deadline=None)
+    @given(inv_units(), laurent_units())
+    # once raised OverflowError
+    @example((InvSeries.parse("1 + a^-1"), 8), (LaurentSeries(0, 3), 8))
+    def test_inverse_wanted_nowhere(self, inv_unit, laurent_unit):
+        (x, p), (s, q) = inv_unit, laurent_unit
+        assert x.truncated(p).inverse(-INF) == InvSeries.zero(-INF)
+        assert s.truncated(q).inverse(-INF) == LaurentSeries.zero(-INF)
+
+
 class TestCfExpand:
     @settings(max_examples=200, deadline=None)
     @given(exact_laurent(), st.integers(min_value=1, max_value=24),

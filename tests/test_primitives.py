@@ -33,8 +33,8 @@ from cf2 import (
     compute_F,
     compute_G,
     convergents_uni,
+    fn_witness,
     general_continuant,
-    riccati_residual,
     unbounded_quotient_series,
 )
 from cf2.cfalg import _block_rows, _coeff_monomials, _mask_rows
@@ -427,4 +427,4 @@ class TestResidualNumerator:
             assert _fn_poly(q, p, qq).derivative() == num
             if qq:
                 expected = 2 * qq.degree() - num.degree() if num else math.inf
-                assert riccati_residual(q, n) == expected
+                assert fn_witness(q, n).residual_valuation == expected

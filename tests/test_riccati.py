@@ -19,7 +19,6 @@ from cf2 import (
     convergents_uni,
     fn_witness,
     general_continuant,
-    riccati_residual,
     witness_table,
 )
 from cf2.riccati import _fn_poly
@@ -206,11 +205,11 @@ class TestResidual:
                     if not ab_prime
                     else 2 * qq.degree() - ab_prime.degree()
                 )
-                assert riccati_residual(q, n) == expected
+                assert fn_witness(q, n).residual_valuation == expected
 
     def test_valuation_grows(self):
         q = QuotientSeq.parse("ab" * 30, "t", "t + 1")
-        vals = [riccati_residual(q, n) for n in range(0, 30, 3)]
+        vals = [fn_witness(q, n).residual_valuation for n in range(0, 30, 3)]
         assert vals == sorted(vals)
         assert vals[-1] > vals[0]
         assert vals[-1] >= 2 * 27 - 1
@@ -224,19 +223,18 @@ class TestResidual:
                 continue
             for n in range(0, 15, 4):
                 _, qq = convergents_uni(q, n)
-                assert riccati_residual(q, n) >= 2 * qq.degree() - ab_prime.degree()
+                bound = 2 * qq.degree() - ab_prime.degree()
+                assert fn_witness(q, n).residual_valuation >= bound
 
     def test_no_residual_before_the_first_convergent(self):
         # Q_{-1} = 0, so f_{-1} = P_{-1}/Q_{-1} is not a rational function
         q = QuotientSeq.parse("ab", "t", "t + 1")
-        with pytest.raises(ValueError, match="Q_n is zero"):
-            riccati_residual(q, -1)
         assert fn_witness(q, -1).residual_valuation is None
 
     def test_zero_derivative_gives_infinite_valuation(self):
         # ab a perfect square makes (ab)' vanish identically
         q = QuotientSeq.parse("ab", "t^2", "t^2 + 1")
-        assert riccati_residual(q, 1) == math.inf
+        assert fn_witness(q, 1).residual_valuation == math.inf
 
 
 class TestBaumSweet:
