@@ -34,7 +34,14 @@ from .gf2poly import (
     set_bits,
     sorted_monomials,
 )
-from .invseries import InvSeries, _alphabet, _Packing
+from .invseries import (
+    InvSeries,
+    _alphabet,
+    _graded_terms,
+    _Packing,
+    _power_alphabet,
+    _power_codes,
+)
 from .seqcore import EpsSpec, WordTooLargeError, _check_size
 from .zseries import ZSeries, split_z
 
@@ -100,15 +107,6 @@ def _convergents(quotients: Iterable) -> Iterator[tuple]:
         p_cur, p_prev = u * p_cur + p_prev, p_cur
         q_cur, q_prev = u * q_cur + q_prev, q_cur
         yield p_cur, q_cur
-
-
-def general_continuant(quotients: list) -> tuple:
-    """The last convergent (P_n, Q_n); an empty list gives the Gf2Poly pair
-    (1, 0)."""
-    last = (Gf2Poly.one(), Gf2Poly.zero())
-    for last in _convergents(quotients):
-        pass
-    return last
 
 
 def _reciprocal_sum(spec: EpsSpec, first: int, step: int, precision: int):
@@ -267,15 +265,6 @@ def _coeff_monomials(
     return sorted_monomials(monos)[::-1]
 
 
-def _graded_terms(s: Series) -> list[tuple[int, Monomial]]:
-    """(depth, term) pairs of a series: an inverse-power term at its own
-    depth, a z-series term as a letter monomial at the depth of its z-order.
-    """
-    if isinstance(s, InvSeries):
-        return [(mono_deg(t), t) for t in s.terms]
-    return [(i, m) for i, c in enumerate(s.coeffs) for m in c.terms]
-
-
 def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
     """(depth shift, term) factor of a coefficient monomial: its z power
     and letter part on the z side, its inverse-power term otherwise."""
@@ -288,25 +277,31 @@ def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
 class _RowSupplier:
     """Support rows of the unknowns c * y^j, for both series kinds.
 
-    The powers' (depth, term) pairs are packed once, over `letters` (those
-    of the target and of the coefficient factors), with fields holding
-    exponents up to `bound`: a term of y^j is a product of j target terms,
-    so j times the target's largest |exponent|, plus the factors' largest,
-    bounds every product.  A row is the codes of one power shifted by the
-    bias-free code of a coefficient factor and cut at a depth bound, from
-    its `start`-th code on.  Code order is depth order, whatever the field
-    width.
+    Each power y^j of the target is formed once, when first asked for, as
+    the sorted codes and precision `_power_codes` gives, never as a series.
+    The packing covers every code formed for y^0 .. y^ydeg
+    (`_power_alphabet`) times a coefficient factor over `letters` of
+    largest |exponent| `f_top`.  A row is the codes of one power shifted by
+    the bias-free code of a factor and cut at a depth bound, from its
+    `start`-th code on.  Codes order by depth, then by their fields,
+    whatever the field width, so a supplier built for a higher y-degree
+    gives every row and key in the same order.
     """
 
-    def __init__(self, powers: dict, letters, bound: int):
-        self.packing = pk = _Packing(letters, bound)
-        self.codes = {
-            j: sorted(pk.encode(d, t) for d, t in _graded_terms(p))
-            for j, p in powers.items()
-        }
+    def __init__(self, target: Series, ydeg: int, letters, f_top: int):
+        p_letters, bound = _power_alphabet(target, ydeg)
+        self.target = target
+        self.packing = _Packing(p_letters | set(letters), bound + f_top)
+        self.powers: dict[int, tuple] = {}
+
+    def power(self, j: int) -> tuple[list[int], float]:
+        """The codes and precision of y^j."""
+        if j not in self.powers:
+            self.powers[j] = _power_codes(self.target, self.packing, j)
+        return self.powers[j]
 
     def support(self, j: int, factor: int, bound, start: int = 0) -> list[int]:
-        codes = self.codes[j]
+        codes = self.power(j)[0]
         limit = self.packing.limit(bound)
         end = len(codes) if limit is None else bisect_left(codes, limit - factor)
         return [c + factor for c in codes[start:end]]
@@ -398,15 +393,11 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
         j: [_graded_coefficient(m, z_side) for m in c.terms]
         for j, c in rel.coeffs.items()
     }
-    powers = {j: target.power(j) for j in rel.coeffs}
-    precision = min(
-        powers[j].precision + min(0, min(d for d, _ in fs))
-        for j, fs in factors.items()
-    )
-    letters, top = _alphabet(t for _, t in _graded_terms(target))
     f_letters, f_top = _alphabet(t for fs in factors.values() for _, t in fs)
-    supplier = _RowSupplier(
-        powers, letters | f_letters, max(rel.coeffs) * top + f_top
+    supplier = _RowSupplier(target, max(rel.coeffs), f_letters, f_top)
+    precision = min(
+        supplier.power(j)[1] + min(0, min(d for d, _ in fs))
+        for j, fs in factors.items()
     )
     pk = supplier.packing
     shifts = [(j, pk.factor(d, t)) for j, fs in factors.items() for d, t in fs]
@@ -468,9 +459,9 @@ def _relation_sort_key(rel: Relation):
 def _search_bounds(
     target: Series, max_ydeg: int, coeff_deg_bound: int,
     z_deg_bound: Optional[int],
-) -> tuple[list[str], int, Optional[int]]:
-    """The target's letters, its largest |exponent| and the z-degree bound
-    in force (None on the inverse side), once the bounds are checked.
+) -> tuple[list[str], Optional[int]]:
+    """The target's letters and the z-degree bound in force (None on the
+    inverse side), once the bounds are checked.
 
     The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
     #letters) letter monomials times the z powers, are counted in closed
@@ -487,14 +478,14 @@ def _search_bounds(
         raise TypeError(f"cannot search relations for {type(target).__name__}")
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
-    letters, top = _alphabet(t for _, t in _graded_terms(target))
+    letters = _alphabet(t for _, t in _graded_terms(target))[0]
     n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
     unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
     if unknowns > MAX_UNKNOWNS:
         raise WordTooLargeError(
             f"the relation search exceeds the size cap of {MAX_UNKNOWNS} unknowns"
         )
-    return sorted(letters), top, z_deg_bound
+    return sorted(letters), z_deg_bound
 
 
 def find_relation(
@@ -520,17 +511,18 @@ def find_relation(
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
     bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
-    return _find_relation(target, max_ydeg, coeff_deg_bound, prec, {}, bounds)
+    supplier = _RowSupplier(target, max_ydeg, bounds[0], coeff_deg_bound)
+    return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds)
 
 
-def _find_relation(target, max_ydeg, coeff_deg_bound, prec, powers, bounds):
-    """`find_relation` with y^0, y^1, ... from `powers`, which gains any
-    missing, and the checked `_search_bounds` of a y-degree >= max_ydeg."""
-    letters, top, z_deg_bound = bounds
+def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds):
+    """`find_relation` on the powers of a supplier built for a y-degree >=
+    max_ydeg and coefficient degree coeff_deg_bound, and the checked
+    `_search_bounds`."""
+    letters, z_deg_bound = bounds
     z_side = z_deg_bound is not None
-    powers.update({j: target.power(j) for j in range(len(powers), max_ydeg + 1)})
-    supplier = _RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
-    verify_bound = min(p.precision for p in powers.values()) - coeff_deg_bound
+    ys = range(max_ydeg + 1)
+    verify_bound = min(supplier.power(j)[1] for j in ys) - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
             f"target precision supports verification below {verify_bound}, "
@@ -543,8 +535,8 @@ def _find_relation(target, max_ydeg, coeff_deg_bound, prec, powers, bounds):
     factors = [
         supplier.packing.factor(*_graded_coefficient(m, z_side)) for m in mons
     ]
-    unknowns = [(j, m) for j in range(max_ydeg + 1) for m in mons]
-    shifts = [(j, f) for j in range(max_ydeg + 1) for f in factors]
+    unknowns = [(j, m) for j in ys for m in mons]
+    shifts = [(j, f) for j in ys for f in factors]
 
     # rows grow by depth only as deep as the solve reads them.  Codes order
     # by depth first, so once grown to a depth the keys are every key of
@@ -624,9 +616,10 @@ def minimal_degree_report(
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
     bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
-    powers: dict = {}
+    # one supplier at the cap's width: each power is formed once
+    supplier = _RowSupplier(target, ydeg_cap, bounds[0], coeff_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
-        rels = _find_relation(target, ydeg, coeff_deg_bound, prec, powers, bounds)
+        rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, bounds)
         if rels:
             return ydeg, rels[0]
     return None, None

@@ -19,6 +19,7 @@ forms x^j as a product of Frobenius powers x^(2^k) for every ring here.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, Optional
 
@@ -35,15 +36,15 @@ def set_bits(n: int) -> list[int]:
     return [m.start() for m in _ONE.finditer(format(n, "b")[::-1])]
 
 
-def binary_power(frob, j: int, one):
-    """x^j as the product of the Frobenius powers frob(k) = x^(2^k) over the
-    set bits k of j; `one` for j = 0."""
+def binary_power(frob, j: int, one, mul=operator.mul):
+    """x^j as the product, by `mul`, of the Frobenius powers frob(k) =
+    x^(2^k) over the set bits k of j, in ascending order; `one` for j = 0."""
     if j < 0:
         raise ValueError("negative power")
     result = None
     for k in set_bits(j):
         f = frob(k)
-        result = f if result is None else result * f
+        result = f if result is None else mul(result, f)
     return one if result is None else result
 
 
@@ -300,9 +301,6 @@ class Gf2Poly:
                 return None
             roots.append(tuple((v, e // 2) for v, e in m))
         return Gf2Poly._raw(frozenset(roots))
-
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

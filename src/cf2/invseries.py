@@ -34,15 +34,18 @@ result.  An inverse is Newton's iteration x <- s * x^2 (2x - s * x^2 in
 characteristic 2): each step is a Frobenius square, one int operation per
 code, and one product, and doubles the depth to which x is known.
 
-Powers are `gf2poly.binary_power` over the Frobenius powers s^(2^k), which
-cost no product.  A continued fraction from `cfalg.compute_cf` carries its
-reciprocal r = sum of the 1/u_n, a few terms against its thousands, and
-takes a power j that is not a power of two as s^(2^k) * r^(2^k - j), 2^k
-the next power of two above j: a Frobenius power times a sparse one, in
-place of dense products.  Both routes compute the same truncation of
-s^j at the same precision: s has depth norm -1 and precision P >= 0, r
-depth norm 1 and precision P + 2, and `product_precision` gives each
-route (P + 1) * 2^v - j, 2^v the largest power of two dividing j.
+Powers of both series kinds are formed packed by `_power_codes`:
+`gf2poly.binary_power` over the Frobenius powers s^(2^k), one int
+operation per code, multiplied by `_Packing.mul`.  The public `power`
+decodes its codes once; relation searches keep them.  A continued
+fraction from `cfalg.compute_cf` carries its reciprocal r = sum of the
+1/u_n, a few terms against its thousands, and takes a power j that is
+not a power of two as s^(2^k) * r^(2^k - j), 2^k the next power of two
+above j: a Frobenius power times a sparse one, in place of dense
+products.  Both routes compute the same truncation of s^j at the same
+precision: s has depth norm -1 and precision P >= 0, r depth norm 1 and
+precision P + 2, and `product_precision` gives each route
+(P + 1) * 2^v - j, 2^v the largest power of two dividing j.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class _Packing:
     least one holding +-bound strictly inside its biased range.
     """
 
-    __slots__ = ("letters", "index", "width", "shift", "bias")
+    __slots__ = ("letters", "index", "width", "shift", "bias", "encoded")
 
     def __init__(self, letters: Iterable[str], bound: int):
         self.letters = sorted(letters)
@@ -110,6 +113,7 @@ class _Packing:
         self.width = w = bound.bit_length() + 1
         self.shift = w * len(self.letters)
         self.bias = sum(1 << (w * i + w - 1) for i in range(len(self.letters)))
+        self.encoded: dict[int, tuple] = {}
 
     def encode(self, depth: int, t: Monomial) -> int:
         w, index = self.width, self.index
@@ -133,6 +137,14 @@ class _Packing:
                 out.append((v, n))
             code >>= w
         return tuple(out)
+
+    def codes(self, s) -> list[int]:
+        """Ascending codes of the terms of a series at their depths
+        (`_graded_terms`), encoded once: the packing keeps s and its codes."""
+        if id(s) not in self.encoded:
+            codes = sorted(self.encode(d, t) for d, t in _graded_terms(s))
+            self.encoded[id(s)] = (s, codes)
+        return self.encoded[id(s)][1]
 
     def depth(self, code: int) -> int:
         return code >> self.shift
@@ -159,6 +171,61 @@ class _Packing:
             row = free if limit is None else free[: bisect_left(free, limit - x)]
             acc ^= {x + y for y in row}
         return acc
+
+
+def _graded_terms(s) -> list[tuple[int, Monomial]]:
+    """(depth, term) pairs of a series: an inverse-power term at its own
+    depth, a z-series term as a letter monomial at the depth of its z-index.
+    """
+    if isinstance(s, InvSeries):
+        return [(mono_deg(t), t) for t in s.terms]
+    return [(i, m) for i, c in enumerate(s.coeffs) for m in c.terms]
+
+
+def _power_alphabet(s, j: int) -> tuple[set[str], int]:
+    """Letters and packing bound of every code `_power_codes` forms for s^i,
+    i <= j: a product of i terms of s, or on the reciprocal route of 2^k
+    terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i)."""
+    r = getattr(s, "reciprocal", None)
+    terms = _graded_terms(s) + (_graded_terms(r) if r is not None else [])
+    letters, top = _alphabet(t for _, t in terms)
+    return letters, (j if r is None else 3 * j) * top
+
+
+def _power_codes(s, pk: _Packing, j: int, cut=None) -> tuple[list[int], float]:
+    """Ascending codes over `pk` of the terms of s^j, and its precision:
+    those of `s.power(j)` (`s.power(j, cut)` on the z side), by the same
+    route and cuts.  `binary_power` multiplies the Frobenius powers (2^k
+    times a code, less 2^k - 1 biases, codes the term's 2^k-th power),
+    through the reciprocal when one is carried; products keep
+    `product_precision` on the inverse side and the cut on the z side, by
+    default s's own precision.  `pk` must cover `_power_alphabet(s, j)`."""
+    z_side = not isinstance(s, InvSeries)
+    if z_side:
+        cut = s.precision if cut is None else max(0, cut)
+
+    def frob(series, k):
+        f = 1 << k
+        drop = (f - 1) * pk.bias
+        out = [f * c - drop for c in pk.codes(series)]
+        if not z_side:
+            return out, series.precision * f
+        prec = min(cut, series.precision * f)
+        return out[: bisect_left(out, pk.limit(prec))], prec
+
+    def mul(x, y):
+        (xs, px), (ys, py) = sorted((x, y), key=lambda c: len(c[0]))
+        vx, vy = (pk.depth(c[0]) if c else math.inf for c in (xs, ys))
+        prec = min(px, py) if z_side else product_precision(px, vx, py, vy)
+        return sorted(pk.mul(xs, ys, prec)), prec
+
+    one = ([pk.bias] if cut else [], cut) if z_side else ([pk.bias], math.inf)
+    r = getattr(s, "reciprocal", None)
+    if r is None or j & (j - 1) == 0:
+        return binary_power(lambda k: frob(s, k), j, one, mul)
+    k = j.bit_length()
+    rest = binary_power(lambda i: frob(r, i), (1 << k) - j, one, mul)
+    return mul(frob(s, k), rest)
 
 
 class InvSeries:
@@ -259,15 +326,10 @@ class InvSeries:
         )
 
     def power(self, j: int) -> "InvSeries":
-        """j-th power; through the reciprocal when one is carried (see the
-        module docstring), by binary powering otherwise."""
-        if j < 0:
-            raise ValueError("negative power")
-        one = InvSeries.one()
-        if self.reciprocal is None or j & (j - 1) == 0:
-            return binary_power(self.pow2k, j, one)
-        k = j.bit_length()
-        return self.pow2k(k) * binary_power(self.reciprocal.pow2k, (1 << k) - j, one)
+        """j-th power, formed packed by `_power_codes`."""
+        pk = _Packing(*_power_alphabet(self, j))
+        codes, prec = _power_codes(self, pk, j)
+        return InvSeries._raw(frozenset(map(pk.decode, codes)), prec)
 
     def truncated(self, precision) -> "InvSeries":
         prec = min(self.precision, precision)

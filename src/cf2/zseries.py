@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2poly import Gf2Poly, Monomial, binary_power
-from .invseries import _alphabet, _Packing
+from .gf2poly import Gf2Poly, Monomial
+from .invseries import _alphabet, _Packing, _power_alphabet, _power_codes
 from .seqcore import EpsSpec, PositionSet, _check_size, _valuation_bits, letter_at
 
 _ZERO = Gf2Poly.zero()
@@ -67,7 +67,7 @@ class ZSeries:
     def truncated(self, precision: int) -> "ZSeries":
         if precision >= self.precision:
             return self
-        return ZSeries(self.coeffs[:precision])
+        return ZSeries(self.coeffs[: max(0, precision)])
 
     def agrees_with(self, other: "ZSeries") -> bool:
         """Equality on the overlap of the two precisions."""
@@ -87,9 +87,14 @@ class ZSeries:
         letters, top = _alphabet(m for _, m in xs)
         other_letters, other_top = _alphabet(m for _, m in ys)
         pk = _Packing(letters | other_letters, top + other_top)
+        return ZSeries._decode(pk, pk.mul([pk.encode(*t) for t in xs],
+                                          sorted(pk.encode(*t) for t in ys), p), p)
+
+    @staticmethod
+    def _decode(pk: _Packing, codes: Iterable[int], p: int) -> "ZSeries":
+        """The series of precision p whose terms have the given codes."""
         out = [set() for _ in range(p)]
-        for code in pk.mul([pk.encode(*t) for t in xs],
-                           sorted(pk.encode(*t) for t in ys), p):
+        for code in codes:
             out[pk.depth(code)].add(pk.decode(code))
         return ZSeries(Gf2Poly._raw(frozenset(c)) for c in out)
 
@@ -117,9 +122,10 @@ class ZSeries:
         return ZSeries(out)
 
     def power(self, j: int, precision: Optional[int] = None) -> "ZSeries":
-        """j-th power, cut at `precision` (by default this series' own)."""
-        p = self.precision if precision is None else precision
-        return binary_power(lambda k: self.pow2k(k, p), j, ZSeries.one(p))
+        """j-th power, cut at `precision` (by default this series' own),
+        formed packed by `invseries._power_codes`."""
+        pk = _Packing(*_power_alphabet(self, j))
+        return ZSeries._decode(pk, *_power_codes(self, pk, j, precision))
 
     def cartier(self, r: int) -> "ZSeries":
         """Halving operator: coefficient j of the output is coefficient 2j+r."""

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cf2 import EpsSpec, letter_at, stream_prefix
+from cf2 import EpsSpec, Gf2Poly, letter_at, stream_prefix
 
 settings.register_profile(
     "thousand",
@@ -91,3 +91,15 @@ def element_prefix(spec: EpsSpec, el, n: int) -> tuple:
         return (el.letter,) * n
     shifted = spec.shifted(el.j)
     return tuple(letter_at(shifted, k) for k in range(n))
+
+
+def general_continuant(quotients: list) -> tuple:
+    """Reference convergent: the last (P_n, Q_n) of the quotients by the
+    three-term recurrence from (P_-2, Q_-2) = (0, 1) and (P_-1, Q_-1) =
+    (1, 0), in the quotients' ring; an empty list gives the Gf2Poly (1, 0)."""
+    ring = type(quotients[0]) if quotients else Gf2Poly
+    p_prev, q_prev, p, q = ring.zero(), ring.one(), ring.one(), ring.zero()
+    for u in quotients:
+        p, p_prev = u * p + p_prev, p
+        q, q_prev = u * q + q_prev, q
+    return p, q

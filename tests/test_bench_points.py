@@ -78,43 +78,47 @@ def test_nullspace_counters_match_the_calls_made(monkeypatch):
     assert metrics["gf2linalg.nullity"] == sum(n for _, _, n in received)
 
 
-def test_a_cf_search_makes_one_power_span_per_power():
-    # a(bc) CF forms y^3 through its reciprocal without re-entering the
-    # public `power`, so the 5 powers of a ydeg-4 search are 5 spans, none
-    # inside another, and `invseries.power_s` counts no time twice
-    spans = _spans()
+def _traced_powers(monkeypatch, search):
+    """The exponents `cfalg._power_codes` formed during a traced search, the
+    search's result and the traced run's power-call counters."""
+    formed = []
+    power_codes = cf2.cfalg._power_codes
+
+    def counting(s, pk, j, *args):
+        formed.append(j)
+        return power_codes(s, pk, j, *args)
+
+    monkeypatch.setattr(cf2.cfalg, "_power_codes", counting)
+    tracer = _spans().Tracer()
+    with tracer.patched(cf2):
+        found = search()
+    metrics = tracer.layer_metrics(0, 1.0)
+    calls = (metrics["invseries.power_calls"], metrics["zseries.power_calls"])
+    return formed, found, calls
+
+
+def test_a_cf_search_forms_each_power_once_packed(monkeypatch):
+    # a search forms its powers as packed codes, y^3 of a(bc) CF through
+    # the reciprocal, and never through the public `power`: the 5 powers
+    # of a ydeg-4 search are 5 calls of the routine and no power span
     cf = cf2.compute_cf(EpsSpec.parse("a(bc)"), 2 * 256 + 16)
-    tracer = spans.Tracer()
-    with tracer.patched(cf2):
-        rels = cf2.cfalg.find_relation(cf, 4, 6, prec=256)
+    formed, rels, calls = _traced_powers(
+        monkeypatch, lambda: cf2.cfalg.find_relation(cf, 4, 6, prec=256))
     assert rels
-    names = [s[0] for s in tracer.spans]
-    powers = [s for s in tracer.spans if s[0] == "invseries.power"]
-    assert len(powers) == 5
-    assert {names[s[5]] for s in powers} == {"cfalg.find_relation"}
-    assert tracer.layer_metrics(0, 1.0)["invseries.power_calls"] == 5
+    assert formed == [0, 1, 2, 3, 4]
+    assert calls == (0, 0)
 
 
-def test_a_z_sweep_makes_one_power_span_per_power():
+def test_a_z_sweep_forms_each_power_once_packed(monkeypatch):
     # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4;
-    # the sweep keeps the powers of one degree for the next, so it forms
-    # y^0 .. y^4 once each, 5 powers.  `ZSeries.power` builds each from
-    # Frobenius powers and products, never through itself, so no power
-    # span sits inside another and `zseries.power_s` counts no time twice
-    spans = _spans()
+    # its one supplier keeps the powers of one degree for the next, so it
+    # forms y^0 .. y^4 once each, and none through the public `power`
     f = cf2.compute_F(EpsSpec.parse("(aabb)"), 2 * 256 + 16)
-    tracer = spans.Tracer()
-    with tracer.patched(cf2):
-        ydeg, _ = cf2.cfalg.minimal_degree_report(f, 8, 4, 8, prec=256)
+    formed, (ydeg, _), calls = _traced_powers(
+        monkeypatch, lambda: cf2.cfalg.minimal_degree_report(f, 8, 4, 8, prec=256))
     assert ydeg == 4
-    powers = [s for s in tracer.spans if s[0] == "zseries.power"]
-    assert len(powers) == 5
-    for span in powers:
-        parent = span[5]
-        while parent is not None:
-            assert tracer.spans[parent][0] != "zseries.power"
-            parent = tracer.spans[parent][5]
-    assert tracer.layer_metrics(0, 1.0)["zseries.power_calls"] == 5
+    assert formed == [0, 1, 2, 3, 4]
+    assert calls == (0, 0)
 
 
 def test_the_inv_search_elimination_keeps_its_shape(tmp_path):

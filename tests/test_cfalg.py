@@ -25,7 +25,6 @@ from cf2 import (
     continuant_monomial,
     continuants,
     find_relation,
-    general_continuant,
     minimal_degree_report,
     verify_relation,
 )
@@ -33,7 +32,7 @@ from cf2 import WordTooLargeError, cfalg
 from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_deg, mono_mul, set_bits
 from cf2.zseries import split_z
-from conftest import eps_specs
+from conftest import eps_specs, general_continuant
 
 
 # Complete ordered relation lists of searches that return several
@@ -571,16 +570,15 @@ def _recorded_search(search, target, bounds, prec, **patches):
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
     """The supplier and the (power, factor) shifts `find_relation` builds."""
-    letters, top, z_deg_bound = cfalg._search_bounds(
+    letters, z_deg_bound = cfalg._search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
-    powers = {j: target.power(j) for j in range(max_ydeg + 1)}
-    supplier = cfalg._RowSupplier(powers, letters, max_ydeg * top + coeff_deg_bound)
+    supplier = cfalg._RowSupplier(target, max_ydeg, letters, coeff_deg_bound)
     mons = cfalg._coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
     z_side = z_deg_bound is not None
     shifts = [
         (j, supplier.packing.factor(*cfalg._graded_coefficient(m, z_side)))
-        for j in powers
+        for j in range(max_ydeg + 1)
         for m in mons
     ]
     return supplier, shifts
@@ -639,6 +637,37 @@ class TestDepthGrownRows:
             fresh = cfalg._GrownRows(supplier, shifts, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
         assert grown.keys == full.keys and grown.rows == full.rows
+
+
+class TestSupplierWidth:
+    """Codes order by depth and fields whatever the field width, so a
+    supplier packed wider, as the sweep's is for its lower y-degrees,
+    makes the same solves and finds the same relations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_searches)
+    @example((EpsSpec.parse("a(bc)"), compute_cf, 4, 6, 0, 128, True))
+    def test_a_wider_supplier_searches_alike(self, case):
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        bounds = cfalg._search_bounds(
+            target, ydeg, coeff, z_bound if build is compute_F else None
+        )
+        narrow = cfalg._RowSupplier(target, ydeg, bounds[0], coeff)
+        wide = cfalg._RowSupplier(
+            target, 4 * ydeg, bounds[0], coeff + (1 << narrow.packing.width)
+        )
+        assert wide.packing.width > narrow.packing.width
+        found = [
+            _recorded_search(
+                lambda *_, prec: cfalg._find_relation(
+                    supplier, ydeg, coeff, prec, bounds
+                ),
+                target, (), prec,
+            )
+            for supplier in (narrow, wide)
+        ]
+        assert found[0] == found[1]
 
 
 @st.composite

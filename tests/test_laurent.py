@@ -17,7 +17,8 @@ from cf2 import (
     specialize_inv,
     unbounded_quotient_series,
 )
-from cf2 import EpsSpec, compute_Gn, general_continuant
+from cf2 import EpsSpec, compute_Gn
+from conftest import general_continuant
 
 
 @st.composite

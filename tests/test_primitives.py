@@ -3,7 +3,8 @@
 Each reference below is a test-only copy of a per-module loop that the
 shared primitive took over: the set-bit walks of `UniPoly.exponents`,
 `PositionSet.indices` and `LaurentSeries.support`, the four binary-powering
-loops, the `|=` row masks, the graded monomial order of the relation
+loops, the tuple-term power route of `InvSeries` and `ZSeries` that the
+packed `invseries._power_codes` took over, the `|=` row masks, the graded monomial order of the relation
 search, the bit reversal of `LaurentSeries.from_unipoly`, the digit-joining
 `UniPoly.pow2k`, and the two re-derivations the convergent recurrence
 replaced: `cf_value`'s backward fold with its fixed-point loop, and the
@@ -34,12 +35,12 @@ from cf2 import (
     compute_G,
     convergents_uni,
     fn_witness,
-    general_continuant,
     unbounded_quotient_series,
 )
 from cf2.cfalg import _block_rows, _coeff_monomials, _mask_rows
 from cf2.gf2poly import mono_deg, set_bits
 from cf2.riccati import _fn_poly
+from conftest import eps_specs, general_continuant
 
 
 def _random_ints(rng, count=40, max_bits=20_000):
@@ -145,6 +146,19 @@ def _joined_digits_pow2k(p, k):
     return UniPoly(int(("0" * ((1 << k) - 1)).join(format(p.bits, "b")), 2))
 
 
+def _tuple_power(s, j, precision=None):
+    """The power route on tuple terms: Frobenius powers by `pow2k`, their
+    products by the series product, through a carried reciprocal."""
+    if isinstance(s, ZSeries):
+        p = s.precision if precision is None else precision
+        return _frobenius_loop(lambda k: s.pow2k(k, p), j, ZSeries.one(p))
+    if s.reciprocal is None or j & (j - 1) == 0:
+        return _frobenius_loop(s.pow2k, j, InvSeries.one())
+    k = j.bit_length()
+    return s.pow2k(k) * _frobenius_loop(s.reciprocal.pow2k, (1 << k) - j,
+                                        InvSeries.one())
+
+
 class TestBinaryPower:
     def test_gf2poly(self):
         for text in ("a + b", "a*b + c^2 + 1", "a^3*b + b*c + c"):
@@ -173,37 +187,76 @@ class TestBinaryPower:
         g = compute_G(EpsSpec.parse(seed), 24)
         assert g.reciprocal is None
         for j in JS:
-            got = g.power(j)
-            ref = _frobenius_loop(g.pow2k, j, InvSeries.one())
+            got, ref = g.power(j), _tuple_power(g, j)
             assert (got.terms, got.precision) == (ref.terms, ref.precision)
 
     @pytest.mark.parametrize("seed", ["(ab)", "a(bc)", "ab(c)"])
     def test_invseries_with_reciprocal(self, seed):
         cf = compute_cf(EpsSpec.parse(seed), 24)
-        r = cf.reciprocal
-        assert r is not None
+        assert cf.reciprocal is not None
         for j in JS:
-            got = cf.power(j)
-            if j & (j - 1) == 0:
-                ref = _frobenius_loop(cf.pow2k, j, InvSeries.one())
-            else:
-                k = j.bit_length()
-                rest = _frobenius_loop(r.pow2k, (1 << k) - j, InvSeries.one())
-                ref = cf.pow2k(k) * rest
+            got, ref = cf.power(j), _tuple_power(cf, j)
             assert (got.terms, got.precision) == (ref.terms, ref.precision)
             assert got.reciprocal is None
 
     @pytest.mark.parametrize("precision", [None, 0, 1, 11, 20, 29])
     def test_zseries(self, precision):
         f = compute_F(EpsSpec.parse("a(bc)"), 20)
-        p = f.precision if precision is None else precision
         for j in JS:
-            got = f.power(j, precision)
-            ref = _frobenius_loop(lambda k: f.pow2k(k, p), j, ZSeries.one(p))
-            assert got == ref.truncated(p)
-            assert got.precision == min(ref.precision, p)
+            got, ref = f.power(j, precision), _tuple_power(f, j, precision)
+            assert (got, got.precision) == (ref, ref.precision)
         with pytest.raises(ValueError):
             f.power(-1)
+
+
+_monos = st.dictionaries(st.sampled_from("abc"), st.integers(-4, 4).filter(bool),
+                         max_size=3).map(lambda d: tuple(sorted(d.items())))
+_inv_precisions = st.one_of(st.integers(-6, 30), st.sampled_from([math.inf, -math.inf]))
+_inv_series = st.builds(InvSeries, st.lists(_monos, max_size=6), _inv_precisions)
+
+
+@st.composite
+def _inv_targets(draw):
+    """A continued fraction with its reciprocal, or a series over up to three
+    letters, at a finite, infinite or -infinite precision, half of them
+    carrying another such series as reciprocal."""
+    if draw(st.booleans()):
+        return compute_cf(draw(eps_specs(max_pre=2, max_per=3, n_letters=3)),
+                          draw(st.integers(1, 40)))
+    s = draw(_inv_series)
+    if draw(st.booleans()):
+        s = InvSeries._raw(s.terms, s.precision, draw(_inv_series))
+    return s
+
+
+_z_monos = st.dictionaries(st.sampled_from("ab"), st.integers(1, 3),
+                           max_size=2).map(lambda d: tuple(sorted(d.items())))
+_z_targets = st.one_of(
+    st.builds(compute_F, eps_specs(max_pre=2, max_per=3, n_letters=3),
+              st.integers(1, 24)),
+    st.lists(st.lists(_z_monos, max_size=3).map(Gf2Poly), max_size=12).map(ZSeries),
+)
+
+
+class TestPackedPowers:
+    """The public powers, formed on packed codes, against the tuple route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_inv_targets())
+    def test_invseries(self, s):
+        for j in range(17):
+            got, ref = s.power(j), _tuple_power(s, j)
+            assert (got.terms, got.precision) == (ref.terms, ref.precision)
+            assert got.reciprocal is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_z_targets)
+    def test_zseries(self, s):
+        n = s.precision
+        for p in (None, -3, 0, n - 1, n, 2 * n + 1):
+            for j in range(17):
+                got, ref = s.power(j, p), _tuple_power(s, j, p)
+                assert (repr(got), got.precision) == (repr(ref), ref.precision)
 
 
 # ------------------------------------------------------------ row masks

@@ -18,10 +18,10 @@ from cf2 import (
     cf_value,
     convergents_uni,
     fn_witness,
-    general_continuant,
     witness_table,
 )
 from cf2.riccati import _fn_poly
+from conftest import general_continuant
 
 
 def _random_quotient_seq(rng: random.Random, length: int) -> QuotientSeq:

@@ -303,6 +303,12 @@ class TestArithmetic:
         assert ZSeries([]).power(0).precision == 0
         assert ZSeries.one(1).precision == 1
 
+    def test_negative_precision_cuts_to_zero(self):
+        F = compute_F(EpsSpec.parse("(ab)"), 10)
+        assert F.truncated(-3) == ZSeries([])
+        assert F.power(3, -3) == F.pow2k(1, -3) == F.truncated(-3)
+        assert F.mul_zpow(2, -3).precision == 0
+
 
 def _pairwise_mul(a: ZSeries, b: ZSeries) -> ZSeries:
     """Reference product: coefficient pairs multiplied as letter polynomials."""
