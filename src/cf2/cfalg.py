@@ -9,8 +9,11 @@ is what makes a bounded-degree linear search for relations effective: the
 finder assembles the GF(2) linear system "sum_j c_j * target^j == 0 below a
 depth", solves it with bitset elimination, re-checks every candidate at
 (at least) doubled precision, and returns canonical representatives.
-Verification runs on the same packed rows: the residual of a relation is
-the XOR of its own shifted power rows, cut at the precision they support.
+An unknown c * y^j shifts the packed codes of y^j by the factor of c, a
+sum of letter (and z) steps, so the equation keys are walked out from the
+powers' codes along those steps and each row is cut from its power's codes.
+Verification XORs a relation's own shifted power rows, cut at the
+precision they support.
 """
 
 from __future__ import annotations
@@ -282,10 +285,9 @@ class _RowSupplier:
     The packing covers every code formed for y^0 .. y^ydeg
     (`_power_alphabet`) times a coefficient factor over `letters` of
     largest |exponent| `f_top`.  A row is the codes of one power shifted by
-    the bias-free code of a factor and cut at a depth bound, from its
-    `start`-th code on.  Codes order by depth, then by their fields,
-    whatever the field width, so a supplier built for a higher y-degree
-    gives every row and key in the same order.
+    the bias-free code of a factor and cut at a depth bound.  Codes order
+    by depth, then by their fields, whatever the field width, so a supplier
+    built for a higher y-degree gives every row and key in the same order.
     """
 
     def __init__(self, target: Series, ydeg: int, letters, f_top: int):
@@ -300,34 +302,84 @@ class _RowSupplier:
             self.powers[j] = _power_codes(self.target, self.packing, j)
         return self.powers[j]
 
-    def support(self, j: int, factor: int, bound, start: int = 0) -> list[int]:
+    def support(self, j: int, factor: int, bound) -> list[int]:
         codes = self.power(j)[0]
         limit = self.packing.limit(bound)
         end = len(codes) if limit is None else bisect_left(codes, limit - factor)
-        return [c + factor for c in codes[start:end]]
+        return [c + factor for c in codes[:end]]
+
+
+def _walk(sources, stages) -> set:
+    """The sources plus every sum of at most `budget` steps of each stage
+    (steps, budget) in turn: breadth-first, each round adding every step to
+    the points the last round found new."""
+    seen = set(sources)
+    for steps, budget in stages:
+        frontier = seen
+        for _ in range(budget):
+            new: set = set()
+            for step in steps:
+                new.update(map(step.__add__, frontier))
+            new -= seen
+            seen |= new
+            frontier = new
+    return seen
 
 
 class _GrownRows:
-    """The rows of the unknowns `shifts` and their sorted keys, grown by
-    depth bands (-inf, D), [D, 2D), ... up to p_sys, D = max(8, p_sys / 8)."""
+    """The sorted keys of a search's system, grown by depth bands (-inf, D),
+    [D, 2D), ... up to p_sys, D = max(8, p_sys / 8), and the rows of the
+    unknowns `shifts` (power j, factor f) on any block of them.
 
-    def __init__(self, supplier: _RowSupplier, shifts, p_sys):
-        self.supplier, self.shifts, self.p_sys = supplier, shifts, p_sys
-        self.rows: list[list[int]] = [[] for _ in shifts]
+    The keys are the codes c + f, c a code of some y^j and f a factor, the
+    sums `_walk` makes of `stages`.  Those sums are closed under dropping a
+    step, so the walk from the powers' codes reaches every key and nothing
+    else.  Band [lo, hi) walks from the codes in [lo - max f, hi - min f)
+    and keeps what falls in it; codes order by depth first, so the keys
+    are every key shallower than the depth reached, sorted, and no other.
+    """
+
+    def __init__(self, supplier: _RowSupplier, shifts, stages, p_sys):
+        self.packing, self.stages, self.p_sys = supplier.packing, stages, p_sys
+        self.shifts = shifts
+        self.codes = {j: supplier.power(j)[0] for j, _ in shifts}
+        self.reach = min(f for _, f in shifts), max(f for _, f in shifts)
         self.keys: list[int] = []
         self.depth = -math.inf
 
     def grow(self, n: int) -> int:
         """Grow until n keys are known or p_sys is reached; the key count."""
+        (f_min, f_max), limit = self.reach, self.packing.limit
         while len(self.keys) < n and self.depth < self.p_sys:
+            lo = limit(self.depth)
             self.depth = min(self.p_sys, max(8, self.p_sys / 8, 2 * self.depth))
-            band: set = set()
-            for row, (j, f) in zip(self.rows, self.shifts):
-                new = self.supplier.support(j, f, self.depth, len(row))
-                row += new
-                band.update(new)
-            self.keys.extend(sorted(band))
+            hi = limit(self.depth)
+            sources: set = set()
+            for codes in self.codes.values():
+                sources.update(codes[bisect_left(codes, lo - f_max):
+                                     bisect_left(codes, hi - f_min)])
+            band = _walk(sources, self.stages)
+            self.keys.extend(sorted(k for k in band if lo <= k < hi))
         return len(self.keys)
+
+    def block(self, lo: int, hi: int) -> list[int]:
+        """Each unknown's row on keys[lo:hi], bit i for keys[lo + i], from
+        its power's codes c with c + f in that range (set as `_mask_rows`
+        sets them)."""
+        keys, codes = self.keys, self.codes
+        end = keys[hi] if hi < len(keys) else self.packing.limit(self.depth)
+        start = keys[lo] if lo < hi else end
+        index = {k: i for i, k in enumerate(keys[lo:hi])}
+        size = (hi - lo + 7) >> 3
+        rows = []
+        for j, f in self.shifts:
+            cs = codes[j]
+            buf = bytearray(size)
+            for c in cs[bisect_left(cs, start - f): bisect_left(cs, end - f)]:
+                i = index[c + f]
+                buf[i >> 3] |= 1 << (i & 7)
+            rows.append(int.from_bytes(buf, "little"))
+        return rows
 
 
 def _combine(rows: list[int], tag: int) -> int:
@@ -356,20 +408,10 @@ def _mask_rows(supports, keys: list) -> list[int]:
     return rows
 
 
-def _block_rows(supports, keys, lo: int, hi: int) -> list[int]:
-    """Each support's row on the equations keys[lo:hi], bit i for keys[lo + i]."""
-    start = keys[lo] if lo else -math.inf
-    end = keys[hi] if hi < len(keys) else math.inf
-    return _mask_rows(
-        (sup[bisect_left(sup, start): bisect_left(sup, end)] for sup in supports),
-        keys[lo:hi],
-    )
-
-
-def _restrict(tags: list[int], supports, keys, lo: int, hi: int) -> list[int]:
-    """The combinations of null vectors `tags` that vanish on keys[lo:hi]."""
-    block = _block_rows(supports, keys, lo, hi)
-    combos = nullspace([_combine(block, tag) for tag in tags], hi - lo)
+def _restrict(tags: list[int], block: list[int], width: int) -> list[int]:
+    """The combinations of null vectors `tags` that vanish on `block`, the
+    unknowns' rows on `width` further equations."""
+    combos = nullspace([_combine(block, tag) for tag in tags], width)
     return [_combine(tags, combo) for combo in combos]
 
 
@@ -512,15 +554,32 @@ def find_relation(
         raise ValueError("max_ydeg must be at least 1")
     bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
     supplier = _RowSupplier(target, max_ydeg, bounds[0], coeff_deg_bound)
-    return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds)
+    grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
+    return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
 
 
-def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds):
-    """`find_relation` on the powers of a supplier built for a y-degree >=
-    max_ydeg and coefficient degree coeff_deg_bound, and the checked
-    `_search_bounds`."""
+def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
+    """A search's coefficient monomials, their factors over `pk`, and the
+    `_walk` stages making those factors: at most coeff_deg_bound letter
+    steps, then on the z side at most z_deg_bound z steps."""
     letters, z_deg_bound = bounds
     z_side = z_deg_bound is not None
+
+    def factor(m: Monomial) -> int:
+        return pk.factor(*_graded_coefficient(m, z_side))
+
+    mons = _coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
+    stages = [([factor(((v, 1),)) for v in letters], coeff_deg_bound)]
+    if z_side:
+        stages.append(([factor((("z", 1),))], z_deg_bound))
+    return mons, [factor(m) for m in mons], stages
+
+
+def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
+    """`find_relation` on the powers of a supplier built for a y-degree >=
+    max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
+    of its packing."""
+    mons, factors, stages = grid
     ys = range(max_ydeg + 1)
     verify_bound = min(supplier.power(j)[1] for j in ys) - coeff_deg_bound
     if verify_bound < 2 * prec:
@@ -531,20 +590,13 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds):
         )
     p_sys = min(prec, verify_bound)
 
-    mons = _coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
-    factors = [
-        supplier.packing.factor(*_graded_coefficient(m, z_side)) for m in mons
-    ]
     unknowns = [(j, m) for j in ys for m in mons]
     shifts = [(j, f) for j in ys for f in factors]
 
-    # rows grow by depth only as deep as the solve reads them.  Codes order
-    # by depth first, so once grown to a depth the keys are every key of
-    # the system shallower than it, sorted, and none deeper: the first n
-    # are the n shallowest that rows cut at p_sys would give, and fewer
-    # than n are known only when they are the whole system
-    grown = _GrownRows(supplier, shifts, p_sys)
-    rows, keys = grown.rows, grown.keys
+    # keys grow by depth only as deep as the solve reads them: the first n
+    # are the n shallowest of the system cut at p_sys, and fewer than n
+    # are known only when they are the whole system
+    grown = _GrownRows(supplier, shifts, stages, p_sys)
 
     # solve on the shallowest equations first.  While the solution space
     # stays implausibly large (the residual pass below is linear in it),
@@ -558,10 +610,10 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, bounds):
             f"{len(unknowns)} unknowns below depth {p_sys}",
             stacklevel=3,
         )
-    tags = nullspace(_block_rows(rows, keys, 0, n_eq), n_eq)
+    tags = nullspace(grown.block(0, n_eq), n_eq)
     while len(tags) > 24 and n_eq < grown.grow(2 * n_eq):
-        lo, n_eq = n_eq, min(len(keys), 2 * n_eq)
-        tags = _restrict(tags, rows, keys, lo, n_eq)
+        lo, n_eq = n_eq, min(len(grown.keys), 2 * n_eq)
+        tags = _restrict(tags, grown.block(lo, n_eq), n_eq - lo)
 
     # impose the remaining equations exactly, at full available precision
     residuals = [
@@ -616,10 +668,11 @@ def minimal_degree_report(
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
     bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
-    # one supplier at the cap's width: each power is formed once
+    # one supplier at the cap's width: each power and factor is formed once
     supplier = _RowSupplier(target, ydeg_cap, bounds[0], coeff_deg_bound)
+    grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
-        rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, bounds)
+        rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)
         if rels:
             return ydeg, rels[0]
     return None, None

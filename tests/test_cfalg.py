@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import warnings
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -456,6 +458,19 @@ class TestFindRelation:
         assert calls == [(2601, 2857, 382), (382, 2857, 3)]
         assert [r.to_file_text() for r in rels] == [AABB_G_RELATION]
 
+    def test_the_degree_16_search_stays_small(self):
+        # keys are walked and rows cut from the powers' codes, so no
+        # support list of its 2,601 unknowns is kept: about 2.7 MiB
+        # traced, against 9.7 MiB with every unknown's row held
+        g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
+        tracemalloc.start()
+        try:
+            assert find_relation(g, 16, 16, prec=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize(
         "build, bounds",
         [
@@ -530,10 +545,11 @@ class TestFindRelation:
 
 
 class _FullRows:
-    """Test-only copy of the full-row search: every row cut at p_sys and
-    every key of the system sorted before the first solve."""
+    """Test-only copy of the full-row search: every row cut at p_sys, every
+    key of the system sorted before the first solve, and each block's
+    rows set bit by bit from the cut rows."""
 
-    def __init__(self, supplier, shifts, p_sys):
+    def __init__(self, supplier, shifts, stages, p_sys):
         self.rows = [supplier.support(j, f, p_sys) for j, f in shifts]
         all_keys: set = set()
         for sup in self.rows:
@@ -542,6 +558,12 @@ class _FullRows:
 
     def grow(self, n):
         return len(self.keys)
+
+    def block(self, lo, hi):
+        index = {k: i for i, k in enumerate(self.keys[lo:hi])}
+        return [
+            sum(1 << index[k] for k in row if k in index) for row in self.rows
+        ]
 
 
 def _recorded_search(search, target, bounds, prec, **patches):
@@ -569,7 +591,8 @@ def _recorded_search(search, target, bounds, prec, **patches):
 
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
-    """The supplier and the (power, factor) shifts `find_relation` builds."""
+    """The supplier, the (power, factor) shifts and the walk's stages
+    `find_relation` builds; the factors from the monomials one by one."""
     letters, z_deg_bound = cfalg._search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
@@ -581,7 +604,9 @@ def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
         for j in range(max_ydeg + 1)
         for m in mons
     ]
-    return supplier, shifts
+    bounds = (letters, z_deg_bound)
+    stages = cfalg._coefficients(supplier.packing, bounds, coeff_deg_bound)[2]
+    return supplier, shifts, stages
 
 
 _small_searches = st.tuples(
@@ -616,27 +641,72 @@ class TestDepthGrownRows:
         assert all(filename == __file__ for _, filename, _ in grown[1])
 
     @settings(max_examples=100, deadline=None)
-    @given(_small_searches)
-    def test_grown_keys_are_the_shallowest_of_the_system(self, case):
+    @given(_small_searches, st.integers(min_value=0, max_value=1 << 16))
+    @example((EpsSpec.parse("a(bc)"), compute_F, 3, 3, 4, 64, True), 0)
+    def test_grown_keys_are_the_shallowest_of_the_system(self, case, seed):
         spec, build, ydeg, coeff, z_bound, prec, deep = case
+        rng = random.Random(seed)
         target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
         z_bound = z_bound if build is compute_F else None
-        supplier, shifts = _search_rows(target, ydeg, coeff, z_bound)
+        supplier, shifts, stages = _search_rows(target, ydeg, coeff, z_bound)
         p_sys = min(prec, target.precision - coeff)
-        full = _FullRows(supplier, shifts, p_sys)
-        depth = supplier.packing.depth
-        grown = cfalg._GrownRows(supplier, shifts, p_sys)
+        full = _FullRows(supplier, shifts, stages, p_sys)
+        grown = cfalg._GrownRows(supplier, shifts, stages, p_sys)
         while grown.depth < p_sys:
             count = len(grown.keys)
-            assert grown.grow(count + 1) == len(grown.keys)
+            n = grown.grow(count + 1)
+            assert n == len(grown.keys)
             # every key shallower than the depth reached, and no other
-            assert grown.keys == full.keys[: len(grown.keys)]
-            for row, full_row in zip(grown.rows, full.rows):
-                assert row == [k for k in full_row if depth(k) < grown.depth]
+            assert grown.keys == full.keys[:n]
+            depth = supplier.packing.depth
+            assert n == len(full.keys) or depth(full.keys[n]) >= grown.depth
+            # the rows on the whole, an inner block and the tail, each cut
+            # from the powers' codes as the rows cut at p_sys give them
+            lo = rng.randint(0, n)
+            hi = rng.randint(lo, n)
+            for a, b in ((0, n), (lo, hi), (lo, n)):
+                assert grown.block(a, b) == full.block(a, b)
             # growth stops only once it knows the keys asked for, or at p_sys
-            fresh = cfalg._GrownRows(supplier, shifts, p_sys)
+            fresh = cfalg._GrownRows(supplier, shifts, stages, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
-        assert grown.keys == full.keys and grown.rows == full.rows
+        assert grown.keys == full.keys
+
+
+def _sumset(sources, stages) -> set:
+    """Reference for `_walk`: each point plus each sum of at most `budget`
+    steps of each stage, the sums listed outright."""
+    points = set(sources)
+    for steps, budget in stages:
+        sums = {
+            sum(c)
+            for r in range(budget + 1)
+            for c in combinations_with_replacement(steps, r)
+        }
+        points = {p + t for p in points for t in sums}
+    return points
+
+
+# small ints make walks meet; large ones stand for sparse packed codes
+_walk_ints = st.integers(-64, 64) | st.integers(-(1 << 30), 1 << 30)
+_walk_stages = st.lists(
+    st.tuples(
+        st.lists(st.integers(-8, 8) | st.integers(-(1 << 20), 1 << 20),
+                 min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+class TestWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(_walk_ints, max_size=12), _walk_stages)
+    @example({0}, [([1], 3), ([1 << 8], 2)])
+    @example({0, 5}, [([1, 2], 2)])
+    @example(set(), [([1], 4)])
+    def test_walk_is_the_sumset(self, sources, stages):
+        assert cfalg._walk(sources, stages) == _sumset(sources, stages)
 
 
 class TestSupplierWidth:
@@ -661,7 +731,8 @@ class TestSupplierWidth:
         found = [
             _recorded_search(
                 lambda *_, prec: cfalg._find_relation(
-                    supplier, ydeg, coeff, prec, bounds
+                    supplier, ydeg, coeff, prec,
+                    cfalg._coefficients(supplier.packing, bounds, coeff),
                 ),
                 target, (), prec,
             )

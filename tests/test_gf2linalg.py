@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 import cf2
 from cf2 import EpsSpec
-from cf2.cfalg import _block_rows, _combine, _restrict
+from cf2.cfalg import _combine, _restrict
 from cf2.gf2linalg import nullspace
 
 
@@ -81,11 +81,13 @@ def test_widening_by_blocks_equals_the_full_solve(case):
     # tags alone; the canonical form makes the result the full solve's tags
     # one for one, not just a basis of the same space
     rows, width, bounds = case
-    keys = [3 * k + 1 for k in range(width)]  # search keys are sparse codes
-    supports = [[keys[i] for i in range(width) if row >> i & 1] for row in rows]
-    tags = nullspace(_block_rows(supports, keys, 0, bounds[1]), bounds[1])
+
+    def block(lo, hi):
+        return [row >> lo & (1 << (hi - lo)) - 1 for row in rows]
+
+    tags = nullspace(block(0, bounds[1]), bounds[1])
     for lo, hi in zip(bounds[1:], bounds[2:]):
-        tags = _restrict(tags, supports, keys, lo, hi)
+        tags = _restrict(tags, block(lo, hi), hi - lo)
     assert tags == nullspace(rows, width)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +36,7 @@ from cf2 import (
     fn_witness,
     unbounded_quotient_series,
 )
-from cf2.cfalg import _block_rows, _coeff_monomials, _mask_rows
+from cf2.cfalg import _coeff_monomials, _mask_rows
 from cf2.gf2poly import mono_deg, set_bits
 from cf2.riccati import _fn_poly
 from conftest import eps_specs, general_continuant
@@ -272,35 +271,7 @@ def _or_rows(supports, index):
     return rows
 
 
-def _or_block_rows(supports, keys, lo, hi):
-    index = {k: i for i, k in enumerate(keys[lo:hi])}
-    start = keys[lo] if lo else -math.inf
-    end = keys[hi] if hi < len(keys) else math.inf
-    return _or_rows(
-        (sup[bisect_left(sup, start): bisect_left(sup, end)] for sup in supports),
-        index,
-    )
-
-
 class TestRowMasks:
-    def test_block_shapes(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            universe = rng.sample(range(1 << 20), rng.randint(1, 300))
-            supports = [
-                sorted(rng.sample(universe, rng.randint(0, len(universe))))
-                for _ in range(rng.randint(1, 30))
-            ]
-            keys = sorted(set().union(*supports)) or [0]
-            lo = rng.randrange(len(keys))
-            hi = rng.randint(lo + 1, len(keys))
-            assert _block_rows(supports, keys, lo, hi) == _or_block_rows(
-                supports, keys, lo, hi
-            )
-            assert _block_rows(supports, keys, 0, len(keys)) == _or_block_rows(
-                supports, keys, 0, len(keys)
-            )
-
     def test_residual_shapes(self):
         rng = random.Random(5)
         for n_keys in (1, 7, 8, 9, 63, 64, 65, 1000):
