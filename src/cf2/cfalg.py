@@ -9,11 +9,18 @@ is what makes a bounded-degree linear search for relations effective: the
 finder assembles the GF(2) linear system "sum_j c_j * target^j == 0 below a
 depth", solves it with bitset elimination, re-checks every candidate at
 (at least) doubled precision, and returns canonical representatives.
-An unknown c * y^j shifts the packed codes of y^j by the factor of c, a
-sum of letter (and z) steps, so the equation keys are walked out from the
-powers' codes along those steps and each row is cut from its power's codes.
-Verification XORs a relation's own shifted power rows, cut at the
-precision they support.
+An unknown c * y^j shifts the packed codes of y^j by the factor f of c.
+The search lays its equation keys out by depth ranges, each as a mixed
+radix over the depth and the letter fields in which adding f is a fixed
+shift: the row of c * y^j is one int of y^j's codes shifted by f's
+offset and cut to a block's bits, and the OR of a block's rows marks its
+keys.  The layout maps keys to bits one to one and keeps their order, and
+a bit that is no key is 0 in every row.  So each block holds the
+equations that the same shallowest keys of the system would, in the same
+order, with every linear dependency among its rows: the null vectors, and
+so every tag, relation and warning, are those of a solve on one column
+per key.  Verification XORs a relation's own shifted power rows, cut at
+the precision they support.
 """
 
 from __future__ import annotations
@@ -284,14 +291,17 @@ class _RowSupplier:
     the sorted codes and precision `_power_codes` gives, never as a series.
     The packing covers every code formed for y^0 .. y^ydeg
     (`_power_alphabet`) times a coefficient factor over `letters` of
-    largest |exponent| `f_top`.  A row is the codes of one power shifted by
-    the bias-free code of a factor and cut at a depth bound.  Codes order
-    by depth, then by their fields, whatever the field width, so a supplier
-    built for a higher y-degree gives every row and key in the same order.
+    largest |exponent| `f_top`; a search that has scanned the target passes
+    its largest |exponent| as `top`, `letters` then being the target's.
+    A row is the codes of one power shifted by the bias-free code of a
+    factor and cut at a depth bound.  Codes order by depth, then by their
+    fields, whatever the field width, so a supplier built for a higher
+    y-degree gives every row and key in the same order.
     """
 
-    def __init__(self, target: Series, ydeg: int, letters, f_top: int):
-        p_letters, bound = _power_alphabet(target, ydeg)
+    def __init__(self, target: Series, ydeg: int, letters, f_top: int, top=None):
+        own = None if top is None else (set(letters), top)
+        p_letters, bound = _power_alphabet(target, ydeg, own)
         self.target = target
         self.packing = _Packing(p_letters | set(letters), bound + f_top)
         self.powers: dict[int, tuple] = {}
@@ -309,77 +319,157 @@ class _RowSupplier:
         return [c + factor for c in codes[:end]]
 
 
-def _walk(sources, stages) -> set:
-    """The sources plus every sum of at most `budget` steps of each stage
-    (steps, budget) in turn: breadth-first, each round adding every step to
-    the points the last round found new."""
-    seen = set(sources)
-    for steps, budget in stages:
-        frontier = seen
-        for _ in range(budget):
-            new: set = set()
-            for step in steps:
-                new.update(map(step.__add__, frontier))
-            new -= seen
-            seen |= new
-            frontier = new
-    return seen
+class _Layout:
+    """The keys at depths [lo, hi) laid out densely, and the codes of each
+    power on that layout.
+
+    A bit position is a mixed radix over the axes of `_GrownRows`: the
+    depth, most significant, then the letter fields from the highest down,
+    so positions keep the codes' order.  Each radix spans the values that
+    the codes in [lo - max f, hi - min f) plus the factors reach, so
+    positions add: the key c + f sits at c's position plus f's offset, and
+    the row of (j, f) is y^j's int shifted by f's offset.  The depths
+    [lo, hi) hold the bits [base, top); `build` trims them to the keys.
+    """
+
+    def __init__(self, grown: "_GrownRows", lo, hi):
+        pk, (f_min, f_max) = grown.packing, grown.reach
+        start, end = pk.limit(lo) - f_max, pk.limit(hi) - f_min
+        self.sources = [
+            cs[bisect_left(cs, start): bisect_left(cs, end)] for cs in grown.codes
+        ]
+        codes = [c for cs in self.sources for c in cs]
+        self.depths, self.base, self.top = (lo, lo), 0, 0
+        if not codes:
+            return
+        # (shift, mask, multiplier) per axis from the least significant up,
+        # each radix the codes' span of values plus the factors'
+        self.axes, self.c_low, self.f_low, size = [], 0, 0, 1
+        for (s, m), (lf, hf) in zip(grown.axes[::-1], grown.factor_spans[::-1]):
+            cv = [(c >> s) & m for c in codes]
+            lc, hc = min(cv), max(cv)
+            self.axes.append((s, m, size))
+            self.c_low, self.f_low = self.c_low + lc * size, self.f_low + lf * size
+            size *= hc - lc + hf - lf + 1
+        # the last axis done is the depth: the keys' depths run from lc + lf
+        # to hc + hf, and depth d starts at bit (d - lc - lf) * multiplier
+        self.depths = max(lo, lc + lf), min(hi, hc + hf + 1)
+        self.base, self.top = ((d - lc - lf) * self.axes[-1][2] for d in self.depths)
+
+    def build(self, grown: "_GrownRows") -> None:
+        """Each power's int, each factor's offset, and the keys' bits from
+        the shallowest key to the deepest."""
+
+        def place(c: int) -> int:
+            return sum(((c >> s) & m) * mult for s, m, mult in self.axes)
+
+        self.powers = [
+            sum(1 << (place(c) - self.c_low) for c in cs) for cs in self.sources
+        ]
+        bias, self.sources = grown.packing.bias, None
+        self.offsets = [place(f + bias) - self.f_low for f in grown.factors]
+        union = keys = 0
+        for p in self.powers:
+            union |= p
+        for off in self.offsets:
+            keys |= union << off
+        keys = keys >> self.base & ((1 << (self.top - self.base)) - 1)
+        low = (keys & -keys).bit_length() - 1 if keys else 0
+        self.base, self.keys = self.base + low, keys >> low
+        self.count, self.width = self.keys.bit_count(), self.keys.bit_length()
 
 
 class _GrownRows:
-    """The sorted keys of a search's system, grown by depth bands (-inf, D),
-    [D, 2D), ... up to p_sys, D = max(8, p_sys / 8), and the rows of the
-    unknowns `shifts` (power j, factor f) on any block of them.
+    """The keys of a search's system, grown by depth bands (-inf, D),
+    [D, 2D), ... up to p_sys, D = max(8, p_sys / 8), and the rows of its
+    unknowns on any block of them: unknown j * len(factors) + i is y^j
+    times the coefficient of factor factors[i], j <= max_ydeg.
 
-    The keys are the codes c + f, c a code of some y^j and f a factor, the
-    sums `_walk` makes of `stages`.  Those sums are closed under dropping a
-    step, so the walk from the powers' codes reaches every key and nothing
-    else.  Band [lo, hi) walks from the codes in [lo - max f, hi - min f)
-    and keeps what falls in it; codes order by depth first, so the keys
-    are every key shallower than the depth reached, sorted, and no other.
+    The keys are the codes c + f, c a code of some y^j and f a factor.
+    Each band is laid out as one `_Layout`, or as one per half while the
+    halves take under 9/10 of its bits (codes drift with the depth, so a
+    thin box wastes less).  Codes order by depth first, so the keys known
+    are every key shallower than the depth reached, and the layouts side
+    by side keep their order.  On the inverse side the depth is the sum
+    of the letter fields and fixes the lowest one, which gets no axis.
     """
 
-    def __init__(self, supplier: _RowSupplier, shifts, stages, p_sys):
-        self.packing, self.stages, self.p_sys = supplier.packing, stages, p_sys
-        self.shifts = shifts
-        self.codes = {j: supplier.power(j)[0] for j, _ in shifts}
-        self.reach = min(f for _, f in shifts), max(f for _, f in shifts)
-        self.keys: list[int] = []
+    def __init__(self, supplier: _RowSupplier, max_ydeg: int, factors, p_sys):
+        self.packing, self.factors, self.p_sys = supplier.packing, factors, p_sys
+        self.codes = [supplier.power(j)[0] for j in range(max_ydeg + 1)]
+        self.reach = min(factors), max(factors)
+        pk, w = self.packing, self.packing.width
+        first = 0 if isinstance(supplier.target, ZSeries) else 1
+        self.axes = [(pk.shift, -1)] + [
+            (i * w, (1 << w) - 1) for i in reversed(range(first, len(pk.letters)))
+        ]
+        fs = [f + pk.bias for f in self.factors]
+        values = ([(f >> s) & m for f in fs] for s, m in self.axes)
+        self.factor_spans = [(min(v), max(v)) for v in values]
+        self.layouts: list[_Layout] = []
+        self.count = 0
         self.depth = -math.inf
 
     def grow(self, n: int) -> int:
         """Grow until n keys are known or p_sys is reached; the key count."""
-        (f_min, f_max), limit = self.reach, self.packing.limit
-        while len(self.keys) < n and self.depth < self.p_sys:
-            lo = limit(self.depth)
+        while self.count < n and self.depth < self.p_sys:
+            lo = self.depth if self.depth == -math.inf else math.ceil(self.depth)
             self.depth = min(self.p_sys, max(8, self.p_sys / 8, 2 * self.depth))
-            hi = limit(self.depth)
-            sources: set = set()
-            for codes in self.codes.values():
-                sources.update(codes[bisect_left(codes, lo - f_max):
-                                     bisect_left(codes, hi - f_min)])
-            band = _walk(sources, self.stages)
-            self.keys.extend(sorted(k for k in band if lo <= k < hi))
-        return len(self.keys)
+            for layout in self._lay_out(_Layout(self, lo, math.ceil(self.depth))):
+                self.layouts.append(layout)
+                self.count += layout.count
+        return self.count
 
-    def block(self, lo: int, hi: int) -> list[int]:
-        """Each unknown's row on keys[lo:hi], bit i for keys[lo + i], from
-        its power's codes c with c + f in that range (set as `_mask_rows`
-        sets them)."""
-        keys, codes = self.keys, self.codes
-        end = keys[hi] if hi < len(keys) else self.packing.limit(self.depth)
-        start = keys[lo] if lo < hi else end
-        index = {k: i for i, k in enumerate(keys[lo:hi])}
-        size = (hi - lo + 7) >> 3
-        rows = []
-        for j, f in self.shifts:
-            cs = codes[j]
-            buf = bytearray(size)
-            for c in cs[bisect_left(cs, start - f): bisect_left(cs, end - f)]:
-                i = index[c + f]
-                buf[i >> 3] |= 1 << (i & 7)
-            rows.append(int.from_bytes(buf, "little"))
-        return rows
+    def _lay_out(self, whole: _Layout) -> list[_Layout]:
+        """The layouts with keys of `whole`, or of its halves, built."""
+        lo, hi = whole.depths
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            halves = [_Layout(self, lo, mid), _Layout(self, mid, hi)]
+            if 10 * sum(h.top - h.base for h in halves) < 9 * (whole.top - whole.base):
+                return [x for h in halves for x in self._lay_out(h)]
+        if whole.top <= whole.base:
+            return []
+        whole.build(self)
+        return [whole] if whole.count else []
+
+    def _locate(self, n: int) -> tuple[int, int]:
+        """(layout, bit) of the key with n keys before it: the least bit
+        with n + 1 keys up to it, by bisection on those counts."""
+        for i, layout in enumerate(self.layouts):
+            if n < layout.count:
+                keys = layout.keys
+                return i, bisect_left(
+                    range(layout.width), n + 1,
+                    key=lambda b: (keys & ((2 << b) - 1)).bit_count(),
+                )
+            n -= layout.count
+        raise IndexError(n)
+
+    def block(self, lo: int, hi: int, named: int) -> tuple[list[int], int]:
+        """Each unknown's row on the keys lo .. hi - 1, and the bits those
+        keys span: from the first key's bit to the last's, layout after
+        layout.  Unknowns whose index is not set in `named` get a 0 row."""
+        n_f = len(self.factors)
+        rows = [0] * (len(self.codes) * n_f)
+        if lo >= hi:
+            return rows, 0
+        (i_lo, first), (i_hi, last) = self._locate(lo), self._locate(hi - 1)
+        which = set_bits(named)
+        at = 0
+        for i in range(i_lo, i_hi + 1):
+            layout = self.layouts[i]
+            start = first if i == i_lo else 0
+            end = last + 1 if i == i_hi else layout.width
+            s, mask = layout.base + start, (1 << (end - start)) - 1
+            powers, offsets = layout.powers, layout.offsets
+            for k in which:
+                j, i = divmod(k, n_f)
+                d = offsets[i] - s
+                p = powers[j] << d if d >= 0 else powers[j] >> -d
+                rows[k] |= (p & mask) << at
+            at += end - start
+        return rows, at
 
 
 def _combine(rows: list[int], tag: int) -> int:
@@ -501,9 +591,10 @@ def _relation_sort_key(rel: Relation):
 def _search_bounds(
     target: Series, max_ydeg: int, coeff_deg_bound: int,
     z_deg_bound: Optional[int],
-) -> tuple[list[str], Optional[int]]:
-    """The target's letters and the z-degree bound in force (None on the
-    inverse side), once the bounds are checked.
+) -> tuple[list[str], Optional[int], int]:
+    """The target's letters, the z-degree bound in force (None on the
+    inverse side) and the largest |exponent| of the target's terms, once
+    the bounds are checked: one scan of the terms for the whole search.
 
     The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
     #letters) letter monomials times the z powers, are counted in closed
@@ -520,14 +611,14 @@ def _search_bounds(
         raise TypeError(f"cannot search relations for {type(target).__name__}")
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
-    letters = _alphabet(t for _, t in _graded_terms(target))[0]
+    letters, top = _alphabet(t for _, t in _graded_terms(target))
     n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
     unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
     if unknowns > MAX_UNKNOWNS:
         raise WordTooLargeError(
             f"the relation search exceeds the size cap of {MAX_UNKNOWNS} unknowns"
         )
-    return sorted(letters), z_deg_bound
+    return sorted(letters), z_deg_bound, top
 
 
 def find_relation(
@@ -553,33 +644,25 @@ def find_relation(
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
     bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
-    supplier = _RowSupplier(target, max_ydeg, bounds[0], coeff_deg_bound)
+    letters, _, top = bounds
+    supplier = _RowSupplier(target, max_ydeg, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
 
 
 def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
-    """A search's coefficient monomials, their factors over `pk`, and the
-    `_walk` stages making those factors: at most coeff_deg_bound letter
-    steps, then on the z side at most z_deg_bound z steps."""
-    letters, z_deg_bound = bounds
+    """A search's coefficient monomials and their factors over `pk`."""
+    letters, z_deg_bound, _ = bounds
     z_side = z_deg_bound is not None
-
-    def factor(m: Monomial) -> int:
-        return pk.factor(*_graded_coefficient(m, z_side))
-
     mons = _coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
-    stages = [([factor(((v, 1),)) for v in letters], coeff_deg_bound)]
-    if z_side:
-        stages.append(([factor((("z", 1),))], z_deg_bound))
-    return mons, [factor(m) for m in mons], stages
+    return mons, [pk.factor(*_graded_coefficient(m, z_side)) for m in mons]
 
 
 def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     """`find_relation` on the powers of a supplier built for a y-degree >=
     max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
     of its packing."""
-    mons, factors, stages = grid
+    mons, factors = grid
     ys = range(max_ydeg + 1)
     verify_bound = min(supplier.power(j)[1] for j in ys) - coeff_deg_bound
     if verify_bound < 2 * prec:
@@ -590,32 +673,35 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
         )
     p_sys = min(prec, verify_bound)
 
-    unknowns = [(j, m) for j in ys for m in mons]
-    shifts = [(j, f) for j in ys for f in factors]
-
     # keys grow by depth only as deep as the solve reads them: the first n
     # are the n shallowest of the system cut at p_sys, and fewer than n
     # are known only when they are the whole system
-    grown = _GrownRows(supplier, shifts, stages, p_sys)
+    grown = _GrownRows(supplier, max_ydeg, factors, p_sys)
+    n_unknowns = len(ys) * len(factors)
 
     # solve on the shallowest equations first.  While the solution space
     # stays implausibly large (the residual pass below is linear in it),
     # impose the next block of equations on it alone: null([A | B]) is
     # {x in null(A) : xB = 0}, and combining the tags by the block's null
     # combinations gives the basis a solve of [A | B] would (see gf2linalg)
-    n_eq = min(grown.grow(len(unknowns) + 256), len(unknowns) + 256)
-    if n_eq < len(unknowns):
+    n_eq = min(grown.grow(n_unknowns + 256), n_unknowns + 256)
+    if n_eq < n_unknowns:
         warnings.warn(
             f"under-determined system: {n_eq} equations for "
-            f"{len(unknowns)} unknowns below depth {p_sys}",
+            f"{n_unknowns} unknowns below depth {p_sys}",
             stacklevel=3,
         )
-    tags = nullspace(grown.block(0, n_eq), n_eq)
+    tags = nullspace(*grown.block(0, n_eq, (1 << n_unknowns) - 1))
     while len(tags) > 24 and n_eq < grown.grow(2 * n_eq):
-        lo, n_eq = n_eq, min(len(grown.keys), 2 * n_eq)
-        tags = _restrict(tags, grown.block(lo, n_eq), n_eq - lo)
+        lo, n_eq = n_eq, min(grown.count, 2 * n_eq)
+        # only the unknowns some null vector names need rows
+        named = 0
+        for tag in tags:
+            named |= tag
+        tags = _restrict(tags, *grown.block(lo, n_eq, named))
 
     # impose the remaining equations exactly, at full available precision
+    shifts = [(j, f) for j in ys for f in factors]
     residuals = [
         _residual_support(supplier, shifts, tag, verify_bound) for tag in tags
     ]
@@ -629,6 +715,7 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     if not final_tags:
         return []
 
+    unknowns = [(j, m) for j in ys for m in mons]
     basis = list(dict.fromkeys(_stripped_basis(final_tags, unknowns)))
 
     # rank only V_min, the relations of least largest coefficient degree.
@@ -668,8 +755,9 @@ def minimal_degree_report(
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
     bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
+    letters, _, top = bounds
     # one supplier at the cap's width: each power and factor is formed once
-    supplier = _RowSupplier(target, ydeg_cap, bounds[0], coeff_deg_bound)
+    supplier = _RowSupplier(target, ydeg_cap, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
         rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)

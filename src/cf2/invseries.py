@@ -182,14 +182,17 @@ def _graded_terms(s) -> list[tuple[int, Monomial]]:
     return [(i, m) for i, c in enumerate(s.coeffs) for m in c.terms]
 
 
-def _power_alphabet(s, j: int) -> tuple[set[str], int]:
+def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
     """Letters and packing bound of every code `_power_codes` forms for s^i,
     i <= j: a product of i terms of s, or on the reciprocal route of 2^k
-    terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i)."""
+    terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i).  `own`
+    is the `_alphabet` of s's terms when the caller has scanned them."""
+    letters, top = own or _alphabet(t for _, t in _graded_terms(s))
     r = getattr(s, "reciprocal", None)
-    terms = _graded_terms(s) + (_graded_terms(r) if r is not None else [])
-    letters, top = _alphabet(t for _, t in terms)
-    return letters, (j if r is None else 3 * j) * top
+    if r is None:
+        return letters, j * top
+    r_letters, r_top = _alphabet(r.terms)
+    return letters | r_letters, 3 * j * max(top, r_top)
 
 
 def _power_codes(s, pk: _Packing, j: int, cut=None) -> tuple[list[int], float]:

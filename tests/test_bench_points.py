@@ -125,7 +125,8 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     # the benchmark's three inverse-power searches solve 5 systems: one
     # first solve each, and one widening step each for a(bc) CF and
     # (aabb) G.  The tags do not depend on how `nullspace` pivots, so
-    # neither does the widening schedule nor any of these counts
+    # neither does the widening schedule nor any of these counts.  `cols`
+    # adds up the bits of the blocks' key layouts, not their equations
     spans = _spans()
     workload = _bench("workloads").build("inv-search", cf2, 7, tmp_path)
     tracer = spans.Tracer()
@@ -135,14 +136,15 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == 5
     assert metrics["gf2linalg.rows"] == 3478
-    assert metrics["gf2linalg.cols"] == 7343
+    assert metrics["gf2linalg.cols"] == 11963
     assert metrics["gf2linalg.nullity"] == 415
 
 
 def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
     # the benchmark's three F sweeps solve 12 systems over their y-degrees.
     # Rows grown by depth give each solve the equations that rows cut at
-    # the solve precision would, so these counts are the full-row search's
+    # the solve precision would, so these counts but `cols` (layout bits)
+    # are the full-row search's
     spans = _spans()
     workload = _bench("workloads").build("z-sweep", cf2, 7, tmp_path)
     tracer = spans.Tracer()
@@ -152,5 +154,5 @@ def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == 12
     assert metrics["gf2linalg.rows"] == 3165
-    assert metrics["gf2linalg.cols"] == 7967
+    assert metrics["gf2linalg.cols"] == 19137
     assert metrics["gf2linalg.nullity"] == 196

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 import warnings
-from itertools import combinations_with_replacement
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,7 +30,7 @@ from cf2 import (
     minimal_degree_report,
     verify_relation,
 )
-from cf2 import WordTooLargeError, cfalg
+from cf2 import WordTooLargeError, cfalg, invseries
 from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_deg, mono_mul, set_bits
 from cf2.zseries import split_z
@@ -444,24 +444,38 @@ class TestFindRelation:
 
     def test_widening_restricts_the_first_nullspace(self, monkeypatch):
         # the first solve leaves 382 null vectors, so the next 2857
-        # equations are imposed on those vectors alone, not on all unknowns
-        calls = []
+        # equations are imposed on those vectors alone, not on all unknowns,
+        # and only the 1854 unknowns they name get rows on those equations
+        calls, blocks = [], []
 
         def recording(rows, n_cols):
             tags = nullspace(rows, n_cols)
-            calls.append((len(rows), n_cols, len(tags)))
+            calls.append((len(rows), len(tags)))
             return tags
 
+        block = cfalg._GrownRows.block
+
+        def spying(self, lo, hi, named):
+            rows, width = block(self, lo, hi, named)
+            union = 0
+            for row in rows:
+                union |= row
+            blocks.append((hi - lo, named.bit_count(), union.bit_count()))
+            return rows, width
+
         monkeypatch.setattr(cfalg, "nullspace", recording)
+        monkeypatch.setattr(cfalg._GrownRows, "block", spying)
         g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
         rels = find_relation(g, max_ydeg=16, coeff_deg_bound=16, prec=512)
-        assert calls == [(2601, 2857, 382), (382, 2857, 3)]
+        assert calls == [(2601, 382), (382, 3)]
+        # 2857 equations a block; the named unknowns' rows meet 2072 of them
+        assert blocks == [(2857, 2601, 2857), (2857, 1854, 2072)]
         assert [r.to_file_text() for r in rels] == [AABB_G_RELATION]
 
     def test_the_degree_16_search_stays_small(self):
-        # keys are walked and rows cut from the powers' codes, so no
-        # support list of its 2,601 unknowns is kept: about 2.7 MiB
-        # traced, against 9.7 MiB with every unknown's row held
+        # rows are cut from one int per power, so no support list of its
+        # 2,601 unknowns is kept: about 2.7 MiB traced, against 9.7 MiB
+        # with every unknown's row held
         g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
         tracemalloc.start()
         try:
@@ -470,6 +484,26 @@ class TestFindRelation:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_a_search_scans_the_target_once(self, sweep, monkeypatch):
+        # the bounds check and the row supplier share one scan of the
+        # target's letters and top exponent; the reciprocal a continued
+        # fraction carries is scanned on its own
+        cf = compute_cf(EpsSpec.parse("a(bc)"), 2 * 128 + 16)
+        scanned = []
+        alphabet = invseries._alphabet
+
+        def counting(terms):
+            terms = list(terms)
+            scanned.append(len(terms))
+            return alphabet(terms)
+
+        monkeypatch.setattr(cfalg, "_alphabet", counting)
+        monkeypatch.setattr(invseries, "_alphabet", counting)
+        search = minimal_degree_report if sweep else find_relation
+        assert search(cf, 4, 6, prec=128)[-1]
+        assert scanned == [len(cf.terms), len(cf.reciprocal.terms)]
 
     @pytest.mark.parametrize(
         "build, bounds",
@@ -547,33 +581,52 @@ class TestFindRelation:
 class _FullRows:
     """Test-only copy of the full-row search: every row cut at p_sys, every
     key of the system sorted before the first solve, and each block's
-    rows set bit by bit from the cut rows."""
+    rows set bit by bit from the cut rows, bit i for the block's i-th key."""
 
-    def __init__(self, supplier, shifts, stages, p_sys):
-        self.rows = [supplier.support(j, f, p_sys) for j, f in shifts]
+    def __init__(self, supplier, max_ydeg, factors, p_sys):
+        self.rows = [
+            supplier.support(j, f, p_sys)
+            for j in range(max_ydeg + 1)
+            for f in factors
+        ]
         all_keys: set = set()
         for sup in self.rows:
             all_keys.update(sup)
         self.keys = sorted(all_keys)
+        self.count = len(self.keys)
 
     def grow(self, n):
-        return len(self.keys)
+        return self.count
 
-    def block(self, lo, hi):
+    def block(self, lo, hi, named):
         index = {k: i for i, k in enumerate(self.keys[lo:hi])}
-        return [
+        rows = [
             sum(1 << index[k] for k in row if k in index) for row in self.rows
         ]
+        return rows, hi - lo
+
+
+def _columns(rows: list[int]) -> list[int]:
+    """The non-empty columns of some rows in column order, each as the int
+    with bit i set when rows[i] has a 1 there."""
+    columns: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        for c in set_bits(row):
+            columns[c] = columns.get(c, 0) | 1 << i
+    return [columns[c] for c in sorted(columns)]
 
 
 def _recorded_search(search, target, bounds, prec, **patches):
-    """Relations, warnings and `nullspace` inputs of one search with the
-    `cfalg` names in `patches` replaced."""
+    """Relations, warnings and `nullspace` calls of one search with the
+    `cfalg` names in `patches` replaced.  A call is recorded by its rows'
+    count, its non-empty columns in order (one per equation) and its tags:
+    the column labels may differ, the equations may not."""
     solves = []
 
     def recording(rows, n_cols):
-        solves.append((tuple(rows), n_cols))
-        return nullspace(rows, n_cols)
+        tags = nullspace(rows, n_cols)
+        solves.append((len(rows), _columns(rows), tags))
+        return tags
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(
         record=True
@@ -591,22 +644,28 @@ def _recorded_search(search, target, bounds, prec, **patches):
 
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
-    """The supplier, the (power, factor) shifts and the walk's stages
-    `find_relation` builds; the factors from the monomials one by one."""
-    letters, z_deg_bound = cfalg._search_bounds(
+    """The supplier and the coefficient factors `find_relation` builds,
+    the factors from the monomials one by one."""
+    letters, z_deg_bound, _ = cfalg._search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
     supplier = cfalg._RowSupplier(target, max_ydeg, letters, coeff_deg_bound)
     mons = cfalg._coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
     z_side = z_deg_bound is not None
-    shifts = [
-        (j, supplier.packing.factor(*cfalg._graded_coefficient(m, z_side)))
-        for j in range(max_ydeg + 1)
+    factors = [
+        supplier.packing.factor(*cfalg._graded_coefficient(m, z_side))
         for m in mons
     ]
-    bounds = (letters, z_deg_bound)
-    stages = cfalg._coefficients(supplier.packing, bounds, coeff_deg_bound)[2]
-    return supplier, shifts, stages
+    return supplier, factors
+
+
+def _precision(prec: int, deep) -> int:
+    """A target precision: deep enough for the search (True), shallow
+    enough to lower p_sys to the target's verification bound (False), or
+    the one given."""
+    if isinstance(deep, bool):
+        return 2 * prec + 16 if deep else prec // 2 + 4
+    return deep
 
 
 _small_searches = st.tuples(
@@ -629,10 +688,12 @@ class TestDepthGrownRows:
         (EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False), False
     )  # under-determined, grown to p_sys
     @example((EpsSpec.parse("a(bc)"), compute_cf, 4, 6, 0, 128, True), False)
+    @example(
+        (EpsSpec.parse("cb(bab)"), compute_F, 1, 4, 1, 4, 3), True
+    )  # p_sys = -1: 0 equations for 60 unknowns
     def test_matches_the_full_row_search(self, case, sweep):
         spec, build, ydeg, coeff, z_bound, prec, deep = case
-        # a shallow target lowers p_sys to its verification bound
-        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        target = build(spec, _precision(prec, deep))
         bounds = (ydeg, coeff, z_bound if build is compute_F else None)
         search = minimal_degree_report if sweep else find_relation
         grown = _recorded_search(search, target, bounds, prec)
@@ -643,70 +704,45 @@ class TestDepthGrownRows:
     @settings(max_examples=100, deadline=None)
     @given(_small_searches, st.integers(min_value=0, max_value=1 << 16))
     @example((EpsSpec.parse("a(bc)"), compute_F, 3, 3, 4, 64, True), 0)
+    @example((EpsSpec.parse("a(bcd)"), compute_G, 3, 4, 0, 128, True), 1)
     def test_grown_keys_are_the_shallowest_of_the_system(self, case, seed):
         spec, build, ydeg, coeff, z_bound, prec, deep = case
         rng = random.Random(seed)
-        target = build(spec, 2 * prec + 16 if deep else prec // 2 + 4)
+        target = build(spec, _precision(prec, deep))
         z_bound = z_bound if build is compute_F else None
-        supplier, shifts, stages = _search_rows(target, ydeg, coeff, z_bound)
+        supplier, factors = _search_rows(target, ydeg, coeff, z_bound)
         p_sys = min(prec, target.precision - coeff)
-        full = _FullRows(supplier, shifts, stages, p_sys)
-        grown = cfalg._GrownRows(supplier, shifts, stages, p_sys)
+        full = _FullRows(supplier, ydeg, factors, p_sys)
+        grown = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
+        n_unknowns = (ydeg + 1) * len(factors)
+        pk, everyone = supplier.packing, (1 << n_unknowns) - 1
         while grown.depth < p_sys:
-            count = len(grown.keys)
+            count = grown.count
             n = grown.grow(count + 1)
-            assert n == len(grown.keys)
             # every key shallower than the depth reached, and no other
-            assert grown.keys == full.keys[:n]
-            depth = supplier.packing.depth
-            assert n == len(full.keys) or depth(full.keys[n]) >= grown.depth
-            # the rows on the whole, an inner block and the tail, each cut
-            # from the powers' codes as the rows cut at p_sys give them
+            assert n == bisect_left(full.keys, pk.limit(grown.depth))
+            # the rows on the whole, an inner block and the tail: the same
+            # equations in the same order, on as many bits as the first
+            # key to the last span
             lo = rng.randint(0, n)
             hi = rng.randint(lo, n)
             for a, b in ((0, n), (lo, hi), (lo, n)):
-                assert grown.block(a, b) == full.block(a, b)
+                rows, width = grown.block(a, b, everyone)
+                assert _columns(rows) == _columns(full.block(a, b, everyone)[0])
+                union = 0
+                for row in rows:
+                    union |= row
+                assert union.bit_length() == width
+                assert union & 1 == (a < b)
+            # unknowns not named get 0 rows, the named ones theirs
+            named = rng.getrandbits(n_unknowns)
+            rows = grown.block(lo, hi, named)[0]
+            whole = grown.block(lo, hi, everyone)[0]
+            assert rows == [r if named >> i & 1 else 0 for i, r in enumerate(whole)]
             # growth stops only once it knows the keys asked for, or at p_sys
-            fresh = cfalg._GrownRows(supplier, shifts, stages, p_sys)
+            fresh = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
-        assert grown.keys == full.keys
-
-
-def _sumset(sources, stages) -> set:
-    """Reference for `_walk`: each point plus each sum of at most `budget`
-    steps of each stage, the sums listed outright."""
-    points = set(sources)
-    for steps, budget in stages:
-        sums = {
-            sum(c)
-            for r in range(budget + 1)
-            for c in combinations_with_replacement(steps, r)
-        }
-        points = {p + t for p in points for t in sums}
-    return points
-
-
-# small ints make walks meet; large ones stand for sparse packed codes
-_walk_ints = st.integers(-64, 64) | st.integers(-(1 << 30), 1 << 30)
-_walk_stages = st.lists(
-    st.tuples(
-        st.lists(st.integers(-8, 8) | st.integers(-(1 << 20), 1 << 20),
-                 min_size=1, max_size=3),
-        st.integers(min_value=0, max_value=5),
-    ),
-    min_size=1,
-    max_size=2,
-)
-
-
-class TestWalk:
-    @settings(max_examples=300, deadline=None)
-    @given(st.sets(_walk_ints, max_size=12), _walk_stages)
-    @example({0}, [([1], 3), ([1 << 8], 2)])
-    @example({0, 5}, [([1, 2], 2)])
-    @example(set(), [([1], 4)])
-    def test_walk_is_the_sumset(self, sources, stages):
-        assert cfalg._walk(sources, stages) == _sumset(sources, stages)
+        assert grown.count == len(full.keys)
 
 
 class TestSupplierWidth:
