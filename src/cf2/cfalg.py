@@ -19,8 +19,12 @@ a bit that is no key is 0 in every row.  So each block holds the
 equations that the same shallowest keys of the system would, in the same
 order, with every linear dependency among its rows: the null vectors, and
 so every tag, relation and warning, are those of a solve on one column
-per key.  Verification XORs a relation's own shifted power rows, cut at
-the precision they support.
+per key.  Verification and the residual pass XOR the unknowns' shifted
+power rows, cut at the precision they support.  On the inverse side these
+are sets of codes; on the z side each power keeps its codes grouped by
+letter part, and a row is y^j's groups re-keyed by the factor's letter
+part and shifted by its z-degree, so codes are formed only for the bits
+left in the sum.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ from .gf2poly import (
 from .invseries import (
     InvSeries,
     _alphabet,
-    _graded_terms,
     _Packing,
     _power_alphabet,
     _power_codes,
+    _terms,
 )
 from .seqcore import EpsSpec, WordTooLargeError, _check_size
 from .zseries import ZSeries, split_z
@@ -288,28 +292,35 @@ class _RowSupplier:
     """Support rows of the unknowns c * y^j, for both series kinds.
 
     Each power y^j of the target is formed once, when first asked for, as
-    the sorted codes and precision `_power_codes` gives, never as a series.
-    The packing covers every code formed for y^0 .. y^ydeg
-    (`_power_alphabet`) times a coefficient factor over `letters` of
-    largest |exponent| `f_top`; a search that has scanned the target passes
-    its largest |exponent| as `top`, `letters` then being the target's.
-    A row is the codes of one power shifted by the bias-free code of a
-    factor and cut at a depth bound.  Codes order by depth, then by their
-    fields, whatever the field width, so a supplier built for a higher
-    y-degree gives every row and key in the same order.
+    the sorted codes and precision `_power_codes` gives, never as a series;
+    a z-side power keeps its codes grouped by letter part too.  The
+    packing covers every code formed for y^0 .. y^ydeg (`_power_alphabet`)
+    times a coefficient factor over `letters` of largest |exponent|
+    `f_top`; a search that has scanned the target passes its largest
+    |exponent| as `top`, `letters` then being the target's.  A row is the
+    codes of one power shifted by the bias-free code of a factor and cut at
+    a depth bound.  Codes order by depth, then by their fields, whatever
+    the field width, so a supplier built for a higher y-degree gives every
+    row and key in the same order.
     """
 
     def __init__(self, target: Series, ydeg: int, letters, f_top: int, top=None):
         own = None if top is None else (set(letters), top)
         p_letters, bound = _power_alphabet(target, ydeg, own)
         self.target = target
+        self.z_side = isinstance(target, ZSeries)
         self.packing = _Packing(p_letters | set(letters), bound + f_top)
         self.powers: dict[int, tuple] = {}
+        self.groups: dict[int, dict[int, int]] = {}
 
     def power(self, j: int) -> tuple[list[int], float]:
         """The codes and precision of y^j."""
         if j not in self.powers:
-            self.powers[j] = _power_codes(self.target, self.packing, j)
+            packed, prec = _power_codes(self.target, self.packing, j)
+            if self.z_side:
+                self.groups[j] = packed
+                packed = self.packing.ungroup(packed, prec)
+            self.powers[j] = packed, prec
         return self.powers[j]
 
     def support(self, j: int, factor: int, bound) -> list[int]:
@@ -317,6 +328,27 @@ class _RowSupplier:
         limit = self.packing.limit(bound)
         end = len(codes) if limit is None else bisect_left(codes, limit - factor)
         return [c + factor for c in codes[:end]]
+
+    def residual(self, shifts, tag: int, bound):
+        """The codes, below bound, of the sum of the rows of the unknowns
+        `shifts[i]` = (j, factor) over the set bits i of a tag.  On the z
+        side it is summed by letter part: y^j's groups, each re-keyed by
+        the factor's letter part and shifted by its depth."""
+        if not self.z_side:
+            keys: set = set()
+            for i in set_bits(tag):
+                keys.symmetric_difference_update(self.support(*shifts[i], bound))
+            return keys
+        pk = self.packing
+        letters = (1 << pk.shift) - 1
+        acc: dict[int, int] = {}
+        for i in set_bits(tag):
+            j, factor = shifts[i]
+            self.power(j)
+            at, depth = factor & letters, factor >> pk.shift
+            for key, b in self.groups[j].items():
+                acc[key + at] = acc.get(key + at, 0) ^ b << depth
+        return pk.ungroup(acc, bound)
 
 
 class _Layout:
@@ -505,14 +537,6 @@ def _restrict(tags: list[int], block: list[int], width: int) -> list[int]:
     return [_combine(tags, combo) for combo in combos]
 
 
-def _residual_support(supplier: _RowSupplier, shifts, tag: int, bound) -> set:
-    keys: set = set()
-    for i in set_bits(tag):
-        j, factor = shifts[i]
-        keys.symmetric_difference_update(supplier.support(j, factor, bound))
-    return keys
-
-
 def verify_relation(rel: Relation, target: Series) -> ResidualReport:
     """Substitute the target and report whether the residual vanished.
 
@@ -533,7 +557,7 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
     )
     pk = supplier.packing
     shifts = [(j, pk.factor(d, t)) for j, fs in factors.items() for d, t in fs]
-    residual = _residual_support(supplier, shifts, (1 << len(shifts)) - 1, precision)
+    residual = supplier.residual(shifts, (1 << len(shifts)) - 1, precision)
     if not residual:
         return ResidualReport(True, None, precision)
     return ResidualReport(False, pk.depth(min(residual)), precision)
@@ -611,7 +635,7 @@ def _search_bounds(
         raise TypeError(f"cannot search relations for {type(target).__name__}")
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
-    letters, top = _alphabet(t for _, t in _graded_terms(target))
+    letters, top = _alphabet(_terms(target))
     n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
     unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
     if unknowns > MAX_UNKNOWNS:
@@ -702,9 +726,7 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
 
     # impose the remaining equations exactly, at full available precision
     shifts = [(j, f) for j in ys for f in factors]
-    residuals = [
-        _residual_support(supplier, shifts, tag, verify_bound) for tag in tags
-    ]
+    residuals = [supplier.residual(shifts, tag, verify_bound) for tag in tags]
     if any(residuals):
         rkeys = sorted(set().union(*residuals))
         combos = nullspace(_mask_rows(residuals, rkeys), len(rkeys))

@@ -13,8 +13,10 @@ Riccati checks cheap.
 
 The bit-level primitives the other modules share live here once:
 `set_bits` walks the set bits of an int (exponents, occurrence indices,
-series supports, the unknowns a null vector combines), and `binary_power`
-forms x^j as a product of Frobenius powers x^(2^k) for every ring here.
+series supports, the unknowns a null vector combines), `clmul` is the
+carry-less product of int bitsets (`UniPoly` and the z-series product
+kernel), and `binary_power` forms x^j as a product of Frobenius powers
+x^(2^k) for every ring here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,20 @@ _ONE = re.compile("1")
 
 def set_bits(n: int) -> list[int]:
     """Indices of the set bits of n >= 0, ascending (one scan of its digits)."""
+    if n & (n - 1) == 0:
+        return [n.bit_length() - 1] if n else []
     return [m.start() for m in _ONE.finditer(format(n, "b")[::-1])]
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less (GF(2)[t]) product of int bitsets: the XOR of b shifted by
+    each set bit of a, so a should be the sparser one."""
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc
 
 
 def binary_power(frob, j: int, one, mul=operator.mul):
@@ -385,16 +400,9 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.bits, other.bits
-        if a == 0 or b == 0:
-            return UniPoly(0)
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        acc = 0
-        while a:
-            low = a & -a
-            acc ^= b << (low.bit_length() - 1)
-            a ^= low
-        return UniPoly(acc)
+        return UniPoly(clmul(a, b))
 
     def square(self) -> "UniPoly":
         """Frobenius: the bits spread to even places (binary read in base 4)."""

@@ -35,9 +35,16 @@ characteristic 2): each step is a Frobenius square, one int operation per
 code, and one product, and doubles the depth to which x is known.
 
 Powers of both series kinds are formed packed by `_power_codes`:
-`gf2poly.binary_power` over the Frobenius powers s^(2^k), one int
-operation per code, multiplied by `_Packing.mul`.  The public `power`
-decodes its codes once; relation searches keep them.  A continued
+`gf2poly.binary_power` over the Frobenius powers s^(2^k).  On the inverse
+side a Frobenius power is one int operation per code and products are
+`_Packing.mul`, on sets of codes.  On the z side the depth is the z-index
+and a term's letter monomial is its code at depth 0, its letter part;
+the codes are grouped by letter part, one int bitset over the z-index per
+group, a Frobenius power spreads each bitset, and `_Packing.zmul`
+multiplies the groups pairwise and carry-less.  The inverse side keeps
+the set kernel: there the depth is the sum of the letter fields, so each
+group would hold one term.  The public `power` decodes once; relation
+searches keep the packed terms.  A continued
 fraction from `cfalg.compute_cf` carries its reciprocal r = sum of the
 1/u_n, a few terms against its thousands, and takes a power j that is
 not a power of two as s^(2^k) * r^(2^k - j), 2^k the next power of two
@@ -58,11 +65,14 @@ from .gf2poly import (
     Gf2Poly,
     Monomial,
     ONE_MONO,
+    UniPoly,
     binary_power,
+    clmul,
     mono_deg,
     mono_pow,
     mono_str,
     parse_terms,
+    set_bits,
 )
 
 
@@ -139,10 +149,10 @@ class _Packing:
         return tuple(out)
 
     def codes(self, s) -> list[int]:
-        """Ascending codes of the terms of a series at their depths
-        (`_graded_terms`), encoded once: the packing keeps s and its codes."""
+        """Ascending codes of the terms of an inverse-power series, encoded
+        once: the packing keeps s and its codes."""
         if id(s) not in self.encoded:
-            codes = sorted(self.encode(d, t) for d, t in _graded_terms(s))
+            codes = sorted(self.encode(mono_deg(t), t) for t in s.terms)
             self.encoded[id(s)] = (s, codes)
         return self.encoded[id(s)][1]
 
@@ -172,14 +182,81 @@ class _Packing:
             acc ^= {x + y for y in row}
         return acc
 
+    def groups(self, s) -> dict[int, int]:
+        """A z-series' codes grouped as `zmul` takes them, formed once: the
+        packing keeps s and its groups."""
+        if id(s) not in self.encoded:
+            grouped = {self.encode(0, m): b for m, b in _letter_groups(s).items()}
+            self.encoded[id(s)] = (s, grouped)
+        return self.encoded[id(s)][1]
 
-def _graded_terms(s) -> list[tuple[int, Monomial]]:
-    """(depth, term) pairs of a series: an inverse-power term at its own
-    depth, a z-series term as a letter monomial at the depth of its z-index.
-    """
+    def zmul(
+        self, xs: dict[int, int], ys: dict[int, int], precision: int
+    ) -> dict[int, int]:
+        """Product of z-side codes grouped by letter part: each operand maps
+        a letter part (a code at depth 0) to the bitset of its z-indices.
+        Each pair of groups multiplies carry-less, by `gf2poly.clmul` over
+        the sparser bitset, into the group of the letter parts' sum less one
+        bias; pairs whose least depths reach the precision are skipped and
+        the result is cut below it.  Cost: pairs of groups times the
+        smaller popcount, one shift per pair of terms at worst."""
+        mask = (1 << max(0, precision)) - 1
+
+        def bits(groups, less):
+            """(letter part, bitset, popcount, least depth), by least depth."""
+            out = ((key - less, b & mask) for key, b in groups.items())
+            return sorted(((key, b, b.bit_count(), (b & -b).bit_length() - 1)
+                           for key, b in out if b), key=lambda g: g[3])
+
+        ys = bits(ys, 0)
+        lows = [g[3] for g in ys]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for lx, bx, nx, low in bits(xs, self.bias):
+            partners = ys[: bisect_left(lows, precision - low)]
+            if nx == 1:
+                for ly, by, _, _ in partners:
+                    key = lx + ly
+                    acc[key] = get(key, 0) ^ by << low
+                continue
+            for ly, by, ny, _ in partners:
+                key = lx + ly
+                acc[key] = get(key, 0) ^ (clmul(bx, by) if nx <= ny else clmul(by, bx))
+        return {key: b & mask for key, b in acc.items() if b & mask}
+
+    def ungroup(self, groups: dict[int, int], precision: int) -> list[int]:
+        """Ascending codes of grouped z-side codes, of depth below precision."""
+        mask, shift = (1 << max(0, precision)) - 1, self.shift
+        return sorted(key + (i << shift) for key, b in groups.items()
+                      for i in set_bits(b & mask))
+
+
+def _letter_groups(s, precision=None) -> dict[Monomial, int]:
+    """Each letter monomial of a z-series below precision (by default its
+    own), with the bitset of the z-indices where it occurs: one bitset per
+    distinct coefficient first, then one per monomial."""
+    coeffs = s.coeffs[:precision]
+    size = (len(coeffs) + 7) >> 3
+    rows: dict[frozenset, bytearray] = {}
+    for i, c in enumerate(coeffs):
+        row = rows.get(c.terms)
+        if row is None:
+            row = rows[c.terms] = bytearray(size)
+        row[i >> 3] |= 1 << (i & 7)
+    out: dict[Monomial, int] = {}
+    for terms, row in rows.items():
+        b = int.from_bytes(row, "little")
+        for m in terms:
+            out[m] = out.get(m, 0) | b
+    return out
+
+
+def _terms(s) -> Iterable[Monomial]:
+    """The terms of an inverse-power series, or the distinct letter
+    monomials of a z-series' coefficients."""
     if isinstance(s, InvSeries):
-        return [(mono_deg(t), t) for t in s.terms]
-    return [(i, m) for i, c in enumerate(s.coeffs) for m in c.terms]
+        return s.terms
+    return {m for terms in {c.terms for c in s.coeffs} for m in terms}
 
 
 def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
@@ -187,7 +264,7 @@ def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
     i <= j: a product of i terms of s, or on the reciprocal route of 2^k
     terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i).  `own`
     is the `_alphabet` of s's terms when the caller has scanned them."""
-    letters, top = own or _alphabet(t for _, t in _graded_terms(s))
+    letters, top = own or _alphabet(_terms(s))
     r = getattr(s, "reciprocal", None)
     if r is None:
         return letters, j * top
@@ -195,40 +272,56 @@ def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
     return letters | r_letters, 3 * j * max(top, r_top)
 
 
-def _power_codes(s, pk: _Packing, j: int, cut=None) -> tuple[list[int], float]:
-    """Ascending codes over `pk` of the terms of s^j, and its precision:
-    those of `s.power(j)` (`s.power(j, cut)` on the z side), by the same
-    route and cuts.  `binary_power` multiplies the Frobenius powers (2^k
-    times a code, less 2^k - 1 biases, codes the term's 2^k-th power),
-    through the reciprocal when one is carried; products keep
-    `product_precision` on the inverse side and the cut on the z side, by
-    default s's own precision.  `pk` must cover `_power_alphabet(s, j)`."""
-    z_side = not isinstance(s, InvSeries)
-    if z_side:
-        cut = s.precision if cut is None else max(0, cut)
+def _power_codes(s, pk: _Packing, j: int, cut=None) -> tuple:
+    """The terms of s^j packed over `pk`, and its precision: those of
+    `s.power(j)` (`s.power(j, cut)` on the z side), by the same route and
+    cuts.  They are ascending codes on the inverse side and, on the z side,
+    codes grouped by letter part as `_Packing.zmul` forms them.
+    `binary_power` multiplies the Frobenius powers (2^k times a code, less
+    2^k - 1 biases, codes the term's 2^k-th power), through the reciprocal
+    when one is carried; products keep `product_precision` on the inverse
+    side and the cut on the z side, by default s's own precision.  `pk`
+    must cover `_power_alphabet(s, j)`."""
+    if not isinstance(s, InvSeries):
+        return _z_power(s, pk, j, s.precision if cut is None else max(0, cut))
 
     def frob(series, k):
         f = 1 << k
         drop = (f - 1) * pk.bias
-        out = [f * c - drop for c in pk.codes(series)]
-        if not z_side:
-            return out, series.precision * f
-        prec = min(cut, series.precision * f)
-        return out[: bisect_left(out, pk.limit(prec))], prec
+        return [f * c - drop for c in pk.codes(series)], series.precision * f
 
     def mul(x, y):
         (xs, px), (ys, py) = sorted((x, y), key=lambda c: len(c[0]))
         vx, vy = (pk.depth(c[0]) if c else math.inf for c in (xs, ys))
-        prec = min(px, py) if z_side else product_precision(px, vx, py, vy)
+        prec = product_precision(px, vx, py, vy)
         return sorted(pk.mul(xs, ys, prec)), prec
 
-    one = ([pk.bias] if cut else [], cut) if z_side else ([pk.bias], math.inf)
+    one = ([pk.bias], math.inf)
     r = getattr(s, "reciprocal", None)
     if r is None or j & (j - 1) == 0:
         return binary_power(lambda k: frob(s, k), j, one, mul)
     k = j.bit_length()
     rest = binary_power(lambda i: frob(r, i), (1 << k) - j, one, mul)
     return mul(frob(s, k), rest)
+
+
+def _z_power(s, pk: _Packing, j: int, cut: int) -> tuple[dict[int, int], int]:
+    """`_power_codes` on the z side: the Frobenius power s^(2^k) spreads
+    each group's bitset 2^k-fold, cut at min(cut, 2^k P)."""
+    base = pk.groups(s)
+
+    def frob(k):
+        f = 1 << k
+        prec = min(cut, s.precision * f)
+        keep, drop = (1 << -(-prec // f)) - 1, (f - 1) * pk.bias
+        return {f * key - drop: UniPoly(b & keep).pow2k(k).bits
+                for key, b in base.items() if b & keep}, prec
+
+    def mul(x, y):
+        prec = min(x[1], y[1])
+        return pk.zmul(x[0], y[0], prec), prec
+
+    return binary_power(frob, j, ({pk.bias: 1} if cut else {}, cut), mul)
 
 
 class InvSeries:

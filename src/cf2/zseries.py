@@ -4,17 +4,25 @@ A series of precision P stores exactly its first P coefficients, each a
 polynomial in the alphabet letters (never in z).  This module builds the
 generating series of a doubling-word sequence, the rational part carried
 by the preperiod, the occurrence-indicator series of the period letters,
-and the two halving (Cartier) operators.  Products share the packed kernel
-of `invseries._Packing` with the inverse-power series, depth = z-index.
+and the two halving (Cartier) operators.  Products and powers pack terms
+as `invseries._Packing` does, depth = z-index, grouped by letter monomial:
+`_Packing.zmul` multiplies one int bitset over the z-index per monomial,
+carry-less.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2poly import Gf2Poly, Monomial
-from .invseries import _alphabet, _Packing, _power_alphabet, _power_codes
-from .seqcore import EpsSpec, PositionSet, _check_size, _valuation_bits, letter_at
+from .gf2poly import Gf2Poly, Monomial, set_bits
+from .invseries import (
+    _alphabet,
+    _letter_groups,
+    _Packing,
+    _power_alphabet,
+    _power_codes,
+)
+from .seqcore import EpsSpec, PositionSet, _check_size, _valuation_bits
 
 _ZERO = Gf2Poly.zero()
 _ONE = Gf2Poly.one()
@@ -82,20 +90,22 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         p = min(self.precision, other.precision)
-        xs, ys = ([(i, m) for i, c in enumerate(s.coeffs[:p]) for m in c.terms]
-                  for s in (self, other))
-        letters, top = _alphabet(m for _, m in xs)
-        other_letters, other_top = _alphabet(m for _, m in ys)
+        xs, ys = _letter_groups(self, p), _letter_groups(other, p)
+        letters, top = _alphabet(xs)
+        other_letters, other_top = _alphabet(ys)
         pk = _Packing(letters | other_letters, top + other_top)
-        return ZSeries._decode(pk, pk.mul([pk.encode(*t) for t in xs],
-                                          sorted(pk.encode(*t) for t in ys), p), p)
+        xs, ys = ({pk.encode(0, m): b for m, b in g.items()} for g in (xs, ys))
+        return ZSeries._decode(pk, pk.zmul(xs, ys, p), p)
 
     @staticmethod
-    def _decode(pk: _Packing, codes: Iterable[int], p: int) -> "ZSeries":
-        """The series of precision p whose terms have the given codes."""
+    def _decode(pk: _Packing, groups: dict[int, int], p: int) -> "ZSeries":
+        """The series of precision p whose terms have the grouped codes
+        (`_Packing.zmul`): one letter monomial decoded per group."""
         out = [set() for _ in range(p)]
-        for code in codes:
-            out[pk.depth(code)].add(pk.decode(code))
+        for key, b in groups.items():
+            m = pk.decode(key)
+            for i in set_bits(b):
+                out[i].add(m)
         return ZSeries(Gf2Poly._raw(frozenset(c)) for c in out)
 
     def mul_poly(self, c: Gf2Poly) -> "ZSeries":
@@ -161,14 +171,24 @@ class ZSeries:
         }
 
 
+def _letters(spec: EpsSpec, n: int) -> list[Gf2Poly]:
+    """The letters s_0 .. s_(n-1) as polynomials, one `Gf2Poly.variable`
+    per seed letter: s_j is eps at the 2-adic valuation v of j + 1, and
+    valuation v fills the indices 2^v - 1 + k 2^(v+1)."""
+    variables = {c: Gf2Poly.variable(c) for c in spec.preperiod + spec.period}
+    out = [_ZERO] * n
+    for v in range(n.bit_length()):
+        start, step = (1 << v) - 1, 2 << v
+        out[start::step] = [variables[spec.letter(v)]] * len(range(start, n, step))
+    return out
+
+
 def compute_F(spec: EpsSpec, precision: int) -> ZSeries:
     """Generating series of the sequence letters: sum_j s_j z^j."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     _check_size(precision, f"horizon {precision}")
-    return ZSeries(
-        Gf2Poly.variable(letter_at(spec, j)) for j in range(precision)
-    )
+    return ZSeries(_letters(spec, precision))
 
 
 def compute_R(spec: EpsSpec, precision: int) -> ZSeries:
@@ -179,12 +199,8 @@ def compute_R(spec: EpsSpec, precision: int) -> ZSeries:
     """
     _check_size(precision, f"horizon {precision}")
     step = 1 << spec.l
-    head = [Gf2Poly.variable(letter_at(spec, k)) for k in range(step - 1)]
-    coeffs = []
-    for i in range(precision):
-        r = i % step
-        coeffs.append(head[r] if r < step - 1 else _ZERO)
-    return ZSeries(coeffs)
+    n = max(0, precision)
+    return ZSeries(((_letters(spec, step - 1) + [_ZERO]) * -(-n // step))[:n])
 
 
 def role_positions(spec: EpsSpec, j: int, horizon: int) -> PositionSet:

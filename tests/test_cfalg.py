@@ -371,6 +371,61 @@ class TestVerifyRelation:
         assert verify_relation(rel, F).vanished
 
 
+class TestKernelSides:
+    """The z side multiplies, powers, searches and verifies on grouped codes
+    alone; the inverse side on the set kernel and support rows."""
+
+    @staticmethod
+    def _z_side_work():
+        F = compute_F(PD, 2 * 64 + 16)
+        return [
+            [r.to_file_text() for r in find_relation(F, 2, 3, 3, prec=64)],
+            minimal_degree_report(F, 4, 3, 3, prec=64),
+            minimal_degree_report(compute_F(EpsSpec.parse("(aabb)"), 144),
+                                  4, 4, 8, prec=64),
+            verify_relation(QUADRATIC_F, F),
+            verify_relation(Relation({1: Gf2Poly.parse("a*z + b")}), F),
+            repr(F * F.mul_zpow(1)),
+            repr(F.power(3)),
+            repr(F.power(5, 40)),
+        ]
+
+    def test_the_z_side_never_calls_the_set_kernel(self, monkeypatch):
+        expected = self._z_side_work()
+
+        def refuse(*args):
+            raise AssertionError("the set kernel was called on the z side")
+
+        monkeypatch.setattr(invseries._Packing, "mul", refuse)
+        monkeypatch.setattr(cfalg._RowSupplier, "support", refuse)
+        assert self._z_side_work() == expected
+        assert expected[1][0] == 2 and expected[2][0] == 4
+        assert expected[3].vanished and not expected[4].vanished
+
+    def test_the_inverse_side_keeps_the_set_kernel(self, monkeypatch):
+        calls = {"mul": 0, "support": 0, "zmul": 0}
+
+        def counting(name, method):
+            def wrapped(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapped
+
+        for cls, name in ((invseries._Packing, "mul"),
+                          (cfalg._RowSupplier, "support"),
+                          (invseries._Packing, "zmul")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        g = compute_G(PD, 144)
+        assert find_relation(g, 4, 3, prec=64)[0] == QUARTIC_G
+        assert calls["mul"] and calls["support"]
+        calls.update(mul=0, support=0)
+        assert not verify_relation(Relation({3: Gf2Poly.one()}), g).vanished
+        assert calls["mul"] and calls["support"]
+        calls.update(mul=0)
+        assert (g * g).truncated(100) == g.power(2).truncated(100)
+        assert calls["mul"] and not calls["zmul"]
+
+
 class TestFindRelation:
     def test_period_doubling_quartic(self):
         g = compute_G(EpsSpec.parse("(ab)"), 520)

@@ -8,7 +8,8 @@ packed `invseries._power_codes` took over, the `|=` row masks, the graded monomi
 search, the bit reversal of `LaurentSeries.from_unipoly`, the digit-joining
 `UniPoly.pow2k`, and the two re-derivations the convergent recurrence
 replaced: `cf_value`'s backward fold with its fixed-point loop, and the
-hand-expanded quotient rule of the Riccati residual.
+hand-expanded quotient rule of the Riccati residual.  The carry-less
+product `clmul` is checked against a schoolbook product.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from cf2 import (
     unbounded_quotient_series,
 )
 from cf2.cfalg import _coeff_monomials, _mask_rows
-from cf2.gf2poly import mono_deg, set_bits
+from cf2.gf2poly import clmul, mono_deg, set_bits
 from cf2.riccati import _fn_poly
 from conftest import eps_specs, general_continuant
 
@@ -256,6 +257,29 @@ class TestPackedPowers:
             for j in range(17):
                 got, ref = s.power(j, p), _tuple_power(s, j, p)
                 assert (repr(got), got.precision) == (repr(ref), ref.precision)
+
+
+# ------------------------------------------------------- carry-less product
+
+
+def _schoolbook(a, b):
+    """GF(2)[t] product coefficient by coefficient, on digit strings."""
+    da, db = format(a, "b")[::-1], format(b, "b")[::-1]
+    out = [0] * (len(da) + len(db))
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            out[i + j] ^= x == y == "1"
+    return int("".join(map(str, out))[::-1], 2)
+
+
+class TestClmul:
+    def test_against_the_schoolbook_product(self):
+        rng = random.Random(7)
+        ints = _random_ints(rng, count=12, max_bits=300)
+        for a in ints:
+            b = rng.choice(ints)
+            assert clmul(a, b) == clmul(b, a) == _schoolbook(a, b)
+            assert (UniPoly(a) * UniPoly(b)).bits == _schoolbook(a, b)
 
 
 # ------------------------------------------------------------ row masks

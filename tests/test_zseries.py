@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cf2 import (
     EpsSpec,
@@ -20,8 +20,9 @@ from cf2 import (
     role_positions,
     verify_relation,
 )
-from cf2.cfalg import Relation
+from cf2.cfalg import Relation, ResidualReport
 from cf2.seqcore import MAX_WORD_LETTERS
+from cf2.zseries import split_z
 from conftest import eps_specs, random_spec
 
 import random
@@ -311,12 +312,14 @@ class TestArithmetic:
 
 
 def _pairwise_mul(a: ZSeries, b: ZSeries) -> ZSeries:
-    """Reference product: coefficient pairs multiplied as letter polynomials."""
+    """Reference product: pairs of nonzero coefficients multiplied as
+    letter polynomials."""
     p = min(a.precision, b.precision)
     out = [Gf2Poly.zero()] * p
-    for i, x in enumerate(a.coeffs[:p]):
-        for j, y in enumerate(b.coeffs[: p - i]):
-            out[i + j] = out[i + j] + x * y
+    for i, x in a.sorted_pieces():
+        for j, y in b.sorted_pieces():
+            if i + j < p:
+                out[i + j] = out[i + j] + x * y
     return ZSeries(out)
 
 
@@ -338,11 +341,14 @@ def _pairwise_power(s: ZSeries, j: int, precision=None) -> ZSeries:
 
 @st.composite
 def z_series(draw):
-    """Short series over a small alphabet ("" gives indicator series),
-    sometimes all zero, sometimes with every coefficient raised to the
-    2**6-th power so that the packed fields must be wide."""
-    letters = draw(st.sampled_from(["", "a", "ab", "cd", "abc"]))
-    precision = draw(st.integers(min_value=0, max_value=10))
+    """Series over an alphabet of up to five letters ("" gives indicator
+    series) at precisions up to 200, so that a letter monomial's bitset of
+    z-indices spans several int digits: every coefficient drawn up to
+    precision 24 and for indicator series, at most 16 placed above.  Some
+    are all zero, some have every coefficient raised to the 2**6-th power
+    so that the packed fields must be wide."""
+    letters = draw(st.sampled_from(["", "a", "ab", "cd", "abc", "abcde"]))
+    precision = draw(st.one_of(st.integers(0, 24), st.integers(25, 200)))
     if not letters or draw(st.booleans()):
         monos = st.just(())
     else:
@@ -350,7 +356,12 @@ def z_series(draw):
             st.sampled_from(letters), st.integers(1, 3), min_size=1
         ).map(lambda d: tuple(sorted(d.items())))
     coeff = st.lists(monos, max_size=3).map(Gf2Poly)
-    coeffs = draw(st.lists(coeff, min_size=precision, max_size=precision))
+    if precision <= 24 or not letters:
+        coeffs = draw(st.lists(coeff, min_size=precision, max_size=precision))
+    else:
+        placed = draw(st.dictionaries(st.integers(0, precision - 1), coeff,
+                                      max_size=16))
+        coeffs = [placed.get(i, Gf2Poly.zero()) for i in range(precision)]
     if draw(st.booleans()):
         coeffs = [c.pow2k(6) for c in coeffs]
     return ZSeries(coeffs)
@@ -367,7 +378,7 @@ class TestPackedProduct:
         assert got.to_json() == want.to_json()
 
     @settings(max_examples=100, deadline=None)
-    @given(z_series(), st.sampled_from([None, 0, 1, 3, 20]))
+    @given(z_series(), st.sampled_from([None, -7, -1, 0, 1, 3, 20, 150]))
     def test_power(self, s, precision):
         for j in range(10):
             got, want = s.power(j, precision), _pairwise_power(s, j, precision)
@@ -379,6 +390,67 @@ class TestPackedProduct:
         y = ZSeries([Gf2Poly.zero(), Gf2Poly.parse("c^2 + d")] * 4)
         for a, b in ((ind, ind), (ind, x), (x, y), (x.pow2k(6), y), (y, y)):
             assert repr(a * b) == repr(_pairwise_mul(a, b))
+
+
+def _pairwise_residual(rel: Relation, s: ZSeries) -> ResidualReport:
+    """Reference residual: the sum of c_j * s^j with s^j from
+    `_pairwise_power` and each monomial of c_j applied as `mul_poly` of its
+    letters and `mul_zpow` of its power of z."""
+    p = s.precision
+    total = ZSeries.zero(p)
+    for j, c in rel.coeffs.items():
+        power = _pairwise_power(s, j)
+        for m in c.terms:
+            e, letters = split_z(m)
+            total = total + power.mul_poly(Gf2Poly.monomial(letters)).mul_zpow(e, p)
+    order = total.order()
+    return ResidualReport(order is None, order, total.precision)
+
+
+@st.composite
+def z_relations(draw):
+    """(seed, target, precision, relation) for random relations over the
+    seed's letters, a foreign letter x and z; almost none vanish."""
+    spec = draw(eps_specs(max_pre=2, max_per=3, n_letters=4))
+    alphabet = sorted(set(spec.preperiod + spec.period)) + ["x", "z"]
+    monomials = st.dictionaries(
+        st.sampled_from(alphabet), st.integers(1, 4), max_size=3
+    ).map(lambda d: tuple(sorted(d.items())))
+    polys = st.lists(monomials, min_size=1, max_size=5).map(Gf2Poly).filter(bool)
+    js = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True))
+    rel = Relation({j: draw(polys) for j in js})
+    return spec, draw(st.sampled_from(["F", "F0"])), draw(st.integers(1, 64)), rel
+
+
+_QUADRATIC_F = Relation.from_file_text(
+    "deg 0: a^2*z + a*b*z + b^2*z + a^2 + a*b\n"
+    "deg 1: a*z^2 + b*z^2 + a + b\ndeg 2: z^3 + z\n"
+)
+# the same relation with a*b*z dropped from its constant coefficient
+_PERTURBED_F = Relation.from_file_text(
+    "deg 0: a^2*z + b^2*z + a^2 + a*b\n"
+    "deg 1: a*z^2 + b*z^2 + a + b\ndeg 2: z^3 + z\n"
+)
+
+
+class TestVerifyAgainstPairwise:
+    """z-side verification against series built without the packed kernels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(z_relations())
+    @example((EpsSpec.parse("(ab)"), "F", 64, _QUADRATIC_F))
+    @example((EpsSpec.parse("(ab)"), "F", 64, _PERTURBED_F))
+    @example((EpsSpec.parse("(ab)"), "F0", 40, _PERTURBED_F))
+    def test_matches_the_pairwise_sum(self, case):
+        spec, name, prec, rel = case
+        s = {"F": compute_F, "F0": compute_F0}[name](spec, prec)
+        assert repr(verify_relation(rel, s)) == repr(_pairwise_residual(rel, s))
+
+    def test_the_perturbed_relation_fails_at_its_depth(self):
+        F = compute_F(EpsSpec.parse("(ab)"), 64)
+        assert verify_relation(_QUADRATIC_F, F) == ResidualReport(True, None, 64)
+        # a*b*z is the residual's only term below z^2
+        assert verify_relation(_PERTURBED_F, F) == ResidualReport(False, 1, 64)
 
 
 _CONTRACT_OPS = {
