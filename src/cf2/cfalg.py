@@ -9,6 +9,9 @@ is what makes a bounded-degree linear search for relations effective: the
 finder assembles the GF(2) linear system "sum_j c_j * target^j == 0 below a
 depth", solves it with bitset elimination, re-checks every candidate at
 (at least) doubled precision, and returns canonical representatives.
+The first solve takes the 3/2 (unknowns + 256) shallowest equations;
+while over 24 null vectors remain, the next block, as many equations
+again, is imposed on them alone, and the residual pass imposes the rest.
 An unknown c * y^j shifts the packed codes of y^j by the factor f of c.
 The search lays its equation keys out by depth ranges, each as a mixed
 radix over the depth and the letter fields in which adding f is a fixed
@@ -682,6 +685,12 @@ def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
     return mons, [pk.factor(*_graded_coefficient(m, z_side)) for m in mons]
 
 
+def _first_solve_size(n_unknowns: int) -> int:
+    """Equations of a search's first solve: the (aabb) G system is solved
+    once, and few spare null vectors reach the residual pass."""
+    return 3 * (n_unknowns + 256) // 2
+
+
 def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     """`find_relation` on the powers of a supplier built for a y-degree >=
     max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
@@ -703,12 +712,14 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     grown = _GrownRows(supplier, max_ydeg, factors, p_sys)
     n_unknowns = len(ys) * len(factors)
 
-    # solve on the shallowest equations first.  While the solution space
-    # stays implausibly large (the residual pass below is linear in it),
-    # impose the next block of equations on it alone: null([A | B]) is
-    # {x in null(A) : xB = 0}, and combining the tags by the block's null
-    # combinations gives the basis a solve of [A | B] would (see gf2linalg)
-    n_eq = min(grown.grow(n_unknowns + 256), n_unknowns + 256)
+    # solve on the `_first_solve_size` shallowest equations first.  While
+    # the solution space stays implausibly large (the residual pass below
+    # is linear in it), impose the next block of equations on it alone:
+    # null([A | B]) is {x in null(A) : xB = 0}, and combining the tags by
+    # the block's null combinations gives the basis a solve of [A | B]
+    # would (see gf2linalg)
+    n_first = _first_solve_size(n_unknowns)
+    n_eq = min(grown.grow(n_first), n_first)
     if n_eq < n_unknowns:
         warnings.warn(
             f"under-determined system: {n_eq} equations for "

@@ -3,8 +3,8 @@
 Rows are arbitrary-precision ints; bit i of a row is the coefficient of
 column i.  The solver pivots on the highest set bit, with each row's tag
 in an int of its own, so every XOR clears the row's top bit and the row
-shrinks as it is reduced: the (aabb) G first solve (2,601 rows, 2,857
-columns) takes 58,154 reductions, against 167,104 on the lowest bit.
+shrinks as it is reduced: the (aabb) G first solve (2,601 rows, 4,285
+columns) takes 53,439 reductions, against 174,165 on the lowest bit.
 
 The tags returned depend only on the rows, not on the pivot choice:
 row i is dependent when it lies in the span of rows 0..i-1, and its tag is
@@ -30,13 +30,16 @@ def nullspace(rows: list[int], n_cols: int) -> list[int]:
     """Basis of {x : sum_i x_i * rows[i] == 0} as tag bitmasks.
 
     Each returned int has bit i set when rows[i] participates in that
-    null combination.  Deterministic for a fixed row order.
+    null combination.  Deterministic for a fixed row order.  Each row is
+    released once read: rows[i] is set to 0, so the list keeps its length
+    and holds only the rows not yet eliminated.
     """
     basis: dict[int, tuple[int, int]] = {}
     tags: list[int] = []
     eq_mask = (1 << n_cols) - 1
-    for i, row in enumerate(rows):
-        r, t = row & eq_mask, 1 << i
+    for i in range(len(rows)):
+        r, t = rows[i] & eq_mask, 1 << i
+        rows[i] = 0
         while r:
             b = basis.get(r.bit_length())
             if b is None:

@@ -54,8 +54,10 @@ def test_positions_counters_count_indices():
 
 
 def test_nullspace_counters_match_the_calls_made(monkeypatch):
-    # (ab) G with coefficient degree 12 widens twice; the traced counters
-    # must add up what `cfalg.nullspace` received, restrictions included
+    # a(bc) CF at y-degree 2 and coefficient degree 10 makes all three
+    # kinds of call: the first solve leaves 29 null vectors, one widening
+    # step leaves 1, and the residual pass rules it out.  The traced
+    # counters must add up what `cfalg.nullspace` received
     spans = _spans()
     received = []
     solve = cf2.cfalg.nullspace
@@ -66,11 +68,11 @@ def test_nullspace_counters_match_the_calls_made(monkeypatch):
         return tags
 
     monkeypatch.setattr(cf2.cfalg, "nullspace", recording)
-    g = cf2.compute_G(EpsSpec.parse("(ab)"), 2 * 256 + 16)
+    cf = cf2.compute_cf(EpsSpec.parse("a(bc)"), 2 * 256 + 16)
     tracer = spans.Tracer()
     with tracer.patched(cf2):
-        cf2.cfalg.find_relation(g, 4, 12, prec=256)
-    assert len(received) == 3 and received[1][0] == received[0][2]
+        assert cf2.cfalg.find_relation(cf, 2, 10, prec=256) == []
+    assert [(r, n) for r, _, n in received] == [(858, 29), (29, 1), (1, 0)]
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == len(received)
     assert metrics["gf2linalg.rows"] == sum(r for r, _, _ in received)
@@ -122,11 +124,12 @@ def test_a_z_sweep_forms_each_power_once_packed(monkeypatch):
 
 
 def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
-    # the benchmark's three inverse-power searches solve 5 systems: one
-    # first solve each, and one widening step each for a(bc) CF and
-    # (aabb) G.  The tags do not depend on how `nullspace` pivots, so
-    # neither does the widening schedule nor any of these counts.  `cols`
-    # adds up the bits of the blocks' key layouts, not their equations
+    # the benchmark's three inverse-power searches solve 3 systems: each
+    # first solve leaves only the search's relations, so none widens and
+    # no residual pass solves.  The tags do not depend on how `nullspace`
+    # pivots, so neither does the widening schedule nor any of these
+    # counts.  `cols` adds up the bits of the blocks' key layouts, not
+    # their equations
     spans = _spans()
     workload = _bench("workloads").build("inv-search", cf2, 7, tmp_path)
     tracer = spans.Tracer()
@@ -134,17 +137,18 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
         for _, task in workload.tasks:
             assert task()
     metrics = tracer.layer_metrics(0, 1.0)
-    assert metrics["gf2linalg.nullspace_calls"] == 5
-    assert metrics["gf2linalg.rows"] == 3478
-    assert metrics["gf2linalg.cols"] == 11963
-    assert metrics["gf2linalg.nullity"] == 415
+    assert metrics["gf2linalg.nullspace_calls"] == 3
+    assert metrics["gf2linalg.rows"] == 3071
+    assert metrics["gf2linalg.cols"] == 8690
+    assert metrics["gf2linalg.nullity"] == 8
 
 
 def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
-    # the benchmark's three F sweeps solve 12 systems over their y-degrees.
-    # Rows grown by depth give each solve the equations that rows cut at
-    # the solve precision would, so these counts but `cols` (layout bits)
-    # are the full-row search's
+    # the benchmark's three F sweeps solve 9 systems over their y-degrees:
+    # a first solve per y-degree and one residual pass, on (aabb) F at
+    # degree 4.  Rows grown by depth give each solve the equations that
+    # rows cut at the solve precision would, so these counts but `cols`
+    # (layout bits) are the full-row search's
     spans = _spans()
     workload = _bench("workloads").build("z-sweep", cf2, 7, tmp_path)
     tracer = spans.Tracer()
@@ -152,7 +156,7 @@ def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
         for _, task in workload.tasks:
             assert task()
     metrics = tracer.layer_metrics(0, 1.0)
-    assert metrics["gf2linalg.nullspace_calls"] == 12
-    assert metrics["gf2linalg.rows"] == 3165
-    assert metrics["gf2linalg.cols"] == 19137
-    assert metrics["gf2linalg.nullity"] == 196
+    assert metrics["gf2linalg.nullspace_calls"] == 9
+    assert metrics["gf2linalg.rows"] == 2993
+    assert metrics["gf2linalg.cols"] == 18392
+    assert metrics["gf2linalg.nullity"] == 24

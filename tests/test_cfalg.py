@@ -65,7 +65,7 @@ PINNED_LISTS = [
     ]),
 ]
 
-# the degree-16 (aabb) G search (ydeg 16, coeff 16, prec 512), which widens
+# the degree-16 (aabb) G search (ydeg 16, coeff 16, prec 512)
 AABB_G_RELATION = (
     "deg 0: a^11*b^3 + a^10*b^4 + a^3*b^11 + a^2*b^12 + a^6*b^6 + a^4*b^8"
     " + a^2*b^10 + b^12 + a^6*b^2 + a^4*b^4 + a^2*b^6 + b^8 + 1\n"
@@ -498,9 +498,9 @@ class TestFindRelation:
         assert [r.to_file_text() for r in rels] == expected
 
     def test_widening_restricts_the_first_nullspace(self, monkeypatch):
-        # the first solve leaves 382 null vectors, so the next 2857
+        # the (abc) G first solve leaves 33 null vectors, so the next 4245
         # equations are imposed on those vectors alone, not on all unknowns,
-        # and only the 1854 unknowns they name get rows on those equations
+        # and only the 558 unknowns they name get rows on those equations
         calls, blocks = [], []
 
         def recording(rows, n_cols):
@@ -520,25 +520,48 @@ class TestFindRelation:
 
         monkeypatch.setattr(cfalg, "nullspace", recording)
         monkeypatch.setattr(cfalg._GrownRows, "block", spying)
-        g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
-        rels = find_relation(g, max_ydeg=16, coeff_deg_bound=16, prec=512)
-        assert calls == [(2601, 382), (382, 3)]
-        # 2857 equations a block; the named unknowns' rows meet 2072 of them
-        assert blocks == [(2857, 2601, 2857), (2857, 1854, 2072)]
-        assert [r.to_file_text() for r in rels] == [AABB_G_RELATION]
+        g = compute_G(EpsSpec.parse("(abc)"), 2 * 256 + 24)
+        rels = find_relation(g, max_ydeg=8, coeff_deg_bound=10, prec=256)
+        assert calls == [(2574, 33), (33, 20)]
+        # 4245 equations a block; the named unknowns' rows meet 736 of them
+        assert blocks == [(4245, 2574, 4245), (4245, 558, 736)]
+        assert len(rels) == 1
+        # the relation that one solve on every equation finds
+        monkeypatch.undo()
+        monkeypatch.setattr(cfalg, "_first_solve_size", lambda n: 1 << 30)
+        assert find_relation(g, 8, 10, prec=256) == rels
 
     def test_the_degree_16_search_stays_small(self):
         # rows are cut from one int per power, so no support list of its
-        # 2,601 unknowns is kept: about 2.7 MiB traced, against 9.7 MiB
-        # with every unknown's row held
+        # 2,601 unknowns is kept, and `nullspace` releases each row once
+        # read: about 2.2 MiB traced, against 9.7 MiB with every unknown's
+        # row held
         g = compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
         tracemalloc.start()
         try:
-            assert find_relation(g, 16, 16, prec=512)
+            rels = find_relation(g, 16, 16, prec=512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
+        assert [r.to_file_text() for r in rels] == [AABB_G_RELATION]
+        assert peak < 3 << 20
+
+    def test_the_first_solve_leaves_no_spare_null_vectors(self, monkeypatch):
+        # ab(aca) CF has no relation within these bounds.  A first solve on
+        # unknowns + 256 equations left it 21 null vectors, just under the
+        # widening threshold, and the residual pass built support sets for
+        # all 21 over 151,259 keys
+        tags = []
+        residual = cfalg._RowSupplier.residual
+
+        def recording(self, shifts, tag, bound):
+            tags.append(tag)
+            return residual(self, shifts, tag, bound)
+
+        monkeypatch.setattr(cfalg._RowSupplier, "residual", recording)
+        cf = compute_cf(EpsSpec.parse("ab(aca)"), 536)
+        assert find_relation(cf, 4, 6, prec=256) == []
+        assert len(tags) <= 1
 
     @pytest.mark.parametrize("sweep", [False, True])
     def test_a_search_scans_the_target_once(self, sweep, monkeypatch):
@@ -679,8 +702,9 @@ def _recorded_search(search, target, bounds, prec, **patches):
     solves = []
 
     def recording(rows, n_cols):
+        solve = (len(rows), _columns(rows))  # before they are released
         tags = nullspace(rows, n_cols)
-        solves.append((len(rows), _columns(rows), tags))
+        solves.append((*solve, tags))
         return tags
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(
@@ -695,7 +719,8 @@ def _recorded_search(search, target, bounds, prec, **patches):
         found = [found[0], found[1] and found[1].to_file_text()]
     else:
         found = [r.to_file_text() for r in found]
-    return found, [(str(w.message), w.filename, w.lineno) for w in caught], solves
+    caught = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return found, caught, solves
 
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
@@ -754,7 +779,7 @@ class TestDepthGrownRows:
         grown = _recorded_search(search, target, bounds, prec)
         full = _recorded_search(search, target, bounds, prec, _GrownRows=_FullRows)
         assert grown == full
-        assert all(filename == __file__ for _, filename, _ in grown[1])
+        assert all(filename == __file__ for _, _, filename, _ in grown[1])
 
     @settings(max_examples=100, deadline=None)
     @given(_small_searches, st.integers(min_value=0, max_value=1 << 16))
@@ -830,6 +855,47 @@ class TestSupplierWidth:
             for supplier in (narrow, wide)
         ]
         assert found[0] == found[1]
+
+
+class TestFirstSolveSize:
+    """The size of the first solve changes only the staging: every key
+    below the verification bound is imposed whatever the size, and each
+    stage keeps the reduced echelon basis, so a search ends on the same
+    tags from the former unknowns + 256 equations, or from unknowns + 1,
+    which leaves most searches null vectors to widen on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_searches, st.booleans())
+    @example(
+        (EpsSpec.parse("a(bc)"), compute_cf, 4, 6, 0, 256, True), False
+    )  # widened once at the former size, solved once now
+    @example(
+        (EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False), False
+    )  # under-determined
+    @example(
+        (EpsSpec.parse("cb(bab)"), compute_F, 1, 4, 1, 4, 3), True
+    )  # p_sys = -1: 0 equations for 60 unknowns
+    def test_the_first_solve_size_changes_no_result(self, case, sweep):
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        target = build(spec, _precision(prec, deep))
+        bounds = (ydeg, coeff, z_bound if build is compute_F else None)
+        search = minimal_degree_report if sweep else find_relation
+        stripped_basis = cfalg._stripped_basis
+        sizes = (lambda n: n + 1, lambda n: n + 256, cfalg._first_solve_size)
+        runs = []
+        for size in sizes:
+            final = []
+
+            def recording(tags, unknowns):
+                final.append(tags)
+                return stripped_basis(tags, unknowns)
+
+            found, caught, _ = _recorded_search(
+                search, target, bounds, prec,
+                _first_solve_size=size, _stripped_basis=recording,
+            )
+            runs.append((found, caught, final))
+        assert runs[0] == runs[1] == runs[2]
 
 
 @st.composite
@@ -909,7 +975,7 @@ class TestCanonicalPick:
         )
         # the least relation has the least degree, shallow target or not
         assert picked == swept
-        assert all(filename == __file__ for _, filename, _ in picked[1])
+        assert all(filename == __file__ for _, _, filename, _ in picked[1])
 
     def test_one_letter_seed_skips_the_full_sweep(self, monkeypatch):
         # a null space of dimension 16 whose least-degree part has
