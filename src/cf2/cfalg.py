@@ -55,9 +55,9 @@ from .invseries import (
     InvSeries,
     _alphabet,
     _Packing,
+    _own_alphabet,
     _power_alphabet,
     _power_codes,
-    _terms,
 )
 from .seqcore import EpsSpec, WordTooLargeError, _check_size
 from .zseries import ZSeries, split_z
@@ -146,11 +146,14 @@ def compute_inv_cf(spec: EpsSpec, precision: int) -> InvSeries:
 def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
     """The continued fraction itself (inverse of the reciprocal sum).
 
-    The result carries the reciprocal sum, which `InvSeries.power` uses.
+    The result carries the reciprocal sum, which `InvSeries.power` uses,
+    and keeps the packed codes Newton's iteration formed: powers, searches
+    and verification take them as they are, and its terms are decoded
+    only when first read.
     """
     inv = compute_inv_cf(spec, precision + 2)
     cf = inv.inverse(precision)
-    return InvSeries._raw(cf.terms, cf.precision, inv)
+    return InvSeries._raw(cf._terms, cf.precision, inv, cf.packed)
 
 
 def compute_G(spec: EpsSpec, precision: int) -> InvSeries:
@@ -392,8 +395,9 @@ class _Layout:
         self.base, self.top = ((d - lc - lf) * self.axes[-1][2] for d in self.depths)
 
     def build(self, grown: "_GrownRows") -> None:
-        """Each power's int, each factor's offset, and the keys' bits from
-        the shallowest key to the deepest."""
+        """Each power's int, each factor's offset, formed axis by axis from
+        the factors' fields, and the keys' bits from the shallowest key to
+        the deepest."""
 
         def place(c: int) -> int:
             return sum(((c >> s) & m) * mult for s, m, mult in self.axes)
@@ -401,8 +405,10 @@ class _Layout:
         self.powers = [
             sum(1 << (place(c) - self.c_low) for c in cs) for cs in self.sources
         ]
-        bias, self.sources = grown.packing.bias, None
-        self.offsets = [place(f + bias) - self.f_low for f in grown.factors]
+        self.sources = None
+        self.offsets = [-self.f_low] * len(grown.factors)
+        for (_, _, mult), values in zip(self.axes, grown.factor_fields[::-1]):
+            self.offsets = [o + v * mult for o, v in zip(self.offsets, values)]
         union = keys = 0
         for p in self.powers:
             union |= p
@@ -421,9 +427,10 @@ class _GrownRows:
     times the coefficient of factor factors[i], j <= max_ydeg.
 
     The keys are the codes c + f, c a code of some y^j and f a factor.
-    Each band is laid out as one `_Layout`, or as one per half while the
-    halves take under 9/10 of its bits (codes drift with the depth, so a
-    thin box wastes less).  Codes order by depth first, so the keys known
+    Each band is laid out as one `_Layout`, or as one per half where the
+    split pays (`_lay_out`: codes drift with the depth, so a thin box
+    wastes fewer bits, but each layout costs `block` a fixed price per
+    unknown).  Codes order by depth first, so the keys known
     are every key shallower than the depth reached, and the layouts side
     by side keep their order.  On the inverse side the depth is the sum
     of the letter fields and fixes the lowest one, which gets no axis.
@@ -439,8 +446,8 @@ class _GrownRows:
             (i * w, (1 << w) - 1) for i in reversed(range(first, len(pk.letters)))
         ]
         fs = [f + pk.bias for f in self.factors]
-        values = ([(f >> s) & m for f in fs] for s, m in self.axes)
-        self.factor_spans = [(min(v), max(v)) for v in values]
+        self.factor_fields = [[(f >> s) & m for f in fs] for s, m in self.axes]
+        self.factor_spans = [(min(v), max(v)) for v in self.factor_fields]
         self.layouts: list[_Layout] = []
         self.count = 0
         self.depth = -math.inf
@@ -456,12 +463,20 @@ class _GrownRows:
         return self.count
 
     def _lay_out(self, whole: _Layout) -> list[_Layout]:
-        """The layouts with keys of `whole`, or of its halves, built."""
+        """The layouts with keys of `whole`, or of its halves, built.
+
+        The halves are kept when they take under 9/10 of its bits and save
+        at least 512.  A bit saved shortens every named unknown's row in
+        `block` and `nullspace`; a layout costs every named unknown one
+        more shift, mask and OR in `block`.  Both scale with the unknowns,
+        so the split pays past a fixed count of bits, 512 by timing.
+        """
         lo, hi = whole.depths
         if hi - lo > 1:
             mid = (lo + hi) // 2
             halves = [_Layout(self, lo, mid), _Layout(self, mid, hi)]
-            if 10 * sum(h.top - h.base for h in halves) < 9 * (whole.top - whole.base):
+            bits, split = whole.top - whole.base, sum(h.top - h.base for h in halves)
+            if 10 * split < 9 * bits and bits - split >= 512:
                 return [x for h in halves for x in self._lay_out(h)]
         if whole.top <= whole.base:
             return []
@@ -621,7 +636,8 @@ def _search_bounds(
 ) -> tuple[list[str], Optional[int], int]:
     """The target's letters, the z-degree bound in force (None on the
     inverse side) and the largest |exponent| of the target's terms, once
-    the bounds are checked: one scan of the terms for the whole search.
+    the bounds are checked: one scan of the terms for the whole search, of
+    their codes when the target keeps them (`_own_alphabet`).
 
     The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
     #letters) letter monomials times the z powers, are counted in closed
@@ -638,7 +654,7 @@ def _search_bounds(
         raise TypeError(f"cannot search relations for {type(target).__name__}")
     if coeff_deg_bound < 0 or (z_side and z_deg_bound < 0):
         raise ValueError("degree bounds must be nonnegative")
-    letters, top = _alphabet(_terms(target))
+    letters, top = _own_alphabet(target)
     n_mons = math.comb(len(letters) + coeff_deg_bound, len(letters))
     unknowns = (max_ydeg + 1) * n_mons * (z_deg_bound + 1 if z_side else 1)
     if unknowns > MAX_UNKNOWNS:

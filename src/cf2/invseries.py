@@ -29,8 +29,8 @@ added.  That sum cannot carry from one field into the next as long as
 every exponent of every operand and result lies strictly between
 -2**(w-1) and 2**(w-1); `_Packing` derives w from a bound on the exponents
 of the results (computed from the operands' actual exponents, not
-assumed), and the public form stays the tuple one, decoded once per
-result.  An inverse is Newton's iteration x <- s * x^2 (2x - s * x^2 in
+assumed), and the public form stays the tuple one, decoded when first
+read.  An inverse is Newton's iteration x <- s * x^2 (2x - s * x^2 in
 characteristic 2): each step is a Frobenius square, one int operation per
 code, and one product, and doubles the depth to which x is known.
 
@@ -149,12 +149,47 @@ class _Packing:
         return tuple(out)
 
     def codes(self, s) -> list[int]:
-        """Ascending codes of the terms of an inverse-power series, encoded
-        once: the packing keeps s and its codes."""
+        """Ascending codes of the terms of an inverse-power series, formed
+        once, transcoded from the codes s keeps when it has them: the
+        packing keeps s and its codes."""
         if id(s) not in self.encoded:
-            codes = sorted(self.encode(mono_deg(t), t) for t in s.terms)
+            if s.packed is None:
+                codes = sorted(self.encode(mono_deg(t), t) for t in s.terms)
+            else:
+                codes = self.transcode(*s.packed)
             self.encoded[id(s)] = (s, codes)
         return self.encoded[id(s)][1]
+
+    def fields(self, codes: list[int]) -> Iterable[tuple[str, list[int]]]:
+        """Each letter and its field's biased values in the codes."""
+        w, mask = self.width, (1 << self.width) - 1
+        for i, v in enumerate(self.letters):
+            yield v, [(c >> (i * w)) & mask for c in codes]
+
+    def alphabet(self, codes: list[int]) -> tuple[set[str], int]:
+        """`_alphabet` of the terms of some codes, read field by field."""
+        letters: set[str] = set()
+        top, half = 0, 1 << (self.width - 1)
+        for v, values in self.fields(codes):
+            lo, hi = min(values), max(values)
+            if lo != half or hi != half:
+                letters.add(v)
+                top = max(top, half - lo, hi - half)
+        return letters, top
+
+    def transcode(self, pk: "_Packing", codes: list[int]) -> list[int]:
+        """Codes over the packing pk re-encoded over this one, field by
+        field; ascending codes stay ascending.  This packing must hold
+        every letter that occurs in the codes and bound their exponents."""
+        half, w = 1 << (pk.width - 1), self.width
+        base = self.bias
+        out = [(c >> pk.shift) << self.shift for c in codes]
+        for v, values in pk.fields(codes):
+            if v in self.index:
+                at = w * self.index[v]
+                base -= half << at
+                out = [o + (x << at) for o, x in zip(out, values)]
+        return [o + base for o in out]
 
     def depth(self, code: int) -> int:
         return code >> self.shift
@@ -251,20 +286,23 @@ def _letter_groups(s, precision=None) -> dict[Monomial, int]:
     return out
 
 
-def _terms(s) -> Iterable[Monomial]:
-    """The terms of an inverse-power series, or the distinct letter
-    monomials of a z-series' coefficients."""
-    if isinstance(s, InvSeries):
-        return s.terms
-    return {m for terms in {c.terms for c in s.coeffs} for m in terms}
+def _own_alphabet(s) -> tuple[set[str], int]:
+    """`_alphabet` of the terms of an inverse-power series, read off the
+    codes it keeps when it has them, or of the distinct letter monomials
+    of a z-series' coefficients."""
+    if not isinstance(s, InvSeries):
+        return _alphabet({m for terms in {c.terms for c in s.coeffs} for m in terms})
+    if s.packed is None:
+        return _alphabet(s.terms)
+    return s.packed[0].alphabet(s.packed[1])
 
 
 def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
     """Letters and packing bound of every code `_power_codes` forms for s^i,
     i <= j: a product of i terms of s, or on the reciprocal route of 2^k
     terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i).  `own`
-    is the `_alphabet` of s's terms when the caller has scanned them."""
-    letters, top = own or _alphabet(_terms(s))
+    is s's `_own_alphabet` when the caller has scanned it."""
+    letters, top = own or _own_alphabet(s)
     r = getattr(s, "reciprocal", None)
     if r is None:
         return letters, j * top
@@ -327,29 +365,45 @@ def _z_power(s, pk: _Packing, j: int, cut: int) -> tuple[dict[int, int], int]:
 class InvSeries:
     """Finite term set plus a depth precision (terms of depth >= p dropped).
 
-    `reciprocal` is set, at construction only, by `cfalg.compute_cf` for
-    `power`; equality, hashing and the JSON form ignore it.
+    `packed`, when not None, is the `_Packing` and ascending codes of the
+    terms that `inverse` formed them as; `terms` is then decoded from them
+    when first read, and powers and relation searches take the codes as
+    they are.  `reciprocal` is set by `cfalg.compute_cf` for `power`.
+    Both are set at construction only; equality, hashing and the JSON form
+    ignore them.
     """
 
-    __slots__ = ("terms", "precision", "reciprocal")
+    __slots__ = ("_terms", "precision", "reciprocal", "packed")
 
     def __init__(self, terms: Iterable[Monomial] = (), precision=math.inf):
         acc: set[Monomial] = set()
         for t in terms:
             acc.symmetric_difference_update((t,))
-        self.terms = frozenset(t for t in acc if mono_deg(t) < precision)
+        self._terms = frozenset(t for t in acc if mono_deg(t) < precision)
         self.precision = precision
-        self.reciprocal = None
+        self.reciprocal = self.packed = None
 
     @classmethod
     def _raw(
-        cls, terms: frozenset, precision, reciprocal: Optional["InvSeries"] = None
+        cls, terms: Optional[frozenset], precision,
+        reciprocal: Optional["InvSeries"] = None,
+        packed: Optional[tuple[_Packing, list[int]]] = None,
     ) -> "InvSeries":
+        """A series of these terms, or, terms None, of these packed codes."""
         s = object.__new__(cls)
-        s.terms = terms
+        s._terms = terms
         s.precision = precision
         s.reciprocal = reciprocal
+        s.packed = packed
         return s
+
+    @property
+    def terms(self) -> frozenset:
+        """The terms, decoded from `packed` when first read."""
+        if self._terms is None:
+            pk, codes = self.packed
+            self._terms = frozenset(map(pk.decode, codes))
+        return self._terms
 
     @classmethod
     def zero(cls, precision=math.inf) -> "InvSeries":
@@ -475,7 +529,7 @@ class InvSeries:
             known = min(2 * known, s_prec)
             # a code's double less the bias is the code of the term's square
             x = pk.mul(codes, sorted(2 * c - pk.bias for c in x), known - m_depth)
-        return InvSeries._raw(frozenset(map(pk.decode, x)), out_prec)
+        return InvSeries._raw(None, out_prec, packed=(pk, sorted(x)))
 
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms, key=lambda t: (mono_deg(t), t))

@@ -139,7 +139,7 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == 3
     assert metrics["gf2linalg.rows"] == 3071
-    assert metrics["gf2linalg.cols"] == 8690
+    assert metrics["gf2linalg.cols"] == 11980
     assert metrics["gf2linalg.nullity"] == 8
 
 

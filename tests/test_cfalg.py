@@ -563,25 +563,72 @@ class TestFindRelation:
         assert find_relation(cf, 4, 6, prec=256) == []
         assert len(tags) <= 1
 
-    @pytest.mark.parametrize("sweep", [False, True])
-    def test_a_search_scans_the_target_once(self, sweep, monkeypatch):
+    def test_a_band_splits_only_where_the_split_pays(self, monkeypatch):
+        # halving a band while the halves take under 9/10 of its bits left
+        # ca(cc) G 58 layouts for its 706 keys, and `block` pays a shift,
+        # mask and OR per layout for every unknown; a split must also save
+        # 512 bits
+        grown = []
+
+        class Recording(cfalg._GrownRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grown.append(self)
+
+        monkeypatch.setattr(cfalg, "_GrownRows", Recording)
+        g = compute_G(EpsSpec.parse("ca(cc)"), 2 * 256 + 16)
+        assert find_relation(g, 8, 6, prec=256) == []
+        [rows] = grown
+        assert (rows.count, len(rows.layouts)) == (706, 6)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_a_search_scans_the_target_once(self, packed, monkeypatch):
         # the bounds check and the row supplier share one scan of the
-        # target's letters and top exponent; the reciprocal a continued
-        # fraction carries is scanned on its own
+        # target's letters and top exponent: of the codes a continued
+        # fraction keeps from Newton's iteration, which are never decoded,
+        # or of the terms of a target built from tuples.  The reciprocal
+        # it carries is scanned on its own
+        def target():
+            cf = compute_cf(EpsSpec.parse("a(bc)"), 2 * 128 + 16)
+            return cf if packed else InvSeries._raw(cf.terms, cf.precision, cf.reciprocal)
+
         cf = compute_cf(EpsSpec.parse("a(bc)"), 2 * 128 + 16)
-        scanned = []
+        [rel] = find_relation(cf, 4, 6, prec=128)[:1]
+        own = ("codes" if packed else "terms", len(cf.packed[1]))
+        scanned, decoded = [], []
         alphabet = invseries._alphabet
+        code_alphabet = invseries._Packing.alphabet
+        decode = invseries._Packing.decode
 
         def counting(terms):
             terms = list(terms)
-            scanned.append(len(terms))
+            scanned.append(("terms", len(terms)))
             return alphabet(terms)
 
-        monkeypatch.setattr(cfalg, "_alphabet", counting)
+        def counting_codes(self, codes):
+            scanned.append(("codes", len(codes)))
+            return code_alphabet(self, codes)
+
+        def decoding(self, code):
+            decoded.append(code)
+            return decode(self, code)
+
         monkeypatch.setattr(invseries, "_alphabet", counting)
-        search = minimal_degree_report if sweep else find_relation
-        assert search(cf, 4, 6, prec=128)[-1]
-        assert scanned == [len(cf.terms), len(cf.reciprocal.terms)]
+        monkeypatch.setattr(invseries._Packing, "alphabet", counting_codes)
+        monkeypatch.setattr(invseries._Packing, "decode", decoding)
+        searches = [
+            lambda t: find_relation(t, 4, 6, prec=128)[-1],
+            lambda t: minimal_degree_report(t, 4, 6, prec=128)[-1],
+            lambda t: verify_relation(rel, t).vanished,
+        ]
+        for search in searches:
+            t = target()
+            scanned.clear()
+            decoded.clear()
+            assert search(t)
+            assert scanned == [own, ("terms", len(cf.reciprocal.terms))]
+            assert decoded == []
+            assert (t._terms is None) == packed
 
     @pytest.mark.parametrize(
         "build, bounds",
@@ -896,6 +943,35 @@ class TestFirstSolveSize:
             )
             runs.append((found, caught, final))
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestPackedTarget:
+    """A continued fraction keeps the codes Newton's iteration formed and
+    decodes its terms only when they are read: in every result it is the
+    series of those terms, built from tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(verify_cases(), st.integers(1, 128), st.integers(1, 4),
+           st.integers(0, 4), st.sampled_from([4, 8, 16, 32, 64]))
+    @example(
+        (EpsSpec.parse("a(bc)"), "cf", 1, Relation({1: Gf2Poly.one()})),
+        2 * 64 + 16, 4, 6, 64,
+    )
+    def test_is_the_series_of_its_terms(self, case, precision, ydeg, coeff, prec):
+        spec, _, _, rel = case
+        cf = compute_cf(spec, precision)
+        plain = InvSeries._raw(cf.terms, cf.precision, cf.reciprocal)
+        assert cf == plain and hash(cf) == hash(plain)
+        assert str(cf) == str(plain) and cf.to_json() == plain.to_json()
+        found = [
+            _recorded_search(find_relation, s, (ydeg, coeff, None), prec)
+            for s in (cf, plain)
+        ]
+        assert found[0] == found[1]
+        rels = [rel, *map(Relation.from_file_text, found[0][0])]
+        assert [verify_relation(r, cf) for r in rels] == [
+            verify_relation(r, plain) for r in rels
+        ]
 
 
 @st.composite

@@ -153,7 +153,7 @@ def test_the_largest_search_system_gives_the_reference_tags(monkeypatch):
     for row in rows:
         union |= row
     # the 4,285 equations are the non-empty columns of the layout's bits
-    assert (len(rows), union.bit_count(), n_cols) == (2601, 4285, 6012)
+    assert (len(rows), union.bit_count(), n_cols) == (2601, 4285, 7062)
     tags = nullspace(list(rows), n_cols)
     assert len(tags) == 3
     assert tags == _lowest_bit_nullspace(rows, n_cols)
