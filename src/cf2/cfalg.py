@@ -28,10 +28,24 @@ are sets of codes; on the z side each power keeps its codes grouped by
 letter part, and a row is y^j's groups re-keyed by the factor's letter
 part and shifted by its z-degree, so codes are formed only for the bits
 left in the sum.
+
+A continued fraction y from `compute_cf` is searched on its reciprocal r,
+whose powers have a few terms where y's have thousands.  r * y = 1, and r
+has one least term, of depth delta; a product's least-depth part is the
+product of its factors', nonzero, so multiplying by r^Y deepens every
+nonzero series by exactly Y * delta.  Hence sum_j c_j * y^j vanishes below
+D exactly when r^Y times it, sum_j c_j * r^(Y - j), vanishes below
+D + Y * delta, Y the y-degree searched.  So the unknown c * y^j gets the
+row of c * r^(Y - j), the residual pass imposes every key below the
+verify bound plus Y * delta, and the null space, its reduced echelon
+basis, the relations and the warnings are those of the search on the
+powers of y, whose verify bound and equation count are read off y's
+precisions and codes.  `_ReciprocalRows` proves the rows known that deep.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from bisect import bisect_left
@@ -54,10 +68,12 @@ from .gf2poly import (
 from .invseries import (
     InvSeries,
     _alphabet,
-    _Packing,
     _own_alphabet,
+    _own_count,
+    _Packing,
     _power_alphabet,
     _power_codes,
+    _power_precision,
 )
 from .seqcore import EpsSpec, WordTooLargeError, _check_size
 from .zseries import ZSeries, split_z
@@ -146,10 +162,10 @@ def compute_inv_cf(spec: EpsSpec, precision: int) -> InvSeries:
 def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
     """The continued fraction itself (inverse of the reciprocal sum).
 
-    The result carries the reciprocal sum, which `InvSeries.power` uses,
-    and keeps the packed codes Newton's iteration formed: powers, searches
-    and verification take them as they are, and its terms are decoded
-    only when first read.
+    The result carries the reciprocal sum, which `InvSeries.power` and
+    relation searches use, and keeps the packed codes Newton's iteration
+    formed: powers, searches and verification take them as they are, and
+    its terms are decoded only when first read.
     """
     inv = compute_inv_cf(spec, precision + 2)
     cf = inv.inverse(precision)
@@ -313,7 +329,7 @@ class _RowSupplier:
     def __init__(self, target: Series, ydeg: int, letters, f_top: int, top=None):
         own = None if top is None else (set(letters), top)
         p_letters, bound = _power_alphabet(target, ydeg, own)
-        self.target = target
+        self.series = target
         self.z_side = isinstance(target, ZSeries)
         self.packing = _Packing(p_letters | set(letters), bound + f_top)
         self.powers: dict[int, tuple] = {}
@@ -322,7 +338,7 @@ class _RowSupplier:
     def power(self, j: int) -> tuple[list[int], float]:
         """The codes and precision of y^j."""
         if j not in self.powers:
-            packed, prec = _power_codes(self.target, self.packing, j)
+            packed, prec = _power_codes(self.series, self.packing, j)
             if self.z_side:
                 self.groups[j] = packed
                 packed = self.packing.ungroup(packed, prec)
@@ -355,6 +371,74 @@ class _RowSupplier:
             for key, b in self.groups[j].items():
                 acc[key + at] = acc.get(key + at, 0) ^ b << depth
         return pk.ungroup(acc, bound)
+
+
+class _ReciprocalRows(_RowSupplier):
+    """The rows of a continued fraction's unknowns on its reciprocal r: in a
+    search of y-degree Y (`at`), c * y^j gets the row of c * r^(Y - j),
+    imposed below vb + Y * delta (see the module docstring).
+
+    The rows are known that deep.  The continued fraction y of precision
+    P >= 0 that `compute_cf` builds carries r = sum of the 1/u_n at
+    precision P + 2, whose least term 1/u_1 has depth delta = 1.  r^0 = 1
+    is exact, and r^k, k >= 1, is known below P + 1 + k, least depth k: a
+    Frobenius power r^(2^i) below (P + 2) * 2^i >= P + 1 + 2^i, and by
+    `product_precision` a product of r^a and r^b so known below
+    min(P + 1 + a + b, P + 1 + b + a).  A coefficient of degree <= C lowers
+    a row's precision by at most C, so every row is known below P + 2 - C.
+    The direct search's y^j is known below (P + 1) * 2^v - j, 2^v the
+    largest power of two dividing j (`invseries`): at least 2 * (P + 1) - Y
+    for an even j, so the least is at the largest odd j_odd <= Y, and
+    vb = P + 1 - j_odd - C.  As j_odd >= Y - 1, vb + Y <= P + 2 - C.
+    """
+
+    def __init__(self, target: InvSeries, ydeg: int, letters, f_top: int, top):
+        super().__init__(target.reciprocal, ydeg, letters, f_top)
+        self.target, self.ydeg = target, ydeg
+        # the target's letters and top exponent, and the coefficients' top
+        self.own = (letters, top, f_top)
+
+    def at(self, ydeg: int) -> "_ReciprocalRows":
+        """The supplier of a search of y-degree ydeg, sharing every power
+        formed."""
+        view = copy.copy(self)
+        view.ydeg = ydeg
+        return view
+
+    def power(self, j: int) -> tuple[list[int], float]:
+        """The codes and precision of r^(Y - j)."""
+        return super().power(self.ydeg - j)
+
+    def equations(self, mons, p_sys, n: int) -> int:
+        """The keys of the direct system below p_sys if fewer than n, else
+        a count >= n.  y times each coefficient m gives keys: the target's
+        terms below p_sys times m, counted for m = 1 first, then gathered
+        one m at a time until there are n.  Only when all fall short is the
+        direct system built, as the direct search builds it."""
+        target, (letters, top, f_top) = self.target, self.own
+        count = _own_count(target, p_sys)
+        if count >= n:
+            return count
+        pk = _Packing(letters, top + f_top)
+        codes = pk.codes(target)
+        codes = codes[: bisect_left(codes, pk.limit(p_sys))]
+        keys: set = set()
+        for m in mons:
+            f = pk.factor(*_graded_coefficient(m, False))
+            keys.update(c + f for c in codes)
+            if len(keys) >= n:
+                return len(keys)
+        direct = _RowSupplier(target, self.ydeg, letters, f_top, top)
+        factors = [direct.packing.factor(*_graded_coefficient(m, False)) for m in mons]
+        return _GrownRows(direct, self.ydeg, factors, p_sys).grow(n)
+
+
+def _row_kind(target: Series) -> type:
+    """The supplier of a search's rows: of the target's powers, or of its
+    reciprocal's when it carries one."""
+    if getattr(target, "reciprocal", None) is None:
+        return _RowSupplier
+    return _ReciprocalRows
 
 
 class _Layout:
@@ -441,7 +525,7 @@ class _GrownRows:
         self.codes = [supplier.power(j)[0] for j in range(max_ydeg + 1)]
         self.reach = min(factors), max(factors)
         pk, w = self.packing, self.packing.width
-        first = 0 if isinstance(supplier.target, ZSeries) else 1
+        first = 0 if supplier.z_side else 1
         self.axes = [(pk.shift, -1)] + [
             (i * w, (1 << w) - 1) for i in reversed(range(first, len(pk.letters)))
         ]
@@ -593,7 +677,8 @@ def _materialize(tag: int, unknowns) -> Relation:
 def _least_degree_span(tags: list[int], unknowns) -> list[int]:
     """Basis of the least-degree part of the span of the independent `tags`,
     echelonised so that each lead is its highest (degree, index) unknown."""
-    deg = [mono_deg(m) for _, m in unknowns]
+    degree = {m: mono_deg(m) for m in {m for _, m in unknowns}}
+    deg = [degree[m] for _, m in unknowns]
     order = sorted(range(len(deg)), key=deg.__getitem__)  # stable: ties by index
     rank = {i: r for r, i in enumerate(order)}
     leads: dict[int, tuple[int, int]] = {}
@@ -688,7 +773,7 @@ def find_relation(
         raise ValueError("max_ydeg must be at least 1")
     bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
     letters, _, top = bounds
-    supplier = _RowSupplier(target, max_ydeg, letters, coeff_deg_bound, top)
+    supplier = _row_kind(target)(target, max_ydeg, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
 
@@ -710,10 +795,20 @@ def _first_solve_size(n_unknowns: int) -> int:
 def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     """`find_relation` on the powers of a supplier built for a y-degree >=
     max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
-    of its packing."""
+    of its packing.  On `_ReciprocalRows` the verify bound, p_sys and the
+    equation count stay the direct search's, read off the target's
+    precisions and codes, while the rows and every depth they are cut at
+    lie `shift` deeper."""
     mons, factors = grid
     ys = range(max_ydeg + 1)
-    verify_bound = min(supplier.power(j)[1] for j in ys) - coeff_deg_bound
+    reciprocal = isinstance(supplier, _ReciprocalRows)
+    if reciprocal:
+        supplier = supplier.at(max_ydeg)
+        y_precision = min(_power_precision(supplier.target, j) for j in ys)
+        shift = max_ydeg * supplier.series.depth_norm()
+    else:
+        y_precision, shift = min(supplier.power(j)[1] for j in ys), 0
+    verify_bound = y_precision - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
             f"target precision supports verification below {verify_bound}, "
@@ -723,9 +818,9 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     p_sys = min(prec, verify_bound)
 
     # keys grow by depth only as deep as the solve reads them: the first n
-    # are the n shallowest of the system cut at p_sys, and fewer than n
-    # are known only when they are the whole system
-    grown = _GrownRows(supplier, max_ydeg, factors, p_sys)
+    # are the n shallowest of the system cut at p_sys + shift, and fewer
+    # than n are known only when they are the whole system
+    grown = _GrownRows(supplier, max_ydeg, factors, p_sys + shift)
     n_unknowns = len(ys) * len(factors)
 
     # solve on the `_first_solve_size` shallowest equations first.  While
@@ -736,9 +831,10 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     # would (see gf2linalg)
     n_first = _first_solve_size(n_unknowns)
     n_eq = min(grown.grow(n_first), n_first)
-    if n_eq < n_unknowns:
+    n_direct = supplier.equations(mons, p_sys, n_unknowns) if reciprocal else n_eq
+    if n_direct < n_unknowns:
         warnings.warn(
-            f"under-determined system: {n_eq} equations for "
+            f"under-determined system: {n_direct} equations for "
             f"{n_unknowns} unknowns below depth {p_sys}",
             stacklevel=3,
         )
@@ -753,7 +849,8 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
 
     # impose the remaining equations exactly, at full available precision
     shifts = [(j, f) for j in ys for f in factors]
-    residuals = [supplier.residual(shifts, tag, verify_bound) for tag in tags]
+    bound = verify_bound + shift
+    residuals = [supplier.residual(shifts, tag, bound) for tag in tags]
     if any(residuals):
         rkeys = sorted(set().union(*residuals))
         combos = nullspace(_mask_rows(residuals, rkeys), len(rkeys))
@@ -806,7 +903,7 @@ def minimal_degree_report(
     bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
     letters, _, top = bounds
     # one supplier at the cap's width: each power and factor is formed once
-    supplier = _RowSupplier(target, ydeg_cap, letters, coeff_deg_bound, top)
+    supplier = _row_kind(target)(target, ydeg_cap, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
         rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)

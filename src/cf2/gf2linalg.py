@@ -34,14 +34,15 @@ def nullspace(rows: list[int], n_cols: int) -> list[int]:
     released once read: rows[i] is set to 0, so the list keeps its length
     and holds only the rows not yet eliminated.
     """
-    basis: dict[int, tuple[int, int]] = {}
+    # the pivot row and tag whose highest bit is column n - 1, at index n
+    basis: list = [None] * (n_cols + 1)
     tags: list[int] = []
     eq_mask = (1 << n_cols) - 1
     for i in range(len(rows)):
         r, t = rows[i] & eq_mask, 1 << i
         rows[i] = 0
         while r:
-            b = basis.get(r.bit_length())
+            b = basis[r.bit_length()]
             if b is None:
                 basis[r.bit_length()] = (r, t)
                 break

@@ -52,7 +52,10 @@ above j: a Frobenius power times a sparse one, in place of dense
 products.  Both routes compute the same truncation of s^j at the same
 precision: s has depth norm -1 and precision P >= 0, r depth norm 1 and
 precision P + 2, and `product_precision` gives each route
-(P + 1) * 2^v - j, 2^v the largest power of two dividing j.
+(P + 1) * 2^v - j, 2^v the largest power of two dividing j.  The reciprocal
+serves relation searches too: `cfalg` searches a continued fraction on
+the powers of r alone, and `_power_precision` gives it the precisions of
+the powers of s without forming them.
 """
 
 from __future__ import annotations
@@ -297,6 +300,15 @@ def _own_alphabet(s) -> tuple[set[str], int]:
     return s.packed[0].alphabet(s.packed[1])
 
 
+def _own_count(s, precision) -> int:
+    """The terms of an inverse-power series of depth below precision,
+    counted on the codes it keeps when it has them."""
+    if s.packed is None:
+        return sum(mono_deg(t) < precision for t in s.terms)
+    pk, codes = s.packed
+    return bisect_left(codes, pk.limit(precision))
+
+
 def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
     """Letters and packing bound of every code `_power_codes` forms for s^i,
     i <= j: a product of i terms of s, or on the reciprocal route of 2^k
@@ -334,13 +346,34 @@ def _power_codes(s, pk: _Packing, j: int, cut=None) -> tuple:
         prec = product_precision(px, vx, py, vy)
         return sorted(pk.mul(xs, ys, prec)), prec
 
-    one = ([pk.bias], math.inf)
+    return _power_route(s, j, frob, mul, ([pk.bias], math.inf))
+
+
+def _power_route(s, j: int, frob, mul, one):
+    """s^j by `binary_power` over frob(series, k) = series^(2^k), through
+    the reciprocal when s carries one (see the module docstring)."""
     r = getattr(s, "reciprocal", None)
     if r is None or j & (j - 1) == 0:
         return binary_power(lambda k: frob(s, k), j, one, mul)
     k = j.bit_length()
-    rest = binary_power(lambda i: frob(r, i), (1 << k) - j, one, mul)
-    return mul(frob(s, k), rest)
+    return mul(frob(s, k), binary_power(lambda i: frob(r, i), (1 << k) - j, one, mul))
+
+
+def _power_precision(s, j: int):
+    """The precision `_power_codes` gives the inverse-power s^j, by its route
+    and `product_precision` chain run on (precision, least depth) pairs,
+    no code formed.  s and its reciprocal each have one term of least
+    depth (a continued fraction's is the inverse of its reciprocal's), so
+    every product does too, at the sum of its factors' least depths, unless
+    its precision cuts it and it is 0."""
+    def frob(series, k):
+        return series.precision * (1 << k), series.depth_norm() * (1 << k)
+
+    def mul(x, y):
+        prec, least = product_precision(x[0], x[1], y[0], y[1]), x[1] + y[1]
+        return prec, least if least < prec else math.inf
+
+    return _power_route(s, j, frob, mul, (math.inf, 0))[0]
 
 
 def _z_power(s, pk: _Packing, j: int, cut: int) -> tuple[dict[int, int], int]:
@@ -368,7 +401,8 @@ class InvSeries:
     `packed`, when not None, is the `_Packing` and ascending codes of the
     terms that `inverse` formed them as; `terms` is then decoded from them
     when first read, and powers and relation searches take the codes as
-    they are.  `reciprocal` is set by `cfalg.compute_cf` for `power`.
+    they are.  `reciprocal` is set by `cfalg.compute_cf` for `power` and
+    for relation searches.
     Both are set at construction only; equality, hashing and the JSON form
     ignore them.
     """
@@ -400,7 +434,7 @@ class InvSeries:
     @property
     def terms(self) -> frozenset:
         """The terms, decoded from `packed` when first read."""
-        if self._terms is None:
+        if self.packed is not None:
             pk, codes = self.packed
             self._terms = frozenset(map(pk.decode, codes))
         return self._terms
@@ -424,7 +458,11 @@ class InvSeries:
         return cls((mono_pow(m, -1) for m in monos), precision)
 
     def depth_norm(self):
-        """Minimal term depth; +inf for (truncated-to-)zero series."""
+        """Minimal term depth; +inf for (truncated-to-)zero series.  Read
+        off the least code when the series keeps its codes."""
+        if self.packed is not None:
+            pk, codes = self.packed
+            return pk.depth(codes[0]) if codes else math.inf
         if not self.terms:
             return math.inf
         return min(mono_deg(t) for t in self.terms)

@@ -54,9 +54,9 @@ def test_positions_counters_count_indices():
 
 
 def test_nullspace_counters_match_the_calls_made(monkeypatch):
-    # a(bc) CF at y-degree 2 and coefficient degree 10 makes all three
-    # kinds of call: the first solve leaves 29 null vectors, one widening
-    # step leaves 1, and the residual pass rules it out.  The traced
+    # c(baaa) G at y-degree 6 and coefficient degree 8 makes all three
+    # kinds of call: the first solve leaves 144 null vectors, one widening
+    # step leaves 79, and the residual pass rules them out.  The traced
     # counters must add up what `cfalg.nullspace` received
     spans = _spans()
     received = []
@@ -68,11 +68,11 @@ def test_nullspace_counters_match_the_calls_made(monkeypatch):
         return tags
 
     monkeypatch.setattr(cf2.cfalg, "nullspace", recording)
-    cf = cf2.compute_cf(EpsSpec.parse("a(bc)"), 2 * 256 + 16)
+    g = cf2.compute_G(EpsSpec.parse("c(baaa)"), 2 * 64 + 16)
     tracer = spans.Tracer()
     with tracer.patched(cf2):
-        assert cf2.cfalg.find_relation(cf, 2, 10, prec=256) == []
-    assert [(r, n) for r, _, n in received] == [(858, 29), (29, 1), (1, 0)]
+        assert cf2.cfalg.find_relation(g, 6, 8, prec=64) == []
+    assert [(r, n) for r, _, n in received] == [(1155, 144), (144, 79), (79, 0)]
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == len(received)
     assert metrics["gf2linalg.rows"] == sum(r for r, _, _ in received)
@@ -100,14 +100,15 @@ def _traced_powers(monkeypatch, search):
 
 
 def test_a_cf_search_forms_each_power_once_packed(monkeypatch):
-    # a search forms its powers as packed codes, y^3 of a(bc) CF through
-    # the reciprocal, and never through the public `power`: the 5 powers
-    # of a ydeg-4 search are 5 calls of the routine and no power span
+    # a search of a(bc) CF forms the powers of its reciprocal r as packed
+    # codes, never through the public `power`: y^j of a ydeg-4 search gets
+    # the row of r^(4 - j), so it forms r^4 .. r^0 in the order of the
+    # unknowns, 5 calls of the routine and no power span
     cf = cf2.compute_cf(EpsSpec.parse("a(bc)"), 2 * 256 + 16)
     formed, rels, calls = _traced_powers(
         monkeypatch, lambda: cf2.cfalg.find_relation(cf, 4, 6, prec=256))
     assert rels
-    assert formed == [0, 1, 2, 3, 4]
+    assert formed == [4, 3, 2, 1, 0]
     assert calls == (0, 0)
 
 
@@ -129,7 +130,8 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     # no residual pass solves.  The tags do not depend on how `nullspace`
     # pivots, so neither does the widening schedule nor any of these
     # counts.  `cols` adds up the bits of the blocks' key layouts, not
-    # their equations
+    # their equations; the a(bc) CF layouts are those of its reciprocal's
+    # powers
     spans = _spans()
     workload = _bench("workloads").build("inv-search", cf2, 7, tmp_path)
     tracer = spans.Tracer()
@@ -139,7 +141,7 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == 3
     assert metrics["gf2linalg.rows"] == 3071
-    assert metrics["gf2linalg.cols"] == 11980
+    assert metrics["gf2linalg.cols"] == 12787
     assert metrics["gf2linalg.nullity"] == 8
 
 

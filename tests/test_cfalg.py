@@ -974,6 +974,61 @@ class TestPackedTarget:
         ]
 
 
+class TestReciprocalRoute:
+    """A continued fraction is searched on its reciprocal r: in a search of
+    y-degree Y, c * y^j gets the row of c * r^(Y - j), and the residual
+    pass cuts Y * depth(r) deeper.  The search ends on the tags, relations
+    and warnings of the direct search on the powers of y, and every row is
+    known as deep as it is cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps_specs(max_pre=2, max_per=3, n_letters=3), st.integers(1, 4),
+           st.integers(0, 4), st.sampled_from([4, 8, 32, 64, 128]),
+           st.one_of(st.booleans(), st.integers(0, 40)), st.booleans())
+    @example(EpsSpec.parse("a(bc)"), 4, 6, 128, True, False)
+    # shallow: the verify bound warns, at odd and even Y
+    @example(EpsSpec.parse("c(aa)"), 3, 4, 128, 68, False)
+    @example(EpsSpec.parse("c(aa)"), 4, 4, 128, 68, True)
+    # both warnings: 24 equations for 25 unknowns
+    @example(EpsSpec.parse("(a)"), 4, 4, 128, 27, False)
+    # under-determined only
+    @example(EpsSpec.parse("a(aa)"), 3, 4, 4, 24, True)
+    # a null vector that vanishes below the verify bound on the reciprocal
+    # side and not Y levels deeper: no relation within these bounds
+    @example(EpsSpec.parse("(bab)"), 4, 3, 8, 17, False)
+    @example(EpsSpec.parse("cc(cb)"), 3, 4, 8, 18, True)
+    def test_matches_the_direct_search(self, spec, ydeg, coeff, prec, deep, sweep):
+        target = compute_cf(spec, _precision(prec, deep))
+        search = minimal_degree_report if sweep else find_relation
+        residual = cfalg._ReciprocalRows.residual
+        depth_margins = []
+
+        def cutting(supplier, shifts, tag, bound):
+            # each row c * r^(Y - j), deg c <= coeff, is known below the cut
+            known = min(supplier.power(j)[1] for j in range(supplier.ydeg + 1))
+            depth_margins.append(known - coeff - bound)
+            return residual(supplier, shifts, tag, bound)
+
+        runs = []
+        for row_kind in (cfalg._row_kind, lambda target: cfalg._RowSupplier):
+            final = []
+            stripped_basis = cfalg._stripped_basis
+
+            def recording(tags, unknowns):
+                final.append(tags)
+                return stripped_basis(tags, unknowns)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cfalg._ReciprocalRows, "residual", cutting)
+                found, caught, _ = _recorded_search(
+                    search, target, (ydeg, coeff, None), prec,
+                    _row_kind=row_kind, _stripped_basis=recording,
+                )
+            runs.append((found, caught, final))
+        assert runs[0] == runs[1]
+        assert min(depth_margins, default=0) >= 0
+
+
 @st.composite
 def _tagged_unknowns(draw):
     """Unknowns (j, m) of mixed monomial degrees and independent tags."""
