@@ -45,7 +45,6 @@ precisions and codes.  `_ReciprocalRows` proves the rows known that deep.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from bisect import bisect_left
@@ -319,16 +318,19 @@ class _RowSupplier:
     packing covers every code formed for y^0 .. y^ydeg (`_power_alphabet`)
     times a coefficient factor over `letters` of largest |exponent|
     `f_top`; a search that has scanned the target passes its largest
-    |exponent| as `top`, `letters` then being the target's.  A row is the
+    |exponent| as `top`, `letters` then being the target's, and the
+    `_own_alphabet` of its reciprocal as `r_own`.  A row is the
     codes of one power shifted by the bias-free code of a factor and cut at
     a depth bound.  Codes order by depth, then by their fields, whatever
     the field width, so a supplier built for a higher y-degree gives every
     row and key in the same order.
     """
 
-    def __init__(self, target: Series, ydeg: int, letters, f_top: int, top=None):
+    def __init__(
+        self, target: Series, ydeg: int, letters, f_top: int, top=None, r_own=None
+    ):
         own = None if top is None else (set(letters), top)
-        p_letters, bound = _power_alphabet(target, ydeg, own)
+        p_letters, bound = _power_alphabet(target, ydeg, own, r_own)
         self.series = target
         self.z_side = isinstance(target, ZSeries)
         self.packing = _Packing(p_letters | set(letters), bound + f_top)
@@ -344,6 +346,16 @@ class _RowSupplier:
                 packed = self.packing.ungroup(packed, prec)
             self.powers[j] = packed, prec
         return self.powers[j]
+
+    def precision_and_shift(self, ydeg: int) -> tuple[float, int]:
+        """Fix the y-degree of a search: the least precision of y^0 ..
+        y^ydeg, and how much deeper than those powers the rows lie (0)."""
+        return min(self.power(j)[1] for j in range(ydeg + 1)), 0
+
+    def equations(self, grown: "_GrownRows", mons, p_sys, n: int) -> int:
+        """The keys of the system below p_sys if fewer than n, else a count
+        >= n, once `grown` has grown to n keys or to p_sys."""
+        return grown.count
 
     def support(self, j: int, factor: int, bound) -> list[int]:
         codes = self.power(j)[0]
@@ -375,7 +387,7 @@ class _RowSupplier:
 
 class _ReciprocalRows(_RowSupplier):
     """The rows of a continued fraction's unknowns on its reciprocal r: in a
-    search of y-degree Y (`at`), c * y^j gets the row of c * r^(Y - j),
+    search of y-degree Y, c * y^j gets the row of c * r^(Y - j),
     imposed below vb + Y * delta (see the module docstring).
 
     The rows are known that deep.  The continued fraction y of precision
@@ -393,42 +405,35 @@ class _ReciprocalRows(_RowSupplier):
     """
 
     def __init__(self, target: InvSeries, ydeg: int, letters, f_top: int, top):
-        super().__init__(target.reciprocal, ydeg, letters, f_top)
+        # r is scanned once, for these rows and for the direct system's
+        r = target.reciprocal
+        r_letters, r_top = self.r_own = _own_alphabet(r)
+        super().__init__(r, ydeg, set(letters) | r_letters, f_top, r_top)
         self.target, self.ydeg = target, ydeg
         # the target's letters and top exponent, and the coefficients' top
         self.own = (letters, top, f_top)
-
-    def at(self, ydeg: int) -> "_ReciprocalRows":
-        """The supplier of a search of y-degree ydeg, sharing every power
-        formed."""
-        view = copy.copy(self)
-        view.ydeg = ydeg
-        return view
 
     def power(self, j: int) -> tuple[list[int], float]:
         """The codes and precision of r^(Y - j)."""
         return super().power(self.ydeg - j)
 
-    def equations(self, mons, p_sys, n: int) -> int:
-        """The keys of the direct system below p_sys if fewer than n, else
-        a count >= n.  y times each coefficient m gives keys: the target's
-        terms below p_sys times m, counted for m = 1 first, then gathered
-        one m at a time until there are n.  Only when all fall short is the
-        direct system built, as the direct search builds it."""
+    def precision_and_shift(self, ydeg: int) -> tuple[float, int]:
+        """Fix Y = ydeg: the precision of the direct search's y^0 .. y^Y, read
+        off y's precisions, and the depth Y * delta of r^Y."""
+        self.ydeg = ydeg
+        precision = min(_power_precision(self.target, j) for j in range(ydeg + 1))
+        return precision, ydeg * self.series.depth_norm()
+
+    def equations(self, grown: "_GrownRows", mons, p_sys, n: int) -> int:
+        """The keys of the direct system below p_sys if fewer than n, else a
+        count >= n: the target's own codes below p_sys, which y * 1 keys,
+        and only when those fall short the direct system, built as the
+        direct search builds it."""
         target, (letters, top, f_top) = self.target, self.own
         count = _own_count(target, p_sys)
         if count >= n:
             return count
-        pk = _Packing(letters, top + f_top)
-        codes = pk.codes(target)
-        codes = codes[: bisect_left(codes, pk.limit(p_sys))]
-        keys: set = set()
-        for m in mons:
-            f = pk.factor(*_graded_coefficient(m, False))
-            keys.update(c + f for c in codes)
-            if len(keys) >= n:
-                return len(keys)
-        direct = _RowSupplier(target, self.ydeg, letters, f_top, top)
+        direct = _RowSupplier(target, self.ydeg, letters, f_top, top, self.r_own)
         factors = [direct.packing.factor(*_graded_coefficient(m, False)) for m in mons]
         return _GrownRows(direct, self.ydeg, factors, p_sys).grow(n)
 
@@ -795,19 +800,12 @@ def _first_solve_size(n_unknowns: int) -> int:
 def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     """`find_relation` on the powers of a supplier built for a y-degree >=
     max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
-    of its packing.  On `_ReciprocalRows` the verify bound, p_sys and the
-    equation count stay the direct search's, read off the target's
-    precisions and codes, while the rows and every depth they are cut at
-    lie `shift` deeper."""
+    of its packing.  The verify bound, p_sys and the equation count are
+    those of the direct search, while the rows and every depth they are
+    cut at lie `shift` deeper (nonzero on `_ReciprocalRows`)."""
     mons, factors = grid
     ys = range(max_ydeg + 1)
-    reciprocal = isinstance(supplier, _ReciprocalRows)
-    if reciprocal:
-        supplier = supplier.at(max_ydeg)
-        y_precision = min(_power_precision(supplier.target, j) for j in ys)
-        shift = max_ydeg * supplier.series.depth_norm()
-    else:
-        y_precision, shift = min(supplier.power(j)[1] for j in ys), 0
+    y_precision, shift = supplier.precision_and_shift(max_ydeg)
     verify_bound = y_precision - coeff_deg_bound
     if verify_bound < 2 * prec:
         warnings.warn(
@@ -831,7 +829,7 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     # would (see gf2linalg)
     n_first = _first_solve_size(n_unknowns)
     n_eq = min(grown.grow(n_first), n_first)
-    n_direct = supplier.equations(mons, p_sys, n_unknowns) if reciprocal else n_eq
+    n_direct = supplier.equations(grown, mons, p_sys, n_unknowns)
     if n_direct < n_unknowns:
         warnings.warn(
             f"under-determined system: {n_direct} equations for "

@@ -309,16 +309,17 @@ def _own_count(s, precision) -> int:
     return bisect_left(codes, pk.limit(precision))
 
 
-def _power_alphabet(s, j: int, own=None) -> tuple[set[str], int]:
+def _power_alphabet(s, j: int, own=None, r_own=None) -> tuple[set[str], int]:
     """Letters and packing bound of every code `_power_codes` forms for s^i,
     i <= j: a product of i terms of s, or on the reciprocal route of 2^k
     terms of s and 2^k - i of r, fewer than 3i in all (2^k < 2i).  `own`
-    is s's `_own_alphabet` when the caller has scanned it."""
+    and `r_own` are the `_own_alphabet` of s and of r when the caller has
+    scanned them."""
     letters, top = own or _own_alphabet(s)
     r = getattr(s, "reciprocal", None)
     if r is None:
         return letters, j * top
-    r_letters, r_top = _alphabet(r.terms)
+    r_letters, r_top = r_own or _alphabet(r.terms)
     return letters | r_letters, 3 * j * max(top, r_top)
 
 
@@ -434,7 +435,7 @@ class InvSeries:
     @property
     def terms(self) -> frozenset:
         """The terms, decoded from `packed` when first read."""
-        if self.packed is not None:
+        if self._terms is None:
             pk, codes = self.packed
             self._terms = frozenset(map(pk.decode, codes))
         return self._terms
