@@ -48,9 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .gf2linalg import nullspace
@@ -59,10 +57,8 @@ from .gf2poly import (
     Monomial,
     mono_deg,
     mono_gcd,
-    mono_mul,
     mono_pow,
     set_bits,
-    sorted_monomials,
 )
 from .invseries import (
     InvSeries,
@@ -281,25 +277,6 @@ class ResidualReport:
         }
 
 
-def _coeff_monomials(
-    letters: list[str], coeff_deg_bound: int, z_deg_bound: Optional[int]
-) -> list[Monomial]:
-    """Letter monomials of total degree <= bound, times optional z powers."""
-    monos = [
-        tuple(Counter(c).items())
-        for d in range(coeff_deg_bound + 1)
-        for c in combinations_with_replacement(letters, d)
-    ]
-    if z_deg_bound is not None:
-        monos = [
-            mono_mul(m, (("z", e),)) if e else m
-            for m in monos
-            for e in range(z_deg_bound + 1)
-        ]
-    # ascending graded order: the canonical print order, reversed
-    return sorted_monomials(monos)[::-1]
-
-
 def _graded_coefficient(m: Monomial, z_side: bool) -> tuple[int, Monomial]:
     """(depth shift, term) factor of a coefficient monomial: its z power
     and letter part on the z side, its inverse-power term otherwise."""
@@ -352,7 +329,7 @@ class _RowSupplier:
         y^ydeg, and how much deeper than those powers the rows lie (0)."""
         return min(self.power(j)[1] for j in range(ydeg + 1)), 0
 
-    def equations(self, grown: "_GrownRows", mons, p_sys, n: int) -> int:
+    def equations(self, grown: "_GrownRows", p_sys, n: int) -> int:
         """The keys of the system below p_sys if fewer than n, else a count
         >= n, once `grown` has grown to n keys or to p_sys."""
         return grown.count
@@ -424,7 +401,7 @@ class _ReciprocalRows(_RowSupplier):
         precision = min(_power_precision(self.target, j) for j in range(ydeg + 1))
         return precision, ydeg * self.series.depth_norm()
 
-    def equations(self, grown: "_GrownRows", mons, p_sys, n: int) -> int:
+    def equations(self, grown: "_GrownRows", p_sys, n: int) -> int:
         """The keys of the direct system below p_sys if fewer than n, else a
         count >= n: the target's own codes below p_sys, which y * 1 keys,
         and only when those fall short the direct system, built as the
@@ -434,7 +411,7 @@ class _ReciprocalRows(_RowSupplier):
         if count >= n:
             return count
         direct = _RowSupplier(target, self.ydeg, letters, f_top, top, self.r_own)
-        factors = [direct.packing.factor(*_graded_coefficient(m, False)) for m in mons]
+        factors = _coefficients(direct.packing, (letters, None, top), f_top)[1]
         return _GrownRows(direct, self.ydeg, factors, p_sys).grow(n)
 
 
@@ -780,15 +757,37 @@ def find_relation(
     letters, _, top = bounds
     supplier = _row_kind(target)(target, max_ydeg, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
-    return _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
+    tags = _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
+    if not tags:
+        return []
+    unknowns = [(j, m) for j in range(max_ydeg + 1) for m in grid[0]]
+    best = _least_relation(tags, unknowns)
+    basis = dict.fromkeys(_stripped_basis(tags, unknowns))
+    rest = sorted((r for r in basis if r != best), key=_relation_sort_key)
+    return [best, *rest]
 
 
 def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
-    """A search's coefficient monomials and their factors over `pk`."""
+    """A search's coefficient monomials, the canonical print order
+    reversed, and their factors over `pk`, from exponent vectors in one
+    pass.  A factor is the exponents times the letters' unit codes plus
+    the z exponent in the depth field; on the inverse side, the factor of
+    m^-1, the degree is the depth and all is negated.  The order is one
+    sort on (degree, exponents, z exponent): no letter a-y sorts after z."""
     letters, z_deg_bound, _ = bounds
-    z_side = z_deg_bound is not None
-    mons = _coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
-    return mons, [pk.factor(*_graded_coefficient(m, z_side)) for m in mons]
+    w, shift = pk.width, pk.shift
+    cells = [(0, (), 0)]  # (degree, exponents, code) of each letter part
+    for v in letters:
+        unit = 1 << w * pk.index[v]
+        cells = [(d + e, x + (e,), c + e * unit)
+                 for d, x, c in cells for e in range(coeff_deg_bound - d + 1)]
+    if z_deg_bound is None:
+        cells = sorted((d, x, 0, -c - (d << shift)) for d, x, c in cells)
+    else:
+        cells = sorted((d + e, x, e, c + (e << shift))
+                       for d, x, c in cells for e in range(z_deg_bound + 1))
+    return [tuple((v, e) for v, e in zip(letters, x) if e) + ((("z", z),) if z else ())
+            for _, x, z, _ in cells], [f for *_, f in cells]
 
 
 def _first_solve_size(n_unknowns: int) -> int:
@@ -797,13 +796,15 @@ def _first_solve_size(n_unknowns: int) -> int:
     return 3 * (n_unknowns + 256) // 2
 
 
-def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
-    """`find_relation` on the powers of a supplier built for a y-degree >=
-    max_ydeg and coefficient degree coeff_deg_bound, and the `_coefficients`
-    of its packing.  The verify bound, p_sys and the equation count are
+def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]:
+    """The verified null space of `find_relation`'s system, as the tags of
+    its reduced echelon basis over the unknowns (j, m), j-major, for j <=
+    max_ydeg and m in `grid`: the `_coefficients` of the packing of a
+    supplier built for a y-degree >= max_ydeg and coefficient degree
+    coeff_deg_bound.  The verify bound, p_sys and the equation count are
     those of the direct search, while the rows and every depth they are
     cut at lie `shift` deeper (nonzero on `_ReciprocalRows`)."""
-    mons, factors = grid
+    factors = grid[1]
     ys = range(max_ydeg + 1)
     y_precision, shift = supplier.precision_and_shift(max_ydeg)
     verify_bound = y_precision - coeff_deg_bound
@@ -829,7 +830,7 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     # would (see gf2linalg)
     n_first = _first_solve_size(n_unknowns)
     n_eq = min(grown.grow(n_first), n_first)
-    n_direct = supplier.equations(grown, mons, p_sys, n_unknowns)
+    n_direct = supplier.equations(grown, p_sys, n_unknowns)
     if n_direct < n_unknowns:
         warnings.warn(
             f"under-determined system: {n_direct} equations for "
@@ -852,35 +853,31 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid):
     if any(residuals):
         rkeys = sorted(set().union(*residuals))
         combos = nullspace(_mask_rows(residuals, rkeys), len(rkeys))
-        final_tags = [_combine(tags, combo) for combo in combos]
-    else:
-        final_tags = tags
+        return [_combine(tags, combo) for combo in combos]
+    return tags
 
-    if not final_tags:
-        return []
 
-    unknowns = [(j, m) for j in ys for m in mons]
-    basis = list(dict.fromkeys(_stripped_basis(final_tags, unknowns)))
-
-    # rank only V_min, the relations of least largest coefficient degree.
-    # Every relation is Q * P, P primitive and minimal (Gauss's lemma), and
-    # degrees add, so V_min is P times polynomials in y: max_ydeg - deg_y P
-    # + 1 dimensions.  On a target deep enough for the search no element of
-    # V_min has a content: its stripped form would have a lower degree
-    v_min = _least_degree_span(final_tags, unknowns)
-    candidates = (_materialize(_combine(v_min, g), unknowns)
-                  for g in range(1, 1 << len(v_min)))
+def _least_relation(tags: list[int], unknowns) -> Relation:
+    """The first relation of a search ending on the null vectors `tags`:
+    the least combination of V_min, the relations of least largest
+    coefficient degree.  Every relation is Q * P, P primitive and minimal
+    (Gauss's lemma), and degrees add, so V_min is P times polynomials in
+    y: max_ydeg - deg_y P + 1 dimensions.  On a target deep enough for the
+    search no element of V_min has a content: its stripped form would
+    have a lower degree.  Past _ENUMERATION_CAP dimensions it is the least
+    stripped basis relation, with a warning at the search's caller."""
+    v_min = _least_degree_span(tags, unknowns)
     if len(v_min) > _ENUMERATION_CAP:
         warnings.warn(
             f"least-degree dimension {len(v_min)} exceeds the enumeration cap; "
             "the first relation may not be the smallest representative",
             stacklevel=3,
         )
-        candidates = basis
-    best = min(candidates, key=_relation_sort_key)
-
-    rest = sorted((r for r in basis if r != best), key=_relation_sort_key)
-    return [best, *rest]
+        return min(_stripped_basis(tags, unknowns), key=_relation_sort_key)
+    return min(
+        (_materialize(_combine(v_min, g), unknowns) for g in range(1, 1 << len(v_min))),
+        key=_relation_sort_key,
+    )
 
 
 def minimal_degree_report(
@@ -904,7 +901,8 @@ def minimal_degree_report(
     supplier = _row_kind(target)(target, ydeg_cap, letters, coeff_deg_bound, top)
     grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
-        rels = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)
-        if rels:
-            return ydeg, rels[0]
+        tags = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)
+        if tags:
+            unknowns = [(j, m) for j in range(ydeg + 1) for m in grid[0]]
+            return ydeg, _least_relation(tags, unknowns)
     return None, None

@@ -159,6 +159,8 @@ class LaurentSeries:
         body = " + ".join(parts) if parts else "0"
         if self.prec == math.inf:
             return body
+        if self.prec == -math.inf:  # known nowhere: no O() term says that
+            return f"{body} (precision -inf)"
         return f"{body} + O({var}^{-self.prec})"
 
     def __repr__(self) -> str:

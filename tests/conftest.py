@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from cf2 import EpsSpec, Gf2Poly, letter_at, stream_prefix
+from cf2.cfalg import _graded_coefficient
+from cf2.gf2poly import mono_mul, sorted_monomials
 
 settings.register_profile(
     "thousand",
@@ -103,3 +107,25 @@ def general_continuant(quotients: list) -> tuple:
         p, p_prev = u * p + p_prev, p
         q, q_prev = u * q + q_prev, q
     return p, q
+
+
+def coeff_grid(pk, letters, coeff_deg_bound: int, z_deg_bound) -> tuple:
+    """Reference coefficient grid of a relation search: the letter
+    monomials of total degree <= bound as `Counter`s of combinations, times
+    the z powers when z_deg_bound is not None, in the canonical print
+    order reversed, and each one's factor over the packing pk, encoded
+    from its (depth, term) monomial by monomial."""
+    monos = [
+        tuple(Counter(c).items())
+        for d in range(coeff_deg_bound + 1)
+        for c in combinations_with_replacement(letters, d)
+    ]
+    z_side = z_deg_bound is not None
+    if z_side:
+        monos = [
+            mono_mul(m, (("z", e),)) if e else m
+            for m in monos
+            for e in range(z_deg_bound + 1)
+        ]
+    monos = sorted_monomials(monos)[::-1]
+    return monos, [pk.factor(*_graded_coefficient(m, z_side)) for m in monos]

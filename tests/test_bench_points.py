@@ -145,18 +145,28 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
     assert metrics["gf2linalg.nullity"] == 8
 
 
-def test_the_z_sweep_elimination_keeps_its_shape(tmp_path):
+def test_the_z_sweep_elimination_keeps_its_shape(tmp_path, monkeypatch):
     # the benchmark's three F sweeps solve 9 systems over their y-degrees:
     # a first solve per y-degree and one residual pass, on (aabb) F at
     # degree 4.  Rows grown by depth give each solve the equations that
     # rows cut at the solve precision would, so these counts but `cols`
-    # (layout bits) are the full-row search's
+    # (layout bits) are the full-row search's.  A sweep builds only the
+    # relation it returns, so it strips no basis
+    stripped = []
+    stripped_basis = cf2.cfalg._stripped_basis
+
+    def counting(tags, unknowns):
+        stripped.append(len(tags))
+        return stripped_basis(tags, unknowns)
+
+    monkeypatch.setattr(cf2.cfalg, "_stripped_basis", counting)
     spans = _spans()
     workload = _bench("workloads").build("z-sweep", cf2, 7, tmp_path)
     tracer = spans.Tracer()
     with tracer.patched(cf2):
         for _, task in workload.tasks:
             assert task()
+    assert stripped == []
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == 9
     assert metrics["gf2linalg.rows"] == 2993

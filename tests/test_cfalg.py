@@ -34,7 +34,7 @@ from cf2 import WordTooLargeError, cfalg, invseries
 from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_deg, mono_mul, set_bits
 from cf2.zseries import split_z
-from conftest import eps_specs, general_continuant
+from conftest import coeff_grid, eps_specs, general_continuant
 
 
 # Complete ordered relation lists of searches that return several
@@ -771,18 +771,13 @@ def _recorded_search(search, target, bounds, prec, **patches):
 
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
-    """The supplier and the coefficient factors `find_relation` builds,
-    the factors from the monomials one by one."""
+    """The supplier `find_relation` builds and the coefficient factors of
+    the reference grid, formed monomial by monomial."""
     letters, z_deg_bound, _ = cfalg._search_bounds(
         target, max_ydeg, coeff_deg_bound, z_deg_bound
     )
     supplier = cfalg._RowSupplier(target, max_ydeg, letters, coeff_deg_bound)
-    mons = cfalg._coeff_monomials(letters, coeff_deg_bound, z_deg_bound)
-    z_side = z_deg_bound is not None
-    factors = [
-        supplier.packing.factor(*cfalg._graded_coefficient(m, z_side))
-        for m in mons
-    ]
+    _, factors = coeff_grid(supplier.packing, letters, coeff_deg_bound, z_deg_bound)
     return supplier, factors
 
 
@@ -891,13 +886,17 @@ class TestSupplierWidth:
             target, 4 * ydeg, bounds[0], coeff + (1 << narrow.packing.width)
         )
         assert wide.packing.width > narrow.packing.width
+
+        def search(supplier, prec):
+            # every final null vector, as the relation it spells
+            grid = cfalg._coefficients(supplier.packing, bounds, coeff)
+            unknowns = [(j, m) for j in range(ydeg + 1) for m in grid[0]]
+            tags = cfalg._find_relation(supplier, ydeg, coeff, prec, grid)
+            return [cfalg._materialize(tag, unknowns) for tag in tags]
+
         found = [
             _recorded_search(
-                lambda *_, prec: cfalg._find_relation(
-                    supplier, ydeg, coeff, prec,
-                    cfalg._coefficients(supplier.packing, bounds, coeff),
-                ),
-                target, (), prec,
+                lambda *_, prec: search(supplier, prec), target, (), prec
             )
             for supplier in (narrow, wide)
         ]
@@ -927,7 +926,7 @@ class TestFirstSolveSize:
         target = build(spec, _precision(prec, deep))
         bounds = (ydeg, coeff, z_bound if build is compute_F else None)
         search = minimal_degree_report if sweep else find_relation
-        stripped_basis = cfalg._stripped_basis
+        least_degree_span = cfalg._least_degree_span
         sizes = (lambda n: n + 1, lambda n: n + 256, cfalg._first_solve_size)
         runs = []
         for size in sizes:
@@ -935,12 +934,15 @@ class TestFirstSolveSize:
 
             def recording(tags, unknowns):
                 final.append(tags)
-                return stripped_basis(tags, unknowns)
+                return least_degree_span(tags, unknowns)
 
             found, caught, _ = _recorded_search(
                 search, target, bounds, prec,
-                _first_solve_size=size, _stripped_basis=recording,
+                _first_solve_size=size, _least_degree_span=recording,
             )
+            # both entry points rank the final tags of every search that
+            # finds a relation, and only those
+            assert bool(final) == (found[0] is not None if sweep else bool(found))
             runs.append((found, caught, final))
         assert runs[0] == runs[1] == runs[2]
 
@@ -1012,18 +1014,19 @@ class TestReciprocalRoute:
         runs = []
         for row_kind in (cfalg._row_kind, lambda target: cfalg._RowSupplier):
             final = []
-            stripped_basis = cfalg._stripped_basis
+            least_degree_span = cfalg._least_degree_span
 
             def recording(tags, unknowns):
                 final.append(tags)
-                return stripped_basis(tags, unknowns)
+                return least_degree_span(tags, unknowns)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cfalg._ReciprocalRows, "residual", cutting)
                 found, caught, _ = _recorded_search(
                     search, target, (ydeg, coeff, None), prec,
-                    _row_kind=row_kind, _stripped_basis=recording,
+                    _row_kind=row_kind, _least_degree_span=recording,
                 )
+            assert bool(final) == (found[0] is not None if sweep else bool(found))
             runs.append((found, caught, final))
         assert runs[0] == runs[1]
         assert min(depth_margins, default=0) >= 0
@@ -1211,6 +1214,85 @@ class TestMinimalDegree:
         g = compute_G(EpsSpec.parse("(ab)"), 280)
         deg, rel = minimal_degree_report(g, 2, 3, prec=128)
         assert deg is None and rel is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eps_specs(max_pre=2, max_per=3, n_letters=3),
+        st.sampled_from([compute_F, compute_F0, compute_G, compute_cf, compute_inv_cf]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([4, 8, 32, 64]),
+        st.one_of(st.booleans(), st.integers(min_value=3, max_value=40)),
+    )
+    # both warnings: 24 equations for 25 unknowns
+    @example(EpsSpec.parse("(a)"), compute_cf, 4, 4, 0, 128, 27)
+    # under-determined at every degree, 1 to 4
+    @example(EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False)
+    @example(EpsSpec.parse("(ab)"), compute_F, 2, 3, 3, 256, True)
+    @example(EpsSpec.parse("(ab)"), compute_G, 2, 3, 0, 128, True)  # none
+    def test_is_the_first_search_that_finds(
+        self, spec, build, cap, coeff, z_bound, prec, deep
+    ):
+        # the sweep returns the degree d of the first search that finds a
+        # relation and that search's first relation, after the warnings and
+        # the solves of the searches at degrees 1 to d, in order
+        target = build(spec, _precision(prec, deep))
+        z_bound = z_bound if build in (compute_F, compute_F0) else None
+        swept = _recorded_search(
+            minimal_degree_report, target, (cap, coeff, z_bound), prec
+        )
+        found, caught, solves = [None, None], [], []
+        for ydeg in range(1, cap + 1):
+            rels, warned, solved = _recorded_search(
+                find_relation, target, (ydeg, coeff, z_bound), prec
+            )
+            caught += warned
+            solves += solved
+            if rels:
+                found = [ydeg, rels[0]]
+                break
+        assert swept == (found, caught, solves)
+
+    def test_warns_past_the_cap(self, monkeypatch):
+        # (ab) F known below z^9 is too shallow for this sweep: at degree 1
+        # its least-degree part has dimension 2, so past a cap of 1 the
+        # pick is the least stripped basis relation, not the least
+        # combination (b^2*z^2 + a^2 + (a*z^3 + a*z^2 + b*z + a)*y)
+        monkeypatch.setattr(cfalg, "_ENUMERATION_CAP", 1)
+        F = compute_F(EpsSpec.parse("(ab)"), 9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            deg, rel = minimal_degree_report(F, 2, 3, 3, prec=8)
+        assert [w.filename for w in caught] == [__file__] * 2
+        assert [str(w.message)[:28] for w in caught] == [
+            "target precision supports ve", "least-degree dimension 2 exc"
+        ]
+        assert deg == 1
+        assert rel.to_file_text() == (
+            "deg 0: a*z^3 + b*z^3 + a*z^2 + b*z^2 + a*z\n" "deg 1: z^2 + z\n"
+        )
+
+    @pytest.mark.parametrize("build, spec, bounds, precision, prec", [
+        (compute_F, "(ab)", (2, 3, 3), 528, 256),
+        (compute_cf, "a(bc)", (4, 6, None), 272, 128),
+        (compute_G, "(ab)", (4, 3, None), 272, 128),
+        # a target too shallow for the search, with contents to strip
+        (compute_F, "(a)", (1, 1, 4), 6, 4),
+    ])
+    def test_builds_no_stripped_basis_below_the_cap(
+        self, monkeypatch, build, spec, bounds, precision, prec
+    ):
+        def refuse(tags, unknowns):
+            raise AssertionError("the sweep stripped a basis")
+
+        target = build(EpsSpec.parse(spec), precision)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = minimal_degree_report(target, *bounds, prec=prec)
+            monkeypatch.setattr(cfalg, "_stripped_basis", refuse)
+            assert minimal_degree_report(target, *bounds, prec=prec) == expected
+        assert expected[0] is not None
 
 
 class TestRelationClass:

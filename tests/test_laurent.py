@@ -52,6 +52,16 @@ class TestBasics:
         assert s.support() == [0]
         assert peak < 1 << 20  # a 2^28-bit shift would take 32 MB
 
+    def test_str_marks_the_precision(self):
+        # -inf is known nowhere, so it must not read as O(t^inf), an exact 0
+        assert str(LaurentSeries.zero(-math.inf)) == "0 (precision -inf)"
+        assert LaurentSeries.zero(-math.inf).str_in("x") == "0 (precision -inf)"
+        assert str(LaurentSeries.zero()) == "0"
+        assert str(LaurentSeries.zero(3)) == "0 + O(t^-3)"
+        s = LaurentSeries.from_exponents([-2, 0, 1], 4)
+        assert str(s) == "t^2 + 1 + t^-1 + O(t^-4)"
+        assert LaurentSeries.from_exponents([-1, 2]).str_in("x") == "x + x^-2"
+
     def test_truncation_on_construction(self):
         s = LaurentSeries(1, 0b10001, 4)  # t^-1 + t^-5, precision 4
         assert s.support() == [1]

@@ -9,7 +9,9 @@ search, the bit reversal of `LaurentSeries.from_unipoly`, the digit-joining
 `UniPoly.pow2k`, and the two re-derivations the convergent recurrence
 replaced: `cf_value`'s backward fold with its fixed-point loop, and the
 hand-expanded quotient rule of the Riccati residual.  The carry-less
-product `clmul` is checked against a schoolbook product.
+product `clmul` is checked against a schoolbook product, and the relation
+search's coefficient grid, built from exponent vectors, against
+`conftest.coeff_grid`, which builds it monomial by monomial.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from cf2 import (
     fn_witness,
     unbounded_quotient_series,
 )
-from cf2.cfalg import _coeff_monomials, _mask_rows
+from cf2.cfalg import _coefficients, _mask_rows
 from cf2.gf2poly import clmul, mono_deg, set_bits
+from cf2.invseries import _Packing
 from cf2.riccati import _fn_poly
-from conftest import eps_specs, general_continuant
+from conftest import coeff_grid, eps_specs, general_continuant
 
 
 def _random_ints(rng, count=40, max_bits=20_000):
@@ -326,11 +329,31 @@ class TestCoeffMonomials:
     @pytest.mark.parametrize("z_bound", [None, 0, 1, 3])
     def test_against_order_key(self, letters, z_bound):
         for bound in range(5):
-            got = _coeff_monomials(letters, bound, z_bound)
+            pk = _Packing(letters, bound)
+            got = _coefficients(pk, (letters, z_bound, 0), bound)[0]
             assert got == _order_key_sort(letters, got)
             assert len(set(got)) == len(got)
             z_count = 1 if z_bound is None else z_bound + 1
             assert len(got) == math.comb(len(letters) + bound, bound) * z_count
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.sampled_from("abcdefghijklmnopqrstuvwxy"), min_size=1, max_size=5),
+        st.sets(st.sampled_from("abcdefghijklmnopqrstuvwxy"), max_size=3),
+        st.integers(min_value=0, max_value=6),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        st.integers(min_value=0, max_value=40),
+    )
+    @example({"a", "c", "e", "x", "y"}, set(), 6, 8, 0)
+    @example({"y"}, {"a", "m"}, 0, None, 3)
+    def test_against_the_reference_grid(self, letters, others, bound, z_bound, slack):
+        # the grid from exponent vectors: the monomials, their order and
+        # their factors, on both sides, over a packing that may hold more
+        # letters and wider fields than the search's
+        letters = sorted(letters)
+        pk = _Packing(set(letters) | others, bound + slack)
+        got = _coefficients(pk, (letters, z_bound, 0), bound)
+        assert got == coeff_grid(pk, letters, bound, z_bound)
 
 
 # ---------------------------------------------------------- bit reversal
