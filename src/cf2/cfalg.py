@@ -9,9 +9,10 @@ is what makes a bounded-degree linear search for relations effective: the
 finder assembles the GF(2) linear system "sum_j c_j * target^j == 0 below a
 depth", solves it with bitset elimination, re-checks every candidate at
 (at least) doubled precision, and returns canonical representatives.
-The first solve takes the 3/2 (unknowns + 256) shallowest equations;
-while over 24 null vectors remain, the next block, as many equations
-again, is imposed on them alone, and the residual pass imposes the rest.
+The first solves take 3/2 (unknowns + 256) of the shallowest equations
+between them (see the grades below); while over 24 null vectors of a
+grade remain, the next block of its equations, as many again, is imposed
+on them alone, and the residual pass imposes the rest.
 An unknown c * y^j shifts the packed codes of y^j by the factor f of c.
 The search lays its equation keys out by depth ranges, each as a mixed
 radix over the depth and the letter fields in which adding f is a fixed
@@ -28,6 +29,22 @@ are sets of codes; on the z side each power keeps its codes grouped by
 letter part, and a row is y^j's groups re-keyed by the factor's letter
 part and shifted by its z-degree, so codes are formed only for the bits
 left in the sum.
+
+The system is block diagonal by grade.  A code's degree is its depth on
+the inverse side, its letter degree (z not counted) on the z side.  Let g
+be the gcd of the differences of the degrees of the terms of the series
+whose powers give the rows (0 if they are all equal) and delta their
+class mod g (exact if g = 0): every key of c * y^j, or of c * r^(Y - j)
+on `_ReciprocalRows`, has the class of j * delta (of (Y - j) * delta)
+plus the degree of c's factor.  Unknowns of different classes share no
+key, so `_find_relation` solves each grade, the unknowns of one class, on
+its own: a row depends on the rows before it exactly when it does within
+its grade, by the same combination, and the grades' tags in order of
+their highest bits are those of one solve.  G, 1/CF and r have g = 2
+(depths 2^n - 1), F, F_0 and F_n g = 0; a target of g = 1 is one grade.
+The grades share the layouts and the powers' ints; each has its own keys
+on a box without the axis its class fixes: the depth steps by g on the
+inverse side, and the lowest letter field goes on the z side if g = 0.
 
 A continued fraction y from `compute_cf` is searched on its reciprocal r,
 whose powers have a few terms where y's have thousands.  r * y = 1, and r
@@ -47,7 +64,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import groupby
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -432,8 +451,12 @@ class _Layout:
     so positions keep the codes' order.  Each radix spans the values that
     the codes in [lo - max f, hi - min f) plus the factors reach, so
     positions add: the key c + f sits at c's position plus f's offset, and
-    the row of (j, f) is y^j's int shifted by f's offset.  The depths
-    [lo, hi) hold the bits [base, top); `build` trims them to the keys.
+    the row of (j, f) is y^j's int shifted by f's offset.  The depth axis
+    counts depth // q, q the step between one grade's depths, so a key's
+    count is the code's plus the factor's, plus a carry of 1 fixed by the
+    grade and j.  The grades share the powers' ints but not the keys.
+    The depths [lo, hi) hold the bits [base, top); `build` trims them to
+    each grade's keys.
     """
 
     def __init__(self, grown: "_GrownRows", lo, hi):
@@ -443,47 +466,63 @@ class _Layout:
             cs[bisect_left(cs, start): bisect_left(cs, end)] for cs in grown.codes
         ]
         codes = [c for cs in self.sources for c in cs]
-        self.depths, self.base, self.top = (lo, lo), 0, 0
+        self.depths, self.base, self.top, self.count = (lo, lo), 0, 0, 0
         if not codes:
             return
-        # (shift, mask, multiplier) per axis from the least significant up,
-        # each radix the codes' span of values plus the factors'
+        # (shift, mask, step, multiplier) per axis from the least significant
+        # up, each radix the codes' span of values plus the factors'
         self.axes, self.c_low, self.f_low, size = [], 0, 0, 1
-        for (s, m), (lf, hf) in zip(grown.axes[::-1], grown.factor_spans[::-1]):
-            cv = [(c >> s) & m for c in codes]
+        for (s, m, q), (lf, hf) in zip(grown.axes[::-1], grown.factor_spans[::-1]):
+            cv = [((c >> s) & m) // q for c in codes]
             lc, hc = min(cv), max(cv)
-            self.axes.append((s, m, size))
+            self.axes.append((s, m, q, size))
             self.c_low, self.f_low = self.c_low + lc * size, self.f_low + lf * size
-            size *= hc - lc + hf - lf + 1
-        # the last axis done is the depth: the keys' depths run from lc + lf
-        # to hc + hf, and depth d starts at bit (d - lc - lf) * multiplier
-        self.depths = max(lo, lc + lf), min(hi, hc + hf + 1)
-        self.base, self.top = ((d - lc - lf) * self.axes[-1][2] for d in self.depths)
+            size *= hc - lc + hf - lf + 1 + (q > 1)
+        # the last axis done is the depth: the keys' counts run from lc + lf
+        # to hc + hf (+ 1 by a carry), and count x starts at bit
+        # (x - lc - lf) * multiplier.  [base, top) holds every grade's keys
+        self.low, self.mult, self.step = lc + lf, self.axes[-1][3], q
+        self.depths = max(lo, q * self.low), min(hi, q * (hc + hf + 1 + (q > 1)))
+        self.base, self.top = self._bit(self.depths[0], q - 1), self._bit(self.depths[1], 0)
+
+    def _bit(self, depth, rest: int) -> int:
+        """The first bit of the keys of depth >= `depth` whose depths are
+        `rest` mod the step."""
+        return (-((rest - depth) // self.step) - self.low) * self.mult
 
     def build(self, grown: "_GrownRows") -> None:
         """Each power's int, each factor's offset, formed axis by axis from
-        the factors' fields, and the keys' bits from the shallowest key to
-        the deepest."""
+        the factors' fields, and each grade's keys' bits from its shallowest
+        key to its deepest."""
 
         def place(c: int) -> int:
-            return sum(((c >> s) & m) * mult for s, m, mult in self.axes)
+            return sum(((c >> s) & m) // q * mult for s, m, q, mult in self.axes)
 
         self.powers = [
             sum(1 << (place(c) - self.c_low) for c in cs) for cs in self.sources
         ]
         self.sources = None
         self.offsets = [-self.f_low] * len(grown.factors)
-        for (_, _, mult), values in zip(self.axes, grown.factor_fields[::-1]):
+        for (*_, mult), values in zip(self.axes, grown.factor_fields[::-1]):
             self.offsets = [o + v * mult for o, v in zip(self.offsets, values)]
-        union = keys = 0
-        for p in self.powers:
-            union |= p
-        for off in self.offsets:
-            keys |= union << off
-        keys = keys >> self.base & ((1 << (self.top - self.base)) - 1)
-        low = (keys & -keys).bit_length() - 1 if keys else 0
-        self.base, self.keys = self.base + low, keys >> low
-        self.count, self.width = self.keys.bit_count(), self.keys.bit_length()
+        self.base, self.keys = [], []
+        for rest, parts in grown.parts:
+            keys = 0
+            for ys, fs, carry in parts:
+                union = 0
+                for j in ys:
+                    union |= self.powers[j]
+                union <<= carry * self.mult
+                for i in fs:
+                    keys |= union << self.offsets[i]
+            base, top = (self._bit(d, rest) for d in self.depths)
+            keys = keys >> base & ((1 << (top - base)) - 1)
+            low = (keys & -keys).bit_length() - 1 if keys else 0
+            self.base.append(base + low)
+            self.keys.append(keys >> low)
+        self.counts = [k.bit_count() for k in self.keys]
+        self.widths = [k.bit_length() for k in self.keys]
+        self.count = sum(self.counts)
 
 
 class _GrownRows:
@@ -492,41 +531,88 @@ class _GrownRows:
     unknowns on any block of them: unknown j * len(factors) + i is y^j
     times the coefficient of factor factors[i], j <= max_ydeg.
 
-    The keys are the codes c + f, c a code of some y^j and f a factor.
-    Each band is laid out as one `_Layout`, or as one per half where the
+    The keys are the codes c + f, c a code of some y^j and f a factor,
+    and are kept per grade (`grades`, see the module docstring).  Each band is laid out as one `_Layout`, or as one per half where the
     split pays (`_lay_out`: codes drift with the depth, so a thin box
     wastes fewer bits, but each layout costs `block` a fixed price per
     unknown).  Codes order by depth first, so the keys known
     are every key shallower than the depth reached, and the layouts side
     by side keep their order.  On the inverse side the depth is the sum
-    of the letter fields and fixes the lowest one, which gets no axis.
+    of the letter fields and fixes the lowest one, which gets no axis; on
+    the z side a grade's letter degree fixes it when g = 0.
     """
 
     def __init__(self, supplier: _RowSupplier, max_ydeg: int, factors, p_sys):
         self.packing, self.factors, self.p_sys = supplier.packing, factors, p_sys
         self.codes = [supplier.power(j)[0] for j in range(max_ydeg + 1)]
         self.reach = min(factors), max(factors)
-        pk, w = self.packing, self.packing.width
-        first = 0 if supplier.z_side else 1
-        self.axes = [(pk.shift, -1)] + [
-            (i * w, (1 << w) - 1) for i in reversed(range(first, len(pk.letters)))
+        pk, w, z_side = self.packing, self.packing.width, supplier.z_side
+        fs = [f + pk.bias for f in factors]
+        degrees = depths = [f >> pk.shift for f in fs]
+        fields = [values for _, values in pk.fields(fs)]
+        g = _grade_modulus(supplier)
+        self.step = q = g if g > 1 and not z_side else 1
+        first = 0 if z_side and g else 1
+        self.axes = [(pk.shift, -1, q)] + [
+            (i * w, (1 << w) - 1, 1) for i in reversed(range(first, len(fields)))
         ]
-        fs = [f + pk.bias for f in self.factors]
-        self.factor_fields = [[(f >> s) & m for f in fs] for s, m in self.axes]
+        self.factor_fields = [[d // q for d in depths], *fields[first:][::-1]]
         self.factor_spans = [(min(v), max(v)) for v in self.factor_fields]
+        if z_side:
+            half = len(fields) << (w - 1)
+            degrees = [sum(v) - half for v in zip(*fields)] if fields else [0] * len(fs)
+        self._grade(g, z_side, degrees)
         self.layouts: list[_Layout] = []
+        self.counts = [0] * len(self.grades)
         self.count = 0
         self.depth = -math.inf
 
-    def grow(self, n: int) -> int:
-        """Grow until n keys are known or p_sys is reached; the key count."""
-        while self.count < n and self.depth < self.p_sys:
+    def _grade(self, g: int, z_side: bool, f_degrees: list[int]) -> None:
+        """Split the unknowns by the class mod g (exact if g = 0) of their
+        keys' degree, y^j's plus the factor's: each grade's unknowns in
+        order, its carry for each y^j, and its remainder mod q with its
+        (powers, factors, carry) blocks."""
+        pk, q, n_f = self.packing, self.step, len(self.factors)
+
+        def by_class(degrees: list[int]) -> dict[int, list[int]]:
+            """The indices of some degrees by class, each ascending."""
+            classes = [d % g for d in degrees] if g else degrees
+            order = sorted(range(len(classes)), key=classes.__getitem__)
+            return {c: list(ids) for c, ids in groupby(order, classes.__getitem__)}
+
+        ys = by_class([_degree(pk, z_side, cs[0]) if cs else 0 for cs in self.codes])
+        fs = by_class(f_degrees)
+        grades: dict[int, list] = {}
+        for yc, js in ys.items():
+            for fc, ids in fs.items():
+                carry = int(yc % q + fc % q >= q)
+                grades.setdefault((yc + fc) % g if g else yc + fc, []).append(
+                    (js, ids, carry))
+        self.parts = [(c % q, grades[c]) for c in sorted(grades)]
+        # each grade's unknowns in index order, and its carry for each y^j
+        self.grades, self.carries = [], []
+        for _, parts in self.parts:
+            by_power = sorted((j * n_f, ids, j, c) for js, ids, c in parts for j in js)
+            self.grades.append([at + i for at, ids, _, _ in by_power for i in ids])
+            carries = [0] * len(self.codes)
+            for _, _, j, carry in by_power:
+                carries[j] = carry
+            self.carries.append(carries)
+
+    def grow(self, n: int, grade: Optional[int] = None) -> int:
+        """Grow until n keys of a grade, or of all grades when it is None,
+        are known or p_sys is reached; that count."""
+        def known() -> int:
+            return self.count if grade is None else self.counts[grade]
+
+        while known() < n and self.depth < self.p_sys:
             lo = self.depth if self.depth == -math.inf else math.ceil(self.depth)
             self.depth = min(self.p_sys, max(8, self.p_sys / 8, 2 * self.depth))
             for layout in self._lay_out(_Layout(self, lo, math.ceil(self.depth))):
                 self.layouts.append(layout)
+                self.counts = [a + b for a, b in zip(self.counts, layout.counts)]
                 self.count += layout.count
-        return self.count
+        return known()
 
     def _lay_out(self, whole: _Layout) -> list[_Layout]:
         """The layouts with keys of `whole`, or of its halves, built.
@@ -549,43 +635,71 @@ class _GrownRows:
         whole.build(self)
         return [whole] if whole.count else []
 
-    def _locate(self, n: int) -> tuple[int, int]:
-        """(layout, bit) of the key with n keys before it: the least bit
-        with n + 1 keys up to it, by bisection on those counts."""
+    def _locate(self, grade: int, n: int) -> tuple[int, int]:
+        """(layout, bit) of the key of a grade with n keys of it before it:
+        the least bit with n + 1 keys up to it, by bisection on those
+        counts."""
         for i, layout in enumerate(self.layouts):
-            if n < layout.count:
-                keys = layout.keys
+            count, keys = layout.counts[grade], layout.keys[grade]
+            if n < count:
+                if n in (0, count - 1):  # the keys run from bit 0 to the last
+                    return i, 0 if n == 0 else layout.widths[grade] - 1
                 return i, bisect_left(
-                    range(layout.width), n + 1,
+                    range(layout.widths[grade]), n + 1,
                     key=lambda b: (keys & ((2 << b) - 1)).bit_count(),
                 )
-            n -= layout.count
+            n -= count
         raise IndexError(n)
 
-    def block(self, lo: int, hi: int, named: int) -> tuple[list[int], int]:
-        """Each unknown's row on the keys lo .. hi - 1, and the bits those
-        keys span: from the first key's bit to the last's, layout after
-        layout.  Unknowns whose index is not set in `named` get a 0 row."""
-        n_f = len(self.factors)
-        rows = [0] * (len(self.codes) * n_f)
+    def block(self, grade: int, lo: int, hi: int, named: int) -> tuple[list[int], int]:
+        """Each unknown of a grade's row on its keys lo .. hi - 1, and the
+        bits those keys span: from the first key's bit to the last's, layout
+        after layout.  Unknowns whose index in the grade is not set in
+        `named` get a 0 row."""
+        ks, n_f = self.grades[grade], len(self.factors)
+        rows = [0] * len(ks)
         if lo >= hi:
             return rows, 0
-        (i_lo, first), (i_hi, last) = self._locate(lo), self._locate(hi - 1)
+        (i_lo, first), (i_hi, last) = self._locate(grade, lo), self._locate(grade, hi - 1)
         which = set_bits(named)
         at = 0
-        for i in range(i_lo, i_hi + 1):
-            layout = self.layouts[i]
-            start = first if i == i_lo else 0
-            end = last + 1 if i == i_hi else layout.width
-            s, mask = layout.base + start, (1 << (end - start)) - 1
+        for x in range(i_lo, i_hi + 1):
+            layout = self.layouts[x]
+            start = first if x == i_lo else 0
+            end = last + 1 if x == i_hi else layout.widths[grade]
+            s, mask = layout.base[grade] + start, (1 << (end - start)) - 1
             powers, offsets = layout.powers, layout.offsets
+            lift = [carry * layout.mult - s for carry in self.carries[grade]]
             for k in which:
-                j, i = divmod(k, n_f)
-                d = offsets[i] - s
+                j, i = divmod(ks[k], n_f)
+                d = offsets[i] + lift[j]
                 p = powers[j] << d if d >= 0 else powers[j] >> -d
                 rows[k] |= (p & mask) << at
             at += end - start
         return rows, at
+
+
+def _degree(pk: _Packing, z_side: bool, code: int) -> int:
+    """The degree a search grades by of a biased code: its depth on the
+    inverse side (the sum of its exponents), its letter degree on the z
+    side (z not counted)."""
+    if not z_side:
+        return pk.depth(code)
+    w, n = pk.width, len(pk.letters)
+    mask = (1 << w) - 1
+    return sum((code >> i * w) & mask for i in range(n)) - n * (1 << (w - 1))
+
+
+def _grade_modulus(supplier: _RowSupplier) -> int:
+    """g: the gcd of the differences of the degrees of the terms of the
+    series whose powers give the rows, 0 when they are all equal."""
+    pk, s, z_side = supplier.packing, supplier.series, supplier.z_side
+    codes = pk.groups(s) if z_side else pk.codes(s)
+    degrees = [_degree(pk, z_side, c) for c in codes]
+    g = 0
+    for d in degrees:
+        g = math.gcd(g, d - degrees[0])
+    return g
 
 
 def _combine(rows: list[int], tag: int) -> int:
@@ -647,6 +761,31 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
     return ResidualReport(False, pk.depth(min(residual)), precision)
 
 
+class _Unknowns:
+    """The unknowns c * y^j of a search, j-major: unknown k is y^(k // n)
+    times the (k % n)-th monomial of the coefficient grid, n its size.
+    `_coefficients` sorts the grid by degree, so sorted stably by degree
+    the unknowns take the degrees in turn, each j-major: (j, i) is at
+    (max_ydeg + 1) * lo + j * (hi - lo) + i - lo, the grid's monomials of
+    i's degree being lo .. hi - 1."""
+
+    def __init__(self, monomials: list, max_ydeg: int):
+        self.monomials, self.ydeg = monomials, max_ydeg
+        self.degrees = [mono_deg(m) for m in monomials]
+        self.index = {m: i for i, m in enumerate(monomials)}
+
+    def __getitem__(self, k: int) -> tuple[int, Monomial]:
+        j, i = divmod(k, len(self.monomials))
+        return j, self.monomials[i]
+
+    def rank(self, k: int) -> tuple[int, int]:
+        """The degree of unknown k and its place in that order."""
+        j, i = divmod(k, len(self.degrees))
+        d = self.degrees[i]
+        lo, hi = bisect_left(self.degrees, d), bisect_right(self.degrees, d)
+        return d, (self.ydeg + 1) * lo + j * (hi - lo) + i - lo
+
+
 def _materialize(tag: int, unknowns) -> Relation:
     """The relation a null vector spells; its unknowns (j, m) are distinct."""
     coeffs: dict[int, list] = {}
@@ -656,24 +795,25 @@ def _materialize(tag: int, unknowns) -> Relation:
     return Relation({j: Gf2Poly._raw(frozenset(ms)) for j, ms in coeffs.items()})
 
 
-def _least_degree_span(tags: list[int], unknowns) -> list[int]:
+def _least_degree_span(tags: list[int], unknowns: _Unknowns) -> list[int]:
     """Basis of the least-degree part of the span of the independent `tags`,
     echelonised so that each lead is its highest (degree, index) unknown."""
-    degree = {m: mono_deg(m) for m in {m for _, m in unknowns}}
-    deg = [degree[m] for _, m in unknowns]
-    order = sorted(range(len(deg)), key=deg.__getitem__)  # stable: ties by index
-    rank = {i: r for r, i in enumerate(order)}
+    degree: dict[int, int] = {}
     leads: dict[int, tuple[int, int]] = {}
     for tag in tags:
-        key = sum(1 << rank[i] for i in set_bits(tag))
+        key = 0
+        for i in set_bits(tag):
+            d, r = unknowns.rank(i)
+            degree[r] = d
+            key |= 1 << r
         while (lead := key.bit_length() - 1) in leads:
             key, tag = key ^ leads[lead][0], tag ^ leads[lead][1]
         leads[lead] = (key, tag)
-    least = deg[order[min(leads)]]
-    return [t for r, (_, t) in leads.items() if deg[order[r]] == least]
+    least = degree[min(leads)]
+    return [t for r, (_, t) in leads.items() if degree[r] == least]
 
 
-def _stripped_basis(tags: list[int], unknowns) -> list[Relation]:
+def _stripped_basis(tags: list[int], unknowns: _Unknowns) -> list[Relation]:
     """The relations of the reduced null basis `tags`, each stripped of its
     content if that stays a null vector (on a shallow target it may not).
     Each tag's highest bit is in no other tag, so x is in the span exactly
@@ -681,14 +821,12 @@ def _stripped_basis(tags: list[int], unknowns) -> list[Relation]:
     rels = [_materialize(tag, unknowns) for tag in tags]
     if not any(rel.content() for rel in rels):
         return rels
-    index = {u: i for i, u in enumerate(unknowns)}
-    leads = [0] * len(unknowns)
-    for tag in tags:
-        leads[tag.bit_length() - 1] = tag
+    leads = defaultdict(int, {tag.bit_length() - 1: tag for tag in tags})
     out = []
     for rel in rels:
         stripped = rel.content_stripped()
-        x = sum(1 << index[j, m] for j, c in stripped.coeffs.items() for m in c.terms)
+        n, index = len(unknowns.monomials), unknowns.index
+        x = sum(1 << j * n + index[m] for j, c in stripped.coeffs.items() for m in c.terms)
         out.append(stripped if _combine(leads, x) == x else rel)
     return out
 
@@ -760,7 +898,7 @@ def find_relation(
     tags = _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
     if not tags:
         return []
-    unknowns = [(j, m) for j in range(max_ydeg + 1) for m in grid[0]]
+    unknowns = _Unknowns(grid[0], max_ydeg)
     best = _least_relation(tags, unknowns)
     basis = dict.fromkeys(_stripped_basis(tags, unknowns))
     rest = sorted((r for r in basis if r != best), key=_relation_sort_key)
@@ -791,8 +929,9 @@ def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
 
 
 def _first_solve_size(n_unknowns: int) -> int:
-    """Equations of a search's first solve: the (aabb) G system is solved
-    once, and few spare null vectors reach the residual pass."""
+    """Equations of a search's first solves, shared by its grades: each
+    (aabb) G grade is solved once, and few spare null vectors reach the
+    residual pass."""
     return 3 * (n_unknowns + 256) // 2
 
 
@@ -817,19 +956,22 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]
     p_sys = min(prec, verify_bound)
 
     # keys grow by depth only as deep as the solve reads them: the first n
-    # are the n shallowest of the system cut at p_sys + shift, and fewer
-    # than n are known only when they are the whole system
+    # of a grade are the n shallowest of its system cut at p_sys + shift,
+    # and fewer than n are known only when they are its whole system
     grown = _GrownRows(supplier, max_ydeg, factors, p_sys + shift)
     n_unknowns = len(ys) * len(factors)
 
-    # solve on the `_first_solve_size` shallowest equations first.  While
-    # the solution space stays implausibly large (the residual pass below
-    # is linear in it), impose the next block of equations on it alone:
-    # null([A | B]) is {x in null(A) : xB = 0}, and combining the tags by
-    # the block's null combinations gives the basis a solve of [A | B]
-    # would (see gf2linalg)
-    n_first = _first_solve_size(n_unknowns)
-    n_eq = min(grown.grow(n_first), n_first)
+    # solve each grade first on the shallowest of its equations known once
+    # `_first_solve_size` keys are, at most its share of them by its
+    # unknowns.  While a grade's solution space stays implausibly large
+    # (the residual pass below is linear in it), impose the next block of
+    # its equations on it alone: null([A | B]) is {x in null(A) : xB = 0},
+    # and combining the tags by the block's null combinations gives the
+    # basis a solve of [A | B] would (see gf2linalg)
+    whole = _first_solve_size(n_unknowns)
+    grown.grow(whole)
+    n_eqs = [min(n, -(-whole * len(ks) // n_unknowns))
+             for n, ks in zip(grown.counts, grown.grades)]
     n_direct = supplier.equations(grown, p_sys, n_unknowns)
     if n_direct < n_unknowns:
         warnings.warn(
@@ -837,14 +979,21 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]
             f"{n_unknowns} unknowns below depth {p_sys}",
             stacklevel=3,
         )
-    tags = nullspace(*grown.block(0, n_eq, (1 << n_unknowns) - 1))
-    while len(tags) > 24 and n_eq < grown.grow(2 * n_eq):
-        lo, n_eq = n_eq, min(grown.count, 2 * n_eq)
-        # only the unknowns some null vector names need rows
-        named = 0
-        for tag in tags:
-            named |= tag
-        tags = _restrict(tags, *grown.block(lo, n_eq, named))
+    tags = []
+    for r, (ks, n_eq) in enumerate(zip(grown.grades, n_eqs)):
+        found = nullspace(*grown.block(r, 0, n_eq, (1 << len(ks)) - 1))
+        while len(found) > 24 and n_eq < grown.grow(2 * n_eq, r):
+            lo, n_eq = n_eq, min(grown.counts[r], 2 * n_eq)
+            # only the unknowns some null vector names need rows
+            named = 0
+            for tag in found:
+                named |= tag
+            found = _restrict(found, *grown.block(r, lo, n_eq, named))
+        tags += [sum(1 << ks[i] for i in set_bits(tag)) for tag in found]
+    # a row depends on the rows before it exactly when it does within its
+    # grade, so in order of their highest bits these are the tags of one
+    # solve on every grade's equations
+    tags.sort()
 
     # impose the remaining equations exactly, at full available precision
     shifts = [(j, f) for j in ys for f in factors]
@@ -903,6 +1052,5 @@ def minimal_degree_report(
     for ydeg in range(1, ydeg_cap + 1):
         tags = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)
         if tags:
-            unknowns = [(j, m) for j in range(ydeg + 1) for m in grid[0]]
-            return ydeg, _least_relation(tags, unknowns)
+            return ydeg, _least_relation(tags, _Unknowns(grid[0], ydeg))
     return None, None

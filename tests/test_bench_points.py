@@ -55,9 +55,10 @@ def test_positions_counters_count_indices():
 
 def test_nullspace_counters_match_the_calls_made(monkeypatch):
     # c(baaa) G at y-degree 6 and coefficient degree 8 makes all three
-    # kinds of call: the first solve leaves 144 null vectors, one widening
-    # step leaves 79, and the residual pass rules them out.  The traced
-    # counters must add up what `cfalg.nullspace` received
+    # kinds of call: the first solve of each of its four grades leaves 29
+    # to 38 null vectors, one widening step each leaves 79 between them,
+    # and the residual pass rules them out.  The traced counters must add
+    # up what `cfalg.nullspace` received
     spans = _spans()
     received = []
     solve = cf2.cfalg.nullspace
@@ -72,7 +73,10 @@ def test_nullspace_counters_match_the_calls_made(monkeypatch):
     tracer = spans.Tracer()
     with tracer.patched(cf2):
         assert cf2.cfalg.find_relation(g, 6, 8, prec=64) == []
-    assert [(r, n) for r, _, n in received] == [(1155, 144), (144, 79), (79, 0)]
+    assert [(r, n) for r, _, n in received] == [
+        (306, 29), (29, 29), (269, 34), (34, 20), (284, 38), (38, 11),
+        (296, 36), (36, 19), (79, 0),
+    ]
     metrics = tracer.layer_metrics(0, 1.0)
     assert metrics["gf2linalg.nullspace_calls"] == len(received)
     assert metrics["gf2linalg.rows"] == sum(r for r, _, _ in received)
@@ -124,34 +128,53 @@ def test_a_z_sweep_forms_each_power_once_packed(monkeypatch):
     assert calls == (0, 0)
 
 
-def test_the_inv_search_elimination_keeps_its_shape(tmp_path):
-    # the benchmark's three inverse-power searches solve 3 systems: each
-    # first solve leaves only the search's relations, so none widens and
-    # no residual pass solves.  The tags do not depend on how `nullspace`
-    # pivots, so neither does the widening schedule nor any of these
-    # counts.  `cols` adds up the bits of the blocks' key layouts, not
-    # their equations; the a(bc) CF layouts are those of its reciprocal's
-    # powers
+def _traced_grades(monkeypatch, tmp_path, name):
+    """The traced run of a workload's pass: its per-layer metrics and the
+    grade count of every search of every task."""
+    grades = []
+
+    class Recording(cf2.cfalg._GrownRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grades[-1][1].append(len(self.grades))
+
+    monkeypatch.setattr(cf2.cfalg, "_GrownRows", Recording)
     spans = _spans()
-    workload = _bench("workloads").build("inv-search", cf2, 7, tmp_path)
+    workload = _bench("workloads").build(name, cf2, 7, tmp_path)
     tracer = spans.Tracer()
     with tracer.patched(cf2):
-        for _, task in workload.tasks:
+        for label, task in workload.tasks:
+            grades.append((label, []))
             assert task()
-    metrics = tracer.layer_metrics(0, 1.0)
-    assert metrics["gf2linalg.nullspace_calls"] == 3
+    return tracer.layer_metrics(0, 1.0), grades
+
+
+def test_the_inv_search_elimination_keeps_its_shape(tmp_path, monkeypatch):
+    # the benchmark's three inverse-power searches each solve two grades,
+    # by the parity of their keys' depths: 6 systems, and each first solve
+    # leaves only the search's relations, so none widens and no residual
+    # pass solves.  The tags do not depend on how `nullspace` pivots, so
+    # neither does the widening schedule nor any of these counts.  `cols`
+    # adds up the bits of the blocks' key layouts, not their equations;
+    # the a(bc) CF layouts are those of its reciprocal's powers
+    metrics, grades = _traced_grades(monkeypatch, tmp_path, "inv-search")
+    assert [n for _, n in grades] == [[2], [2], [2]]
+    assert metrics["gf2linalg.nullspace_calls"] == 6
     assert metrics["gf2linalg.rows"] == 3071
-    assert metrics["gf2linalg.cols"] == 12787
+    assert metrics["gf2linalg.cols"] == 13172
     assert metrics["gf2linalg.nullity"] == 8
 
 
 def test_the_z_sweep_elimination_keeps_its_shape(tmp_path, monkeypatch):
-    # the benchmark's three F sweeps solve 9 systems over their y-degrees:
-    # a first solve per y-degree and one residual pass, on (aabb) F at
-    # degree 4.  Rows grown by depth give each solve the equations that
-    # rows cut at the solve precision would, so these counts but `cols`
-    # (layout bits) are the full-row search's.  A sweep builds only the
-    # relation it returns, so it strips no basis
+    # the benchmark's three F sweeps solve 52 systems over their y-degrees:
+    # a first solve per grade, the grades being the letter degrees of the
+    # keys, and no residual pass solves, as every first solve leaves only
+    # relations (solved as one grade, (aabb) F at degree 4 left 3 null
+    # vectors, and the residual pass ruled one out).  Rows grown by
+    # depth give each solve the equations that rows cut at the solve
+    # precision would, so these counts but `cols` (layout bits) are the
+    # full-row search's.  A sweep builds only the relation it returns, so
+    # it strips no basis
     stripped = []
     stripped_basis = cf2.cfalg._stripped_basis
 
@@ -160,15 +183,11 @@ def test_the_z_sweep_elimination_keeps_its_shape(tmp_path, monkeypatch):
         return stripped_basis(tags, unknowns)
 
     monkeypatch.setattr(cf2.cfalg, "_stripped_basis", counting)
-    spans = _spans()
-    workload = _bench("workloads").build("z-sweep", cf2, 7, tmp_path)
-    tracer = spans.Tracer()
-    with tracer.patched(cf2):
-        for _, task in workload.tasks:
-            assert task()
+    metrics, grades = _traced_grades(monkeypatch, tmp_path, "z-sweep")
     assert stripped == []
-    metrics = tracer.layer_metrics(0, 1.0)
-    assert metrics["gf2linalg.nullspace_calls"] == 9
-    assert metrics["gf2linalg.rows"] == 2993
-    assert metrics["gf2linalg.cols"] == 18392
-    assert metrics["gf2linalg.nullity"] == 24
+    # one search per y-degree, F having letter degree 1 in each term
+    assert [n for _, n in grades] == [[5, 6], [5, 6], [6, 7, 8, 9]]
+    assert metrics["gf2linalg.nullspace_calls"] == 52
+    assert metrics["gf2linalg.rows"] == 2990
+    assert metrics["gf2linalg.cols"] == 16710
+    assert metrics["gf2linalg.nullity"] == 21

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from cf2 import (
     build_word,
     compute_F,
     compute_F0,
+    compute_Fn,
     compute_G,
     compute_Gn,
     compute_cf,
@@ -498,9 +500,11 @@ class TestFindRelation:
         assert [r.to_file_text() for r in rels] == expected
 
     def test_widening_restricts_the_first_nullspace(self, monkeypatch):
-        # the (abc) G first solve leaves 33 null vectors, so the next 4245
-        # equations are imposed on those vectors alone, not on all unknowns,
-        # and only the 558 unknowns they name get rows on those equations
+        # (abc) G has two grades, by the parity of their keys' depths.  The
+        # first solve of the second leaves 27 null vectors, so its next 2093
+        # equations are imposed on those vectors alone, not on all its
+        # unknowns, and only the 384 unknowns they name get rows on those
+        # equations
         calls, blocks = [], []
 
         def recording(rows, n_cols):
@@ -510,21 +514,23 @@ class TestFindRelation:
 
         block = cfalg._GrownRows.block
 
-        def spying(self, lo, hi, named):
-            rows, width = block(self, lo, hi, named)
+        def spying(self, grade, lo, hi, named):
+            rows, width = block(self, grade, lo, hi, named)
             union = 0
             for row in rows:
                 union |= row
-            blocks.append((hi - lo, named.bit_count(), union.bit_count()))
+            blocks.append((grade, hi - lo, named.bit_count(), union.bit_count()))
             return rows, width
 
         monkeypatch.setattr(cfalg, "nullspace", recording)
         monkeypatch.setattr(cfalg._GrownRows, "block", spying)
         g = compute_G(EpsSpec.parse("(abc)"), 2 * 256 + 24)
         rels = find_relation(g, max_ydeg=8, coeff_deg_bound=10, prec=256)
-        assert calls == [(2574, 33), (33, 20)]
-        # 4245 equations a block; the named unknowns' rows meet 736 of them
-        assert blocks == [(4245, 2574, 4245), (4245, 558, 736)]
+        assert calls == [(1305, 9), (1269, 27), (27, 13), (22, 20)]
+        # the named unknowns' rows meet 544 of the block's 2093 equations
+        assert blocks == [
+            (0, 2153, 1305, 2153), (1, 2093, 1269, 2093), (1, 2093, 384, 544)
+        ]
         assert len(rels) == 1
         # the relation that one solve on every equation finds
         monkeypatch.undo()
@@ -565,9 +571,9 @@ class TestFindRelation:
 
     def test_a_band_splits_only_where_the_split_pays(self, monkeypatch):
         # halving a band while the halves take under 9/10 of its bits left
-        # ca(cc) G 58 layouts for its 706 keys, and `block` pays a shift,
-        # mask and OR per layout for every unknown; a split must also save
-        # 512 bits
+        # ca(cc) G 58 layouts for its 706 keys (17 on the boxes its eight
+        # grades share), and `block` pays a shift, mask and OR per layout
+        # for every unknown; a split must also save 512 bits
         grown = []
 
         class Recording(cfalg._GrownRows):
@@ -579,7 +585,7 @@ class TestFindRelation:
         g = compute_G(EpsSpec.parse("ca(cc)"), 2 * 256 + 16)
         assert find_relation(g, 8, 6, prec=256) == []
         [rows] = grown
-        assert (rows.count, len(rows.layouts)) == (706, 6)
+        assert (rows.count, len(rows.layouts), len(rows.grades)) == (706, 5, 8)
 
     @pytest.mark.parametrize("packed", [False, True])
     def test_a_search_scans_the_target_once(self, packed, monkeypatch):
@@ -684,18 +690,27 @@ class TestFindRelation:
         self, build, bounds, n_unknowns, monkeypatch
     ):
         # the closed-form count refuses exactly the searches whose first
-        # solve would exceed the cap
-        rows = []
+        # solves, one per grade, would exceed the cap between them
+        rows, grown = [], []
 
         def recording(rs, n_cols):
             rows.append(len(rs))
             return nullspace(rs, n_cols)
 
+        class Recording(cfalg._GrownRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grown.append(self)
+
         monkeypatch.setattr(cfalg, "nullspace", recording)
+        monkeypatch.setattr(cfalg, "_GrownRows", Recording)
         target = build(EpsSpec.parse("(ab)"), 64)
         monkeypatch.setattr(cfalg, "MAX_UNKNOWNS", n_unknowns)
         find_relation(target, *bounds, prec=16)
-        assert rows[0] == n_unknowns
+        [search] = grown
+        first = rows[: len(search.grades)]
+        assert first == [len(ks) for ks in search.grades]
+        assert sum(first) == n_unknowns
         monkeypatch.setattr(cfalg, "MAX_UNKNOWNS", n_unknowns - 1)
         with pytest.raises(WordTooLargeError):
             find_relation(target, *bounds, prec=16)
@@ -703,30 +718,47 @@ class TestFindRelation:
             minimal_degree_report(target, *bounds, prec=16)
 
 
+# the search's row builder, which `_FullRows` takes its grades from while
+# a search runs on `_FullRows` in its place
+_GradedRows = cfalg._GrownRows
+
+
 class _FullRows:
-    """Test-only copy of the full-row search: every row cut at p_sys, every
-    key of the system sorted before the first solve, and each block's
-    rows set bit by bit from the cut rows, bit i for the block's i-th key."""
+    """Test-only copy of the full-row search: every row cut at p_sys, each
+    grade's keys sorted before the first solve, and each block's rows set
+    bit by bit from the cut rows, bit i for the block's i-th key.  The
+    grades are the search's own, and so is the growth: the keys known are
+    those below the end of the bands (-inf, D), [D, 2D), ... up to p_sys,
+    D = max(8, p_sys / 8), until as many as asked for are known."""
 
     def __init__(self, supplier, max_ydeg, factors, p_sys):
-        self.rows = [
+        self.grades = _GradedRows(supplier, max_ydeg, factors, p_sys).grades
+        rows = [
             supplier.support(j, f, p_sys)
             for j in range(max_ydeg + 1)
             for f in factors
         ]
-        all_keys: set = set()
-        for sup in self.rows:
-            all_keys.update(sup)
-        self.keys = sorted(all_keys)
-        self.count = len(self.keys)
+        self.rows = [[rows[k] for k in ks] for ks in self.grades]
+        self.keys = [sorted(set().union(*grade)) for grade in self.rows]
+        self.limit, self.p_sys, self.depth = supplier.packing.limit, p_sys, -math.inf
+        self.counts, self.count = [0] * len(self.grades), 0
 
-    def grow(self, n):
-        return self.count
+    def grow(self, n, grade=None):
+        def known():
+            return self.count if grade is None else self.counts[grade]
 
-    def block(self, lo, hi, named):
-        index = {k: i for i, k in enumerate(self.keys[lo:hi])}
+        while known() < n and self.depth < self.p_sys:
+            self.depth = min(self.p_sys, max(8, self.p_sys / 8, 2 * self.depth))
+            end = self.limit(math.ceil(self.depth))
+            self.counts = [bisect_left(keys, end) for keys in self.keys]
+            self.count = sum(self.counts)
+        return known()
+
+    def block(self, grade, lo, hi, named):
+        index = {k: i for i, k in enumerate(self.keys[grade][lo:hi])}
         rows = [
-            sum(1 << index[k] for k in row if k in index) for row in self.rows
+            sum(1 << index[k] for k in row if k in index)
+            for row in self.rows[grade]
         ]
         return rows, hi - lo
 
@@ -836,35 +868,45 @@ class TestDepthGrownRows:
         p_sys = min(prec, target.precision - coeff)
         full = _FullRows(supplier, ydeg, factors, p_sys)
         grown = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
-        n_unknowns = (ydeg + 1) * len(factors)
-        pk, everyone = supplier.packing, (1 << n_unknowns) - 1
+        pk = supplier.packing
         while grown.depth < p_sys:
             count = grown.count
             n = grown.grow(count + 1)
-            # every key shallower than the depth reached, and no other
-            assert n == bisect_left(full.keys, pk.limit(grown.depth))
-            # the rows on the whole, an inner block and the tail: the same
-            # equations in the same order, on as many bits as the first
-            # key to the last span
-            lo = rng.randint(0, n)
-            hi = rng.randint(lo, n)
-            for a, b in ((0, n), (lo, hi), (lo, n)):
-                rows, width = grown.block(a, b, everyone)
-                assert _columns(rows) == _columns(full.block(a, b, everyone)[0])
-                union = 0
-                for row in rows:
-                    union |= row
-                assert union.bit_length() == width
-                assert union & 1 == (a < b)
-            # unknowns not named get 0 rows, the named ones theirs
-            named = rng.getrandbits(n_unknowns)
-            rows = grown.block(lo, hi, named)[0]
-            whole = grown.block(lo, hi, everyone)[0]
-            assert rows == [r if named >> i & 1 else 0 for i, r in enumerate(whole)]
-            # growth stops only once it knows the keys asked for, or at p_sys
+            assert n == grown.count == sum(grown.counts)
+            for grade, ks in enumerate(grown.grades):
+                # every key of the grade shallower than the depth reached,
+                # and no other
+                n = grown.counts[grade]
+                assert n == bisect_left(full.keys[grade], pk.limit(grown.depth))
+                # the rows on the whole, an inner block and the tail: the
+                # same equations in the same order, on as many bits as the
+                # first key to the last span
+                everyone = (1 << len(ks)) - 1
+                lo = rng.randint(0, n)
+                hi = rng.randint(lo, n)
+                for a, b in ((0, n), (lo, hi), (lo, n)):
+                    rows, width = grown.block(grade, a, b, everyone)
+                    reference = full.block(grade, a, b, everyone)[0]
+                    assert _columns(rows) == _columns(reference)
+                    union = 0
+                    for row in rows:
+                        union |= row
+                    assert union.bit_length() == width
+                    assert union & 1 == (a < b)
+                # unknowns not named get 0 rows, the named ones theirs
+                named = rng.getrandbits(len(ks))
+                rows = grown.block(grade, lo, hi, named)[0]
+                whole = grown.block(grade, lo, hi, everyone)[0]
+                assert rows == [r if named >> i & 1 else 0 for i, r in enumerate(whole)]
+                # growth for one grade stops only once it knows the keys
+                # asked for, or at p_sys
+                fresh = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
+                least = min(n + 1, len(full.keys[grade]))
+                assert fresh.grow(n + 1, grade) >= least
+            # and so does growth for all of them
             fresh = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
-            assert fresh.grow(count + 1) >= min(count + 1, len(full.keys))
-        assert grown.count == len(full.keys)
+            assert fresh.grow(count + 1) >= min(count + 1, sum(map(len, full.keys)))
+        assert grown.counts == [len(keys) for keys in full.keys]
 
 
 class TestSupplierWidth:
@@ -945,6 +987,147 @@ class TestFirstSolveSize:
             assert bool(final) == (found[0] is not None if sweep else bool(found))
             runs.append((found, caught, final))
         assert runs[0] == runs[1] == runs[2]
+
+
+def _graded_target(kind: str, spec: EpsSpec, piece: int, precision: int):
+    """A target of one of the kinds the grading tells apart: G, G_n, the
+    continued fraction and its reciprocal (odd depths, g = 2 for l = 0),
+    F, F_0 and F_n (one letter degree, g = 0), and two of mixed classes,
+    G + 1 and F + F_0."""
+    n = piece % spec.d
+    return {
+        "G": lambda: compute_G(spec, precision),
+        "Gn": lambda: compute_Gn(spec, n, precision),
+        "cf": lambda: compute_cf(spec, precision),
+        "inv": lambda: compute_inv_cf(spec, precision),
+        "F": lambda: compute_F(spec, precision),
+        "F0": lambda: compute_F0(spec, precision),
+        "Fn": lambda: compute_Fn(spec, n, precision),
+        "G+1": lambda: compute_G(spec, precision) + InvSeries.one(),
+        "F+F0": lambda: compute_F(spec, precision) + compute_F0(spec, precision),
+    }[kind]()
+
+
+# the benchmark's six searches: (target, bounds, prec)
+_BENCH_SEARCHES = [
+    (lambda: compute_G(EpsSpec.parse("(ab)"), 528), (4, 3, None), 256),
+    (lambda: compute_cf(EpsSpec.parse("a(bc)"), 528), (4, 6, None), 256),
+    (lambda: compute_G(EpsSpec.parse("(aabb)"), 1048), (16, 16, None), 512),
+    (lambda: compute_F(EpsSpec.parse("(ab)"), 528), (2, 3, 3), 256),
+    (lambda: compute_F(EpsSpec.parse("a(bc)"), 528), (2, 3, 8), 256),
+    (lambda: compute_F(EpsSpec.parse("(aabb)"), 528), (4, 4, 8), 256),
+]
+
+
+class TestGrades:
+    """A search solves each grade of its system on its own: the unknowns
+    whose keys' degrees (depth on the inverse side, letter degree on the z
+    side) fall in one class mod g, g the gcd of the differences of the
+    target's term degrees.  No key is in two grades, so the tags are those
+    of one solve over every unknown, the single grade of g = 1."""
+
+    @pytest.mark.parametrize("kind, text, g, grades", [
+        ("G", "(ab)", 2, 2),       # depths 1, 3, 7, ...
+        ("G", "a(bc)", 4, 4),      # depths 3, 7, 15, ...
+        ("inv", "a(bc)", 2, 2),
+        ("cf", "a(bc)", 2, 2),     # searched on its reciprocal
+        ("Gn", "(a)", 1, 1),       # depths 0, 1, 3, ...: one grade
+        ("Gn", "(ab)", 3, 3),      # depths 0, 3, 15, ...
+        ("G+1", "(ab)", 1, 1),
+        ("F", "(ab)", 0, 6),       # letter degree 1: grades 0 .. 5
+        ("F0", "(ab)", 0, 1),      # letter-free, and so are the coefficients
+        ("Fn", "a(bc)", 0, 1),
+        ("F+F0", "(ab)", 1, 1),
+    ])
+    def test_the_grade_modulus(self, kind, text, g, grades):
+        target = _graded_target(kind, EpsSpec.parse(text), 0, 64)
+        bounds = (2, 3, 2 if isinstance(target, ZSeries) else None)
+        supplier, factors = _search_rows(target, *bounds)
+        if kind == "cf":
+            letters, _, top = cfalg._search_bounds(target, *bounds)
+            supplier = cfalg._ReciprocalRows(target, 2, letters, 3, top)
+        assert cfalg._grade_modulus(supplier) == g
+        grown = cfalg._GrownRows(supplier, 2, factors, 32)
+        assert len(grown.grades) == grades
+        assert sorted(k for ks in grown.grades for k in ks) == list(
+            range(3 * len(factors)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eps_specs(max_pre=2, max_per=3, n_letters=3),
+        st.sampled_from(["G", "Gn", "cf", "inv", "F", "F0", "Fn", "G+1", "F+F0"]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([4, 8, 32, 64]),
+        st.one_of(st.booleans(), st.integers(min_value=3, max_value=40)),
+        st.booleans(),
+    )
+    # a grade of c * y^j needs the class of y^j: without it the (ab) G
+    # relation's unknowns fall in two grades, and no grade holds it
+    @example(EpsSpec.parse("(ab)"), "G", 0, 4, 3, 0, 64, True, False)
+    # one grade where g = 1: parity would split keys that share a depth class
+    @example(EpsSpec.parse("(ab)"), "G+1", 0, 4, 3, 0, 64, True, False)
+    @example(EpsSpec.parse("(a)"), "Gn", 0, 2, 2, 0, 32, True, True)
+    # the z side: one grade per letter degree, and mixed degrees
+    @example(EpsSpec.parse("(aabb)"), "F", 0, 4, 4, 8, 64, True, True)
+    @example(EpsSpec.parse("(ab)"), "F+F0", 0, 2, 2, 3, 32, True, False)
+    # shallow, with both warnings
+    @example(EpsSpec.parse("(a)"), "cf", 0, 4, 4, 0, 128, 27, False)
+    def test_matches_the_single_grade_search(
+        self, spec, kind, piece, ydeg, coeff, z_bound, prec, deep, sweep
+    ):
+        target = _graded_target(kind, spec, piece, _precision(prec, deep))
+        z_side = isinstance(target, ZSeries)
+        bounds = (ydeg, coeff, z_bound if z_side else None)
+        search = minimal_degree_report if sweep else find_relation
+        solve = cfalg._find_relation
+        runs = []
+        for modulus in (cfalg._grade_modulus, lambda supplier: 1):
+            final = []
+
+            def recording(*args):
+                final.append(solve(*args))
+                return final[-1]
+
+            found, caught, _ = _recorded_search(
+                search, target, bounds, prec,
+                _grade_modulus=modulus, _find_relation=recording,
+            )
+            runs.append((found, caught, final))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("search", _BENCH_SEARCHES)
+    def test_grades_share_no_key_and_narrow_the_layouts(self, search, monkeypatch):
+        build, bounds, prec = search
+        target = build()
+        letters, _, top = cfalg._search_bounds(target, *bounds)
+        supplier = cfalg._row_kind(target)(target, bounds[0], letters, bounds[1], top)
+        factors = cfalg._coefficients(
+            supplier.packing, (letters, bounds[2], top), bounds[1])[1]
+        n = (bounds[0] + 1) * len(factors)
+
+        def first_solve_rows():
+            grown = cfalg._GrownRows(supplier, bounds[0], factors, prec)
+            grown.grow(cfalg._first_solve_size(n))
+            return grown
+
+        grown = first_solve_rows()
+        assert len(grown.grades) > 1
+        # the keys of each grade's rows below the depth grown to
+        keys = [set() for _ in grown.grades]
+        for grade, ks in zip(keys, grown.grades):
+            for k in ks:
+                j, i = divmod(k, len(factors))
+                grade.update(supplier.support(j, factors[i], grown.depth))
+        assert sum(map(len, keys)) == len(set().union(*keys)) == grown.count
+        # each grade's layouts span fewer bits than the single grade's
+        widths = [sum(x.widths[g] for x in grown.layouts) for g in range(len(keys))]
+        monkeypatch.setattr(cfalg, "_grade_modulus", lambda supplier: 1)
+        single = first_solve_rows()
+        assert len(single.grades) == 1
+        assert max(widths) < sum(x.widths[0] for x in single.layouts)
 
 
 class TestPackedTarget:
@@ -1034,12 +1217,14 @@ class TestReciprocalRoute:
 
 @st.composite
 def _tagged_unknowns(draw):
-    """Unknowns (j, m) of mixed monomial degrees and independent tags."""
-    degrees = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
-                            max_size=10))
-    unknowns = [(draw(st.integers(min_value=0, max_value=2)),
-                 (("a", d),) if d else ()) for d in degrees]
-    words = st.integers(min_value=1, max_value=(1 << len(degrees)) - 1)
+    """The unknowns of a degree-sorted grid of mixed monomial degrees, and
+    independent tags."""
+    degrees = sorted(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                   min_size=1, max_size=5)))
+    ydeg = draw(st.integers(min_value=0, max_value=2))
+    grid = [(("a", d),) if d else () for d in degrees]
+    unknowns = cfalg._Unknowns(grid, ydeg)
+    words = st.integers(min_value=1, max_value=(1 << (ydeg + 1) * len(grid)) - 1)
     tags, leads = [], {}
     for tag in draw(st.lists(words, min_size=1, max_size=6)):
         v = tag

@@ -137,8 +137,9 @@ def test_pivot_choice_does_not_change_the_tags(system):
 
 
 def test_the_largest_search_system_gives_the_reference_tags(monkeypatch):
-    # the (aabb) G first solve, 2,601 unknowns over 4,285 equations, is
-    # the largest system the paper's searches pose, and its only solve
+    # the (aabb) G search, 2,601 unknowns, is the largest the paper's
+    # searches pose; it solves its two grades once each, on the 4,286
+    # shallowest equations between them
     received = []
 
     def recording(rows, n_cols):
@@ -148,12 +149,13 @@ def test_the_largest_search_system_gives_the_reference_tags(monkeypatch):
     monkeypatch.setattr(cf2.cfalg, "nullspace", recording)
     g = cf2.compute_G(EpsSpec.parse("(aabb)"), 2 * 512 + 24)
     assert cf2.find_relation(g, 16, 16, prec=512)
-    [(rows, n_cols)] = received
-    union = 0
-    for row in rows:
-        union |= row
-    # the 4,285 equations are the non-empty columns of the layout's bits
-    assert (len(rows), union.bit_count(), n_cols) == (2601, 4285, 7062)
-    tags = nullspace(list(rows), n_cols)
-    assert len(tags) == 3
-    assert tags == _lowest_bit_nullspace(rows, n_cols)
+    shapes = []
+    for rows, n_cols in received:
+        union = 0
+        for row in rows:
+            union |= row
+        tags = nullspace(list(rows), n_cols)
+        assert tags == _lowest_bit_nullspace(rows, n_cols)
+        shapes.append((len(rows), union.bit_count(), n_cols, len(tags)))
+    # the equations are the non-empty columns of the layout's bits
+    assert shapes == [(1305, 2150, 3584, 1), (1296, 2136, 3476, 2)]
