@@ -177,13 +177,14 @@ def compute_cf(spec: EpsSpec, precision: int) -> InvSeries:
     """The continued fraction itself (inverse of the reciprocal sum).
 
     The result carries the reciprocal sum, which `InvSeries.power` and
-    relation searches use, and keeps the packed codes Newton's iteration
-    formed: powers, searches and verification take them as they are, and
-    its terms are decoded only when first read.
+    relation searches use, and Newton's iteration deepened only as far as
+    it is read: a search reads its letters and its codes below the solve
+    depth, powers and verification read them all, packed, and its terms
+    are decoded only when first read.
     """
     inv = compute_inv_cf(spec, precision + 2)
     cf = inv.inverse(precision)
-    return InvSeries._raw(cf._terms, cf.precision, inv, cf.packed)
+    return InvSeries._raw(cf._terms, cf.precision, inv, cf._newton)
 
 
 def compute_G(spec: EpsSpec, precision: int) -> InvSeries:
@@ -313,8 +314,8 @@ class _RowSupplier:
     a z-side power keeps its codes grouped by letter part too.  The
     packing covers every code formed for y^0 .. y^ydeg (`_power_alphabet`)
     times a coefficient factor over `letters` of largest |exponent|
-    `f_top`; a search that has scanned the target passes its largest
-    |exponent| as `top`, `letters` then being the target's, and the
+    `f_top`; a search that has scanned the target passes its bound on
+    their |exponents| as `top`, `letters` then being the target's, and the
     `_own_alphabet` of its reciprocal as `r_own`.  A row is the
     codes of one power shifted by the bias-free code of a factor and cut at
     a depth bound.  Codes order by depth, then by their fields, whatever
@@ -406,7 +407,7 @@ class _ReciprocalRows(_RowSupplier):
         r_letters, r_top = self.r_own = _own_alphabet(r)
         super().__init__(r, ydeg, set(letters) | r_letters, f_top, r_top)
         self.target, self.ydeg = target, ydeg
-        # the target's letters and top exponent, and the coefficients' top
+        # the target's letters and exponent bound, and the coefficients' top
         self.own = (letters, top, f_top)
 
     def power(self, j: int) -> tuple[list[int], float]:
@@ -426,7 +427,7 @@ class _ReciprocalRows(_RowSupplier):
         and only when those fall short the direct system, built as the
         direct search builds it."""
         target, (letters, top, f_top) = self.target, self.own
-        count = _own_count(target, p_sys)
+        count = _own_count(target, p_sys, n)
         if count >= n:
             return count
         direct = _RowSupplier(target, self.ydeg, letters, f_top, top, self.r_own)
@@ -840,9 +841,11 @@ def _search_bounds(
     z_deg_bound: Optional[int],
 ) -> tuple[list[str], Optional[int], int]:
     """The target's letters, the z-degree bound in force (None on the
-    inverse side) and the largest |exponent| of the target's terms, once
-    the bounds are checked: one scan of the terms for the whole search, of
-    their codes when the target keeps them (`_own_alphabet`).
+    inverse side) and a bound on the |exponents| of the target's terms,
+    once the bounds are checked: one scan of the terms for the whole
+    search (`_own_alphabet`).  An inverse's letters are read off Newton's
+    iteration, deepened until it shows every letter of the operand or to
+    its end, and its bound is the iteration's packing bound.
 
     The unknowns, (max_ydeg + 1) powers times C(#letters + coeff_deg_bound,
     #letters) letter monomials times the z powers, are counted in closed

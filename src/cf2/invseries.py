@@ -32,7 +32,8 @@ of the results (computed from the operands' actual exponents, not
 assumed), and the public form stays the tuple one, decoded when first
 read.  An inverse is Newton's iteration x <- s * x^2 (2x - s * x^2 in
 characteristic 2): each step is a Frobenius square, one int operation per
-code, and one product, and doubles the depth to which x is known.
+code, and one product, and doubles the depth to which x is known.  Its
+steps are made only as far as the inverse is read (`_Newton`).
 
 Powers of both series kinds are formed packed by `_power_codes`:
 `gf2poly.binary_power` over the Frobenius powers s^(2^k).  On the inverse
@@ -169,16 +170,10 @@ class _Packing:
         for i, v in enumerate(self.letters):
             yield v, [(c >> (i * w)) & mask for c in codes]
 
-    def alphabet(self, codes: list[int]) -> tuple[set[str], int]:
-        """`_alphabet` of the terms of some codes, read field by field."""
-        letters: set[str] = set()
-        top, half = 0, 1 << (self.width - 1)
-        for v, values in self.fields(codes):
-            lo, hi = min(values), max(values)
-            if lo != half or hi != half:
-                letters.add(v)
-                top = max(top, half - lo, hi - half)
-        return letters, top
+    def alphabet(self, codes: list[int]) -> set[str]:
+        """The letters of the terms of some codes, read field by field."""
+        half = 1 << (self.width - 1)
+        return {v for v, values in self.fields(codes) if any(x != half for x in values)}
 
     def transcode(self, pk: "_Packing", codes: list[int]) -> list[int]:
         """Codes over the packing pk re-encoded over this one, field by
@@ -289,24 +284,59 @@ def _letter_groups(s, precision=None) -> dict[Monomial, int]:
     return out
 
 
+class _Newton:
+    """Newton's iteration for an inverse 1/s, run only as deep as it is
+    read: the packing, the codes of s, the ascending codes of the iterate x
+    and the depth `known`, relative to m^-1 (m the least term of s, at
+    `m_depth`), below which x is the inverse; the iteration ends at `end`.
+    Its steps are those of one loop run to the end, wherever it stops."""
+
+    __slots__ = ("pk", "codes", "x", "known", "end", "m_depth")
+
+    def __init__(self, *state):
+        self.pk, self.codes, self.x, self.known, self.end, self.m_depth = state
+
+    def step(self, depth=math.inf) -> bool:
+        """One step, unless x is the whole inverse or known below depth."""
+        if self.known >= self.end or self.known - self.m_depth >= depth:
+            return False
+        self.known = known = min(2 * self.known, self.end)
+        # a code's double less the bias is the code of the term's square
+        squares = [2 * c - self.pk.bias for c in self.x]
+        self.x = sorted(self.pk.mul(self.codes, squares, known - self.m_depth))
+        return True
+
+    def letters(self) -> set[str]:
+        """The letters of the inverse: every term of 1/s is m^-1 times
+        terms of s, so x stops deepening once it has all of theirs."""
+        every = set(self.pk.letters)
+        while (found := self.pk.alphabet(self.x)) != every and self.step():
+            pass
+        return found
+
+
 def _own_alphabet(s) -> tuple[set[str], int]:
-    """`_alphabet` of the terms of an inverse-power series, read off the
-    codes it keeps when it has them, or of the distinct letter monomials
-    of a z-series' coefficients."""
+    """`_alphabet` of the terms of a series, or of the distinct letter
+    monomials of a z-series' coefficients.  A deferred inverse gives the
+    letters of `_Newton.letters` and the bound its packing holds."""
     if not isinstance(s, InvSeries):
         return _alphabet({m for terms in {c.terms for c in s.coeffs} for m in terms})
-    if s.packed is None:
+    if s._newton is None:
         return _alphabet(s.terms)
-    return s.packed[0].alphabet(s.packed[1])
+    return s._newton.letters(), (1 << s._newton.pk.width - 1) - 1
 
 
-def _own_count(s, precision) -> int:
-    """The terms of an inverse-power series of depth below precision,
-    counted on the codes it keeps when it has them."""
-    if s.packed is None:
+def _own_count(s, precision, enough) -> int:
+    """The terms of an inverse-power series of depth below precision if
+    fewer than `enough`, else a count >= enough: a deferred inverse
+    deepens only until its iterate shows that many or is known there."""
+    newton = s._newton
+    if newton is None:
         return sum(mono_deg(t) < precision for t in s.terms)
-    pk, codes = s.packed
-    return bisect_left(codes, pk.limit(precision))
+    limit = newton.pk.limit(precision)
+    while (count := bisect_left(newton.x, limit)) < enough and newton.step(precision):
+        pass
+    return count
 
 
 def _power_alphabet(s, j: int, own=None, r_own=None) -> tuple[set[str], int]:
@@ -399,16 +429,17 @@ def _z_power(s, pk: _Packing, j: int, cut: int) -> tuple[dict[int, int], int]:
 class InvSeries:
     """Finite term set plus a depth precision (terms of depth >= p dropped).
 
-    `packed`, when not None, is the `_Packing` and ascending codes of the
-    terms that `inverse` formed them as; `terms` is then decoded from them
-    when first read, and powers and relation searches take the codes as
-    they are.  `reciprocal` is set by `cfalg.compute_cf` for `power` and
-    for relation searches.
+    `_newton`, when not None, is the `_Newton` iteration of the inverse
+    this series is, deepened only as far as it is read: `packed` runs it
+    to the end, `terms` is decoded from its codes when first read, and
+    powers and relation searches take the codes as they are.
+    `reciprocal` is set by `cfalg.compute_cf` for `power` and for
+    relation searches.
     Both are set at construction only; equality, hashing and the JSON form
     ignore them.
     """
 
-    __slots__ = ("_terms", "precision", "reciprocal", "packed")
+    __slots__ = ("_terms", "precision", "reciprocal", "_newton")
 
     def __init__(self, terms: Iterable[Monomial] = (), precision=math.inf):
         acc: set[Monomial] = set()
@@ -416,21 +447,29 @@ class InvSeries:
             acc.symmetric_difference_update((t,))
         self._terms = frozenset(t for t in acc if mono_deg(t) < precision)
         self.precision = precision
-        self.reciprocal = self.packed = None
+        self.reciprocal = self._newton = None
 
     @classmethod
     def _raw(
         cls, terms: Optional[frozenset], precision,
         reciprocal: Optional["InvSeries"] = None,
-        packed: Optional[tuple[_Packing, list[int]]] = None,
+        newton: Optional[_Newton] = None,
     ) -> "InvSeries":
-        """A series of these terms, or, terms None, of these packed codes."""
+        """A series of these terms, or, terms None, of this inverse."""
         s = object.__new__(cls)
         s._terms = terms
         s.precision = precision
         s.reciprocal = reciprocal
-        s.packed = packed
+        s._newton = newton
         return s
+
+    @property
+    def packed(self) -> Optional[tuple[_Packing, list[int]]]:
+        """The packing and ascending codes of an inverse's terms, its
+        iteration run to the end; None for other series."""
+        while self._newton and self._newton.step():
+            pass
+        return self._newton and (self._newton.pk, self._newton.x)
 
     @property
     def terms(self) -> frozenset:
@@ -459,11 +498,10 @@ class InvSeries:
         return cls((mono_pow(m, -1) for m in monos), precision)
 
     def depth_norm(self):
-        """Minimal term depth; +inf for (truncated-to-)zero series.  Read
-        off the least code when the series keeps its codes."""
-        if self.packed is not None:
-            pk, codes = self.packed
-            return pk.depth(codes[0]) if codes else math.inf
+        """Minimal term depth; +inf for (truncated-to-)zero series.  That
+        of m^-1 on an inverse, nothing formed."""
+        if self._newton is not None:
+            return -self._newton.m_depth
         if not self.terms:
             return math.inf
         return min(mono_deg(t) for t in self.terms)
@@ -533,7 +571,8 @@ class InvSeries:
         `inverse_precision` at the depth of m.  From x = m^-1, each step
         x <- self * x^2 (Newton's 2x - self * x^2 in characteristic 2), one
         Frobenius square and one product, doubles the depth below which x
-        is known (Kung, 1974).
+        is known (Kung, 1974).  The steps are made only as its terms are
+        read (`_Newton`).
         """
         if not self.terms:
             raise NotInvertibleError("zero (at this precision) is not invertible")
@@ -562,13 +601,9 @@ class InvSeries:
         letters, top = _alphabet(self.terms)
         pk = _Packing(letters, 4 * (math.ceil(s_prec) // r_depth + 1) * top)
         codes = [pk.encode(mono_deg(t), t) for t in self.terms]
-        x = {pk.encode(-m_depth, mono_pow(m, -1))}
-        known = r_depth
-        while known < s_prec:
-            known = min(2 * known, s_prec)
-            # a code's double less the bias is the code of the term's square
-            x = pk.mul(codes, sorted(2 * c - pk.bias for c in x), known - m_depth)
-        return InvSeries._raw(None, out_prec, packed=(pk, sorted(x)))
+        x = [pk.encode(-m_depth, mono_pow(m, -1))]
+        return InvSeries._raw(
+            None, out_prec, newton=_Newton(pk, codes, x, r_depth, s_prec, m_depth))
 
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms, key=lambda t: (mono_deg(t), t))

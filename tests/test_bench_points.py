@@ -116,6 +116,25 @@ def test_a_cf_search_forms_each_power_once_packed(monkeypatch):
     assert calls == (0, 0)
 
 
+def test_a_cf_search_runs_newton_only_below_its_solve_depth():
+    # the benchmark's a(bc) CF search solves below p_sys = 256 and reads
+    # the continued fraction y only for its letters and for a count of
+    # its codes below p_sys against its 420 unknowns, so Newton's
+    # iteration stops at the iterate known below depth 255, 698 codes: no
+    # code of y is formed at or past depth 256.  Reading the terms then
+    # runs it on to the codes of the iteration run to the end at once
+    spec = EpsSpec.parse("a(bc)")
+    cf = cf2.compute_cf(spec, 2 * 256 + 16)
+    assert cf2.cfalg.find_relation(cf, 4, 6, prec=256)
+    newton = cf._newton
+    assert newton.known - newton.m_depth <= 256
+    assert newton.pk.depth(newton.x[-1]) < 256 and len(newton.x) == 698
+    assert cf._terms is None
+    eager = cf2.compute_cf(spec, 2 * 256 + 16)
+    assert len(eager.packed[1]) == 2366
+    assert cf.terms == eager.terms and cf.packed[1] == eager.packed[1]
+
+
 def test_a_z_sweep_forms_each_power_once_packed(monkeypatch):
     # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4;
     # its one supplier keeps the powers of one degree for the next, so it

@@ -590,17 +590,22 @@ class TestFindRelation:
     @pytest.mark.parametrize("packed", [False, True])
     def test_a_search_scans_the_target_once(self, packed, monkeypatch):
         # the bounds check and the row supplier share one scan of the
-        # target's letters and top exponent: of the codes a continued
-        # fraction keeps from Newton's iteration, which are never decoded,
-        # or of the terms of a target built from tuples.  The reciprocal
-        # it carries is scanned on its own
+        # target's letters and exponent bound: of the terms of a target
+        # built from tuples, or, on a continued fraction, of the iterates
+        # of Newton's iteration known below depths 1, 3 and 7, the first
+        # to show the letters a, b and c of its reciprocal; its codes are
+        # never decoded.  The reciprocal it carries is scanned on its own
         def target():
             cf = compute_cf(EpsSpec.parse("a(bc)"), 2 * 128 + 16)
             return cf if packed else InvSeries._raw(cf.terms, cf.precision, cf.reciprocal)
 
         cf = compute_cf(EpsSpec.parse("a(bc)"), 2 * 128 + 16)
         [rel] = find_relation(cf, 4, 6, prec=128)[:1]
-        own = ("codes" if packed else "terms", len(cf.packed[1]))
+        if packed:
+            own = [("codes", invseries._own_count(cf, d, math.inf)) for d in (1, 3, 7)]
+            assert own == [("codes", 1), ("codes", 2), ("codes", 5)]
+        else:
+            own = [("terms", len(cf.terms))]
         scanned, decoded = [], []
         alphabet = invseries._alphabet
         code_alphabet = invseries._Packing.alphabet
@@ -632,7 +637,7 @@ class TestFindRelation:
             scanned.clear()
             decoded.clear()
             assert search(t)
-            assert scanned == [own, ("terms", len(cf.reciprocal.terms))]
+            assert scanned == [*own, ("terms", len(cf.reciprocal.terms))]
             assert decoded == []
             assert (t._terms is None) == packed
 
@@ -1131,32 +1136,64 @@ class TestGrades:
 
 
 class TestPackedTarget:
-    """A continued fraction keeps the codes Newton's iteration formed and
-    decodes its terms only when they are read: in every result it is the
-    series of those terms, built from tuples."""
+    """A continued fraction runs Newton's iteration only as deep as it is
+    read, and decodes its terms only when they are read: in every result
+    it is the series of those terms, built from tuples, whether it is
+    searched first or its terms are read first.  Its letters are read off
+    the iteration, and its packing bound is the iteration's, wider than the
+    largest exponent its terms show."""
 
     @settings(max_examples=200, deadline=None)
     @given(verify_cases(), st.integers(1, 128), st.integers(1, 4),
-           st.integers(0, 4), st.sampled_from([4, 8, 16, 32, 64]))
+           st.integers(0, 4), st.sampled_from([4, 8, 16, 32, 64]), st.booleans())
     @example(
         (EpsSpec.parse("a(bc)"), "cf", 1, Relation({1: Gf2Poly.one()})),
-        2 * 64 + 16, 4, 6, 64,
+        2 * 64 + 16, 4, 6, 64, False,
     )
-    def test_is_the_series_of_its_terms(self, case, precision, ydeg, coeff, prec):
+    # both warnings, the equation count read off the direct system
+    @example(
+        (EpsSpec.parse("(a)"), "cf", 1, Relation({1: Gf2Poly.one()})),
+        27, 4, 4, 128, True,
+    )
+    def test_is_the_series_of_its_terms(
+        self, case, precision, ydeg, coeff, prec, sweep
+    ):
         spec, _, _, rel = case
-        cf = compute_cf(spec, precision)
-        plain = InvSeries._raw(cf.terms, cf.precision, cf.reciprocal)
+        search = minimal_degree_report if sweep else find_relation
+        cf, read = compute_cf(spec, precision), compute_cf(spec, precision)
+        plain = InvSeries._raw(read.terms, read.precision, read.reciprocal)
+        found = [
+            _recorded_search(search, s, (ydeg, coeff, None), prec)
+            for s in (cf, read, plain)
+        ]
+        assert found[0] == found[1] == found[2]
         assert cf == plain and hash(cf) == hash(plain)
         assert str(cf) == str(plain) and cf.to_json() == plain.to_json()
-        found = [
-            _recorded_search(find_relation, s, (ydeg, coeff, None), prec)
-            for s in (cf, plain)
+        rels = [rel] + [
+            Relation.from_file_text(text)
+            for text in (found[0][0] if not sweep else found[0][0][1:])
+            if text
         ]
-        assert found[0] == found[1]
-        rels = [rel, *map(Relation.from_file_text, found[0][0])]
-        assert [verify_relation(r, cf) for r in rels] == [
+        assert [verify_relation(r, compute_cf(spec, precision)) for r in rels] == [
             verify_relation(r, plain) for r in rels
         ]
+
+
+    @pytest.mark.parametrize("text, letters", [
+        ("1 + a^-5*b^-5", ""),
+        ("1 + a^-1 + b^-6", "a"),
+    ])
+    def test_an_inverse_searches_the_letters_it_shows(self, text, letters):
+        # below depth 5 the inverse shows no letter of its operand that
+        # first occurs at depth 6 or deeper, so its iteration runs to the
+        # end and its search takes coefficients in the letters it shows
+        def inverse():
+            return InvSeries.parse(text, 20).inverse(5)
+
+        assert cfalg._search_bounds(inverse(), 1, 1, None)[0] == list(letters)
+        plain = InvSeries(inverse().terms, 5)
+        assert _recorded_search(find_relation, inverse(), (1, 1, None), 2) == (
+            _recorded_search(find_relation, plain, (1, 1, None), 2))
 
 
 class TestReciprocalRoute:

@@ -119,6 +119,21 @@ def geometric_inverse(s: InvSeries, precision=None) -> InvSeries:
     return InvSeries((mono_mul(t, m_inv) for t in acc), out_prec)
 
 
+def eager_inverse(s: InvSeries, precision=None) -> InvSeries:
+    """Newton's iteration of `inverse` run to the end at once, from the
+    iteration's first state, by the one loop that `inverse` once ran:
+    the reference for a deferred inverse read at any depths."""
+    inv = s.inverse(precision)
+    if inv._newton is None:
+        return inv
+    newton = inv._newton
+    pk, codes, x, known = newton.pk, newton.codes, set(newton.x), newton.known
+    while known < newton.end:
+        known = min(2 * known, newton.end)
+        x = pk.mul(codes, sorted(2 * c - pk.bias for c in x), known - newton.m_depth)
+    return InvSeries(map(pk.decode, x), inv.precision)
+
+
 @st.composite
 def inverse_operands(draw):
     """Series over 1-4 letters with mixed-sign exponents, at a finite or
@@ -239,6 +254,35 @@ class TestInverse:
         x, cap = operand
         assert outcome(x.inverse, cap) == outcome(geometric_inverse, x, cap)
 
+    @settings(max_examples=300, deadline=None)
+    @given(inverse_operands(), st.lists(st.tuples(
+        st.sampled_from(["count", "truncated", "terms"]),
+        st.integers(-10, 70), st.integers(0, 40)), max_size=4))
+    @example((compute_inv_cf(EpsSpec.parse("a(bc)"), 66), 64),
+             [("count", 33, 20), ("count", 33, 1000), ("truncated", 64, 0)])
+    def test_deferred_reads_match_the_eager_iteration(self, operand, reads):
+        # the iteration deepens only as far as each read needs, to the
+        # same iterates as one loop run to the end
+        x, cap = operand
+        want = outcome(eager_inverse, x, cap)
+        assert want == outcome(geometric_inverse, x, cap)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                x.inverse(cap)
+            return
+        inv, full = x.inverse(cap), InvSeries(*want)
+        assert inv.depth_norm() == full.depth_norm()
+        for how, depth, enough in sorted(reads, key=lambda read: read[1]):
+            if how == "count":
+                count = invseries._own_count(inv, depth, enough)
+                exact = invseries._own_count(full, depth, enough)
+                assert count == exact if exact < enough else count >= enough
+            elif how == "truncated":
+                assert inv.truncated(depth) == full.truncated(depth)
+            else:
+                assert inv.terms == full.terms
+        assert (inv.terms, inv.precision) == want
+
     def test_newton_doubles_the_depth_per_product(self, monkeypatch):
         # the geometric series made one product per step of depth, 1,000 here
         inv = compute_inv_cf(EpsSpec.parse("(ab)"), 2002)
@@ -246,8 +290,8 @@ class TestInverse:
         mul = invseries._Packing.mul
         monkeypatch.setattr(invseries._Packing, "mul",
                             lambda pk, *args: calls.append(1) or mul(pk, *args))
-        inv.inverse(2000)
-        assert len(calls) <= 10
+        assert len(inv.inverse(2000).packed[1]) > 1000
+        assert 0 < len(calls) <= 10
 
     def test_cf_head_matches_worked_expansion(self):
         # the three-quotient value a + 1/(b + 1/a) expands to
