@@ -431,8 +431,8 @@ class _ReciprocalRows(_RowSupplier):
         if count >= n:
             return count
         direct = _RowSupplier(target, self.ydeg, letters, f_top, top, self.r_own)
-        factors = _coefficients(direct.packing, (letters, None, top), f_top)[1]
-        return _GrownRows(direct, self.ydeg, factors, p_sys).grow(n)
+        unknowns = _Unknowns(direct, (letters, None, top), f_top, self.ydeg)
+        return _GrownRows(direct, unknowns, self.ydeg, p_sys).grow(n)
 
 
 def _row_kind(target: Series) -> type:
@@ -447,7 +447,7 @@ class _Layout:
     """The keys at depths [lo, hi) laid out densely, and the codes of each
     power on that layout.
 
-    A bit position is a mixed radix over the axes of `_GrownRows`: the
+    A bit position is a mixed radix over the axes of `_Unknowns`: the
     depth, most significant, then the letter fields from the highest down,
     so positions keep the codes' order.  Each radix spans the values that
     the codes in [lo - max f, hi - min f) plus the factors reach, so
@@ -461,8 +461,8 @@ class _Layout:
     """
 
     def __init__(self, grown: "_GrownRows", lo, hi):
-        pk, (f_min, f_max) = grown.packing, grown.reach
-        start, end = pk.limit(lo) - f_max, pk.limit(hi) - f_min
+        pk, u = grown.packing, grown.unknowns
+        start, end = pk.limit(lo) - u.reach[1], pk.limit(hi) - u.reach[0]
         self.sources = [
             cs[bisect_left(cs, start): bisect_left(cs, end)] for cs in grown.codes
         ]
@@ -473,7 +473,7 @@ class _Layout:
         # (shift, mask, step, multiplier) per axis from the least significant
         # up, each radix the codes' span of values plus the factors'
         self.axes, self.c_low, self.f_low, size = [], 0, 0, 1
-        for (s, m, q), (lf, hf) in zip(grown.axes[::-1], grown.factor_spans[::-1]):
+        for (s, m, q), (lf, hf) in zip(u.axes, u.factor_spans):
             cv = [((c >> s) & m) // q for c in codes]
             lc, hc = min(cv), max(cv)
             self.axes.append((s, m, q, size))
@@ -503,8 +503,8 @@ class _Layout:
             sum(1 << (place(c) - self.c_low) for c in cs) for cs in self.sources
         ]
         self.sources = None
-        self.offsets = [-self.f_low] * len(grown.factors)
-        for (*_, mult), values in zip(self.axes, grown.factor_fields[::-1]):
+        self.offsets = [-self.f_low] * len(grown.unknowns.factors)
+        for (*_, mult), values in zip(self.axes, grown.unknowns.factor_fields):
             self.offsets = [o + v * mult for o, v in zip(self.offsets, values)]
         self.base, self.keys = [], []
         for rest, parts in grown.parts:
@@ -528,77 +528,48 @@ class _Layout:
 
 class _GrownRows:
     """The keys of a search's system, grown by depth bands (-inf, D),
-    [D, 2D), ... up to p_sys, D = max(8, p_sys / 8), and the rows of its
-    unknowns on any block of them: unknown j * len(factors) + i is y^j
-    times the coefficient of factor factors[i], j <= max_ydeg.
+    [D, 2D), ... up to p_sys, D = max(8, p_sys / 8), and the rows of the
+    unknowns (j, i) of `unknowns`, j <= max_ydeg, on any block of them.
 
     The keys are the codes c + f, c a code of some y^j and f a factor,
-    and are kept per grade (`grades`, see the module docstring).  Each band is laid out as one `_Layout`, or as one per half where the
-    split pays (`_lay_out`: codes drift with the depth, so a thin box
-    wastes fewer bits, but each layout costs `block` a fixed price per
-    unknown).  Codes order by depth first, so the keys known
-    are every key shallower than the depth reached, and the layouts side
-    by side keep their order.  On the inverse side the depth is the sum
-    of the letter fields and fixes the lowest one, which gets no axis; on
-    the z side a grade's letter degree fixes it when g = 0.
+    and are kept per grade (`grades`, see the module docstring), each
+    listing its unknowns (j, i) in index order.  Only the y side is
+    graded here: `unknowns` grades the factors once.  Each band is laid
+    out as one `_Layout`, or as one per half where the split pays
+    (`_lay_out`: codes drift with the depth, so a thin box wastes fewer
+    bits, but each layout costs `block` a fixed price per unknown).  Codes
+    order by depth first, so the keys known are every key shallower than
+    the depth reached, and the layouts side by side keep their order.  On
+    the inverse side the depth is the sum of the letter fields and fixes
+    the lowest one, which gets no axis; on the z side a grade's letter
+    degree fixes it when g = 0.
     """
 
-    def __init__(self, supplier: _RowSupplier, max_ydeg: int, factors, p_sys):
-        self.packing, self.factors, self.p_sys = supplier.packing, factors, p_sys
+    def __init__(self, supplier: _RowSupplier, unknowns: _Unknowns, max_ydeg, p_sys):
+        self.packing, self.unknowns, self.p_sys = supplier.packing, unknowns, p_sys
         self.codes = [supplier.power(j)[0] for j in range(max_ydeg + 1)]
-        self.reach = min(factors), max(factors)
-        pk, w, z_side = self.packing, self.packing.width, supplier.z_side
-        fs = [f + pk.bias for f in factors]
-        degrees = depths = [f >> pk.shift for f in fs]
-        fields = [values for _, values in pk.fields(fs)]
-        g = _grade_modulus(supplier)
-        self.step = q = g if g > 1 and not z_side else 1
-        first = 0 if z_side and g else 1
-        self.axes = [(pk.shift, -1, q)] + [
-            (i * w, (1 << w) - 1, 1) for i in reversed(range(first, len(fields)))
-        ]
-        self.factor_fields = [[d // q for d in depths], *fields[first:][::-1]]
-        self.factor_spans = [(min(v), max(v)) for v in self.factor_fields]
-        if z_side:
-            half = len(fields) << (w - 1)
-            degrees = [sum(v) - half for v in zip(*fields)] if fields else [0] * len(fs)
-        self._grade(g, z_side, degrees)
-        self.layouts: list[_Layout] = []
-        self.counts = [0] * len(self.grades)
-        self.count = 0
-        self.depth = -math.inf
-
-    def _grade(self, g: int, z_side: bool, f_degrees: list[int]) -> None:
-        """Split the unknowns by the class mod g (exact if g = 0) of their
-        keys' degree, y^j's plus the factor's: each grade's unknowns in
-        order, its carry for each y^j, and its remainder mod q with its
-        (powers, factors, carry) blocks."""
-        pk, q, n_f = self.packing, self.step, len(self.factors)
-
-        def by_class(degrees: list[int]) -> dict[int, list[int]]:
-            """The indices of some degrees by class, each ascending."""
-            classes = [d % g for d in degrees] if g else degrees
-            order = sorted(range(len(classes)), key=classes.__getitem__)
-            return {c: list(ids) for c, ids in groupby(order, classes.__getitem__)}
-
-        ys = by_class([_degree(pk, z_side, cs[0]) if cs else 0 for cs in self.codes])
-        fs = by_class(f_degrees)
+        # the unknowns by the class mod g (exact if g = 0) of their keys'
+        # degree, y^j's plus the factor's: each grade's remainder mod q with
+        # its (powers, factors, carry) blocks, its unknowns in index order,
+        # and its carry for each y^j
+        pk, g, q = self.packing, unknowns.modulus, unknowns.step
+        ys = [_degree(pk, supplier.z_side, c[0]) if c else 0 for c in self.codes]
         grades: dict[int, list] = {}
-        for yc, js in ys.items():
-            for fc, ids in fs.items():
+        for yc, js in _by_class(ys, g).items():
+            for fc, ids in unknowns.classes.items():
                 carry = int(yc % q + fc % q >= q)
                 grades.setdefault((yc + fc) % g if g else yc + fc, []).append(
                     (js, ids, carry))
         self.parts = [(c % q, grades[c]) for c in sorted(grades)]
-        # each grade's unknowns in index order, and its carry for each y^j
         self.grades, self.carries = [], []
         for _, parts in self.parts:
-            by_power = sorted((j * n_f, ids, j, c) for js, ids, c in parts for j in js)
-            self.grades.append([at + i for at, ids, _, _ in by_power for i in ids])
-            carries = [0] * len(self.codes)
-            for _, _, j, carry in by_power:
-                carries[j] = carry
-            self.carries.append(carries)
+            by_power = sorted((j, ids, c) for js, ids, c in parts for j in js)
+            self.grades.append([(j, i) for j, ids, _ in by_power for i in ids])
+            self.carries.append({j: carry for j, _, carry in by_power})
+        self.layouts: list[_Layout] = []
+        self.counts = [0] * len(self.grades)
+        self.count = 0
+        self.depth = -math.inf
 
     def grow(self, n: int, grade: Optional[int] = None) -> int:
         """Grow until n keys of a grade, or of all grades when it is None,
@@ -657,7 +628,7 @@ class _GrownRows:
         bits those keys span: from the first key's bit to the last's, layout
         after layout.  Unknowns whose index in the grade is not set in
         `named` get a 0 row."""
-        ks, n_f = self.grades[grade], len(self.factors)
+        ks = self.grades[grade]
         rows = [0] * len(ks)
         if lo >= hi:
             return rows, 0
@@ -670,9 +641,9 @@ class _GrownRows:
             end = last + 1 if x == i_hi else layout.widths[grade]
             s, mask = layout.base[grade] + start, (1 << (end - start)) - 1
             powers, offsets = layout.powers, layout.offsets
-            lift = [carry * layout.mult - s for carry in self.carries[grade]]
+            lift = {j: c * layout.mult - s for j, c in self.carries[grade].items()}
             for k in which:
-                j, i = divmod(ks[k], n_f)
+                j, i = ks[k]
                 d = offsets[i] + lift[j]
                 p = powers[j] << d if d >= 0 else powers[j] >> -d
                 rows[k] |= (p & mask) << at
@@ -689,6 +660,13 @@ def _degree(pk: _Packing, z_side: bool, code: int) -> int:
     w, n = pk.width, len(pk.letters)
     mask = (1 << w) - 1
     return sum((code >> i * w) & mask for i in range(n)) - n * (1 << (w - 1))
+
+
+def _by_class(degrees: list[int], g: int) -> dict[int, list[int]]:
+    """Indices of some degrees by their class mod g (exact if g = 0)."""
+    classes = [d % g for d in degrees] if g else degrees
+    order = sorted(range(len(classes)), key=classes.__getitem__)
+    return {c: list(ids) for c, ids in groupby(order, classes.__getitem__)}
 
 
 def _grade_modulus(supplier: _RowSupplier) -> int:
@@ -729,11 +707,10 @@ def _mask_rows(supports, keys: list) -> list[int]:
     return rows
 
 
-def _restrict(tags: list[int], block: list[int], width: int) -> list[int]:
-    """The combinations of null vectors `tags` that vanish on `block`, the
-    unknowns' rows on `width` further equations."""
-    combos = nullspace([_combine(block, tag) for tag in tags], width)
-    return [_combine(tags, combo) for combo in combos]
+def _restrict(tags: list[int], rows: list[int], width: int) -> list[int]:
+    """The combinations of null vectors `tags` that vanish on `width`
+    further equations, `rows[i]` being tags[i]'s row on them."""
+    return [_combine(tags, combo) for combo in nullspace(rows, width)]
 
 
 def verify_relation(rel: Relation, target: Series) -> ResidualReport:
@@ -763,21 +740,62 @@ def verify_relation(rel: Relation, target: Series) -> ResidualReport:
 
 
 class _Unknowns:
-    """The unknowns c * y^j of a search, j-major: unknown k is y^(k // n)
-    times the (k % n)-th monomial of the coefficient grid, n its size.
-    `_coefficients` sorts the grid by degree, so sorted stably by degree
-    the unknowns take the degrees in turn, each j-major: (j, i) is at
-    (max_ydeg + 1) * lo + j * (hi - lo) + i - lo, the grid's monomials of
-    i's degree being lo .. hi - 1."""
+    """The unknowns c * y^j, j <= max_ydeg, of a search or of a sweep up
+    to its cap, and the factor side of their grading, built once.
 
-    def __init__(self, monomials: list, max_ydeg: int):
-        self.monomials, self.ydeg = monomials, max_ydeg
-        self.degrees = [mono_deg(m) for m in monomials]
-        self.index = {m: i for i, m in enumerate(monomials)}
+    Unknown k is y^j times monomial i of the coefficient grid, (j, i) =
+    divmod(k, n), n the grid's size; only this class converts between k
+    and (j, i).  The grid comes from exponent vectors: a factor is the
+    exponents times the letters' unit codes plus the z exponent in the
+    depth field (on the inverse side, of m^-1: the degree is the depth and
+    all is negated), and one sort on (degree, exponents, z exponent) gives
+    the canonical print order reversed, as no letter a-y sorts after z.
+    So sorted stably by degree the unknowns take the degrees in turn, each
+    j-major: (j, i) is at (max_ydeg + 1) * lo + j * (hi - lo) + i - lo,
+    the grid's monomials of i's degree being lo .. hi - 1; a lower
+    y-degree's unknowns keep this order.
+    """
+
+    def __init__(self, supplier: _RowSupplier, bounds, coeff_deg_bound: int, max_ydeg):
+        letters, z_deg_bound, _ = bounds
+        pk, z_side = supplier.packing, supplier.z_side
+        w, shift = pk.width, pk.shift
+        cells = [(0, (), 0)]  # (degree, exponents, code) of each letter part
+        for v in letters:
+            unit = 1 << w * pk.index[v]
+            cells = [(d + e, x + (e,), c + e * unit)
+                     for d, x, c in cells for e in range(coeff_deg_bound - d + 1)]
+        if z_deg_bound is None:
+            cells = sorted((d, x, 0, -c - (d << shift)) for d, x, c in cells)
+        else:
+            cells = sorted((d + e, x, e, c + (e << shift))
+                           for d, x, c in cells for e in range(z_deg_bound + 1))
+        self.monomials = [tuple((v, e) for v, e in zip(letters, x) if e)
+                          + ((("z", z),) if z else ()) for _, x, z, _ in cells]
+        self.degrees, self.factors = [d for d, *_ in cells], [f for *_, f in cells]
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.ydeg = max_ydeg
+        self.shifts = [(j, f) for j in range(max_ydeg + 1) for f in self.factors]
+        # the factor side of the grading; the axes run from the least significant up
+        fs = [f + pk.bias for f in self.factors]
+        fields = [values for _, values in pk.fields(fs)]
+        self.modulus = g = _grade_modulus(supplier)
+        self.step = q = g if g > 1 and not z_side else 1
+        first = 0 if z_side and g else 1
+        self.axes = [(i * w, (1 << w) - 1, 1) for i in range(first, len(fields))]
+        self.axes.append((shift, -1, q))
+        self.factor_fields = [*fields[first:], [pk.depth(f) // q for f in fs]]
+        self.factor_spans = [(min(v), max(v)) for v in self.factor_fields]
+        self.reach = min(self.factors), max(self.factors)
+        self.classes = _by_class([_degree(pk, z_side, f) for f in fs], g)
 
     def __getitem__(self, k: int) -> tuple[int, Monomial]:
         j, i = divmod(k, len(self.monomials))
         return j, self.monomials[i]
+
+    def bit(self, j: int, i: int) -> int:
+        """The tag bit of unknown (j, i)."""
+        return 1 << j * len(self.monomials) + i
 
     def rank(self, k: int) -> tuple[int, int]:
         """The degree of unknown k and its place in that order."""
@@ -826,8 +844,8 @@ def _stripped_basis(tags: list[int], unknowns: _Unknowns) -> list[Relation]:
     out = []
     for rel in rels:
         stripped = rel.content_stripped()
-        n, index = len(unknowns.monomials), unknowns.index
-        x = sum(1 << j * n + index[m] for j, c in stripped.coeffs.items() for m in c.terms)
+        x = sum(unknowns.bit(j, unknowns.index[m])
+                for j, c in stripped.coeffs.items() for m in c.terms)
         out.append(stripped if _combine(leads, x) == x else rel)
     return out
 
@@ -894,41 +912,23 @@ def find_relation(
     """
     if max_ydeg < 1:
         raise ValueError("max_ydeg must be at least 1")
-    bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
-    letters, _, top = bounds
-    supplier = _row_kind(target)(target, max_ydeg, letters, coeff_deg_bound, top)
-    grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
-    tags = _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid)
+    supplier, unknowns = _set_up(target, max_ydeg, coeff_deg_bound, z_deg_bound)
+    tags = _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec)
     if not tags:
         return []
-    unknowns = _Unknowns(grid[0], max_ydeg)
     best = _least_relation(tags, unknowns)
     basis = dict.fromkeys(_stripped_basis(tags, unknowns))
     rest = sorted((r for r in basis if r != best), key=_relation_sort_key)
     return [best, *rest]
 
 
-def _coefficients(pk: _Packing, bounds, coeff_deg_bound: int):
-    """A search's coefficient monomials, the canonical print order
-    reversed, and their factors over `pk`, from exponent vectors in one
-    pass.  A factor is the exponents times the letters' unit codes plus
-    the z exponent in the depth field; on the inverse side, the factor of
-    m^-1, the degree is the depth and all is negated.  The order is one
-    sort on (degree, exponents, z exponent): no letter a-y sorts after z."""
-    letters, z_deg_bound, _ = bounds
-    w, shift = pk.width, pk.shift
-    cells = [(0, (), 0)]  # (degree, exponents, code) of each letter part
-    for v in letters:
-        unit = 1 << w * pk.index[v]
-        cells = [(d + e, x + (e,), c + e * unit)
-                 for d, x, c in cells for e in range(coeff_deg_bound - d + 1)]
-    if z_deg_bound is None:
-        cells = sorted((d, x, 0, -c - (d << shift)) for d, x, c in cells)
-    else:
-        cells = sorted((d + e, x, e, c + (e << shift))
-                       for d, x, c in cells for e in range(z_deg_bound + 1))
-    return [tuple((v, e) for v, e in zip(letters, x) if e) + ((("z", z),) if z else ())
-            for _, x, z, _ in cells], [f for *_, f in cells]
+def _set_up(target: Series, max_ydeg: int, coeff_deg_bound: int, z_deg_bound):
+    """The row supplier and the unknowns of a search, or of a sweep up to
+    max_ydeg, each built once, the bounds checked first."""
+    bounds = _search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
+    letters, _, top = bounds
+    supplier = _row_kind(target)(target, max_ydeg, letters, coeff_deg_bound, top)
+    return supplier, _Unknowns(supplier, bounds, coeff_deg_bound, max_ydeg)
 
 
 def _first_solve_size(n_unknowns: int) -> int:
@@ -938,16 +938,12 @@ def _first_solve_size(n_unknowns: int) -> int:
     return 3 * (n_unknowns + 256) // 2
 
 
-def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]:
+def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec) -> list[int]:
     """The verified null space of `find_relation`'s system, as the tags of
-    its reduced echelon basis over the unknowns (j, m), j-major, for j <=
-    max_ydeg and m in `grid`: the `_coefficients` of the packing of a
-    supplier built for a y-degree >= max_ydeg and coefficient degree
-    coeff_deg_bound.  The verify bound, p_sys and the equation count are
+    its reduced echelon basis over the `unknowns` with j <= max_ydeg, built
+    on the supplier.  The verify bound, p_sys and the equation count are
     those of the direct search, while the rows and every depth they are
     cut at lie `shift` deeper (nonzero on `_ReciprocalRows`)."""
-    factors = grid[1]
-    ys = range(max_ydeg + 1)
     y_precision, shift = supplier.precision_and_shift(max_ydeg)
     verify_bound = y_precision - coeff_deg_bound
     if verify_bound < 2 * prec:
@@ -961,8 +957,8 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]
     # keys grow by depth only as deep as the solve reads them: the first n
     # of a grade are the n shallowest of its system cut at p_sys + shift,
     # and fewer than n are known only when they are its whole system
-    grown = _GrownRows(supplier, max_ydeg, factors, p_sys + shift)
-    n_unknowns = len(ys) * len(factors)
+    grown = _GrownRows(supplier, unknowns, max_ydeg, p_sys + shift)
+    n_unknowns = sum(map(len, grown.grades))
 
     # solve each grade first on the shallowest of its equations known once
     # `_first_solve_size` keys are, at most its share of them by its
@@ -991,21 +987,20 @@ def _find_relation(supplier, max_ydeg, coeff_deg_bound, prec, grid) -> list[int]
             named = 0
             for tag in found:
                 named |= tag
-            found = _restrict(found, *grown.block(r, lo, n_eq, named))
-        tags += [sum(1 << ks[i] for i in set_bits(tag)) for tag in found]
+            rows, width = grown.block(r, lo, n_eq, named)
+            found = _restrict(found, [_combine(rows, tag) for tag in found], width)
+        tags += [sum(unknowns.bit(*ks[i]) for i in set_bits(tag)) for tag in found]
     # a row depends on the rows before it exactly when it does within its
     # grade, so in order of their highest bits these are the tags of one
     # solve on every grade's equations
     tags.sort()
 
     # impose the remaining equations exactly, at full available precision
-    shifts = [(j, f) for j in ys for f in factors]
     bound = verify_bound + shift
-    residuals = [supplier.residual(shifts, tag, bound) for tag in tags]
+    residuals = [supplier.residual(unknowns.shifts, tag, bound) for tag in tags]
     if any(residuals):
         rkeys = sorted(set().union(*residuals))
-        combos = nullspace(_mask_rows(residuals, rkeys), len(rkeys))
-        return [_combine(tags, combo) for combo in combos]
+        return _restrict(tags, _mask_rows(residuals, rkeys), len(rkeys))
     return tags
 
 
@@ -1047,13 +1042,10 @@ def minimal_degree_report(
     """
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
-    bounds = _search_bounds(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
-    letters, _, top = bounds
-    # one supplier at the cap's width: each power and factor is formed once
-    supplier = _row_kind(target)(target, ydeg_cap, letters, coeff_deg_bound, top)
-    grid = _coefficients(supplier.packing, bounds, coeff_deg_bound)
+    # one supplier and one set of unknowns at the cap serve every y-degree
+    supplier, unknowns = _set_up(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
     for ydeg in range(1, ydeg_cap + 1):
-        tags = _find_relation(supplier, ydeg, coeff_deg_bound, prec, grid)
+        tags = _find_relation(supplier, unknowns, ydeg, coeff_deg_bound, prec)
         if tags:
-            return ydeg, _least_relation(tags, _Unknowns(grid[0], ydeg))
+            return ydeg, _least_relation(tags, unknowns)
     return None, None

@@ -326,6 +326,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _letter(text: str) -> str:
+    if len(text) != 1 or not "a" <= text <= "y":
+        raise argparse.ArgumentTypeError(f"{text!r} is not one letter a-y")
+    return text
+
+
 def _convergent_index(text: str) -> int:
     value = int(text)
     if value < -1:
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seq_word)
     p = seq.add_parser("positions", help="occurrences of a letter")
     _add_common(p)
-    p.add_argument("--letter", required=True)
+    p.add_argument("--letter", type=_letter, required=True)
     p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--predicted", action="store_true",
                    help="use the shift-by-one law instead of enumeration")

@@ -16,14 +16,15 @@ So each tag's highest bit is set in no other tag, and the tags come in
 increasing order of that bit: the reduced echelon basis of the null space,
 read from the highest bit.
 
-The relation search widens its system by blocks of columns and relies on
-this form, since the relations it returns are built from the tags
-themselves, not only from their span.  The null space of [A | B] is
-{x in null(A) : xB = 0}, and combining the tags of null(A) by the tags
-`nullspace` returns for their rows on B keeps the form: a combination's
-highest index is in no other combination, and the highest bit of that tag
-is in no other tag.  The widened basis is thus the one `nullspace` returns
-for [A | B], tag for tag, with no further reduction.
+The relation search imposes further blocks of columns on its tags (its
+widening steps and residual pass, by `cfalg._restrict`) and relies on
+this form: its relations are built from the tags themselves.  The null
+space of [A | B] is {x in null(A) : xB = 0}, and combining the tags of
+null(A) by the tags `nullspace` returns for their rows on B keeps the
+form: a combination's highest index is in no other combination, and the
+highest bit of that tag is in no other tag.  The widened basis is thus
+the one `nullspace` returns for [A | B], tag for tag, with no further
+reduction.
 """
 
 from __future__ import annotations

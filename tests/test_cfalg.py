@@ -36,7 +36,7 @@ from cf2 import WordTooLargeError, cfalg, invseries
 from cf2.gf2linalg import nullspace
 from cf2.gf2poly import mono_deg, mono_mul, set_bits
 from cf2.zseries import split_z
-from conftest import coeff_grid, eps_specs, general_continuant
+from conftest import eps_specs, general_continuant
 
 
 # Complete ordered relation lists of searches that return several
@@ -736,14 +736,12 @@ class _FullRows:
     those below the end of the bands (-inf, D), [D, 2D), ... up to p_sys,
     D = max(8, p_sys / 8), until as many as asked for are known."""
 
-    def __init__(self, supplier, max_ydeg, factors, p_sys):
-        self.grades = _GradedRows(supplier, max_ydeg, factors, p_sys).grades
-        rows = [
-            supplier.support(j, f, p_sys)
-            for j in range(max_ydeg + 1)
-            for f in factors
+    def __init__(self, supplier, unknowns, max_ydeg, p_sys):
+        self.grades = _GradedRows(supplier, unknowns, max_ydeg, p_sys).grades
+        self.rows = [
+            [supplier.support(j, unknowns.factors[i], p_sys) for j, i in ks]
+            for ks in self.grades
         ]
-        self.rows = [[rows[k] for k in ks] for ks in self.grades]
         self.keys = [sorted(set().union(*grade)) for grade in self.rows]
         self.limit, self.p_sys, self.depth = supplier.packing.limit, p_sys, -math.inf
         self.counts, self.count = [0] * len(self.grades), 0
@@ -808,14 +806,11 @@ def _recorded_search(search, target, bounds, prec, **patches):
 
 
 def _search_rows(target, max_ydeg, coeff_deg_bound, z_deg_bound):
-    """The supplier `find_relation` builds and the coefficient factors of
-    the reference grid, formed monomial by monomial."""
-    letters, z_deg_bound, _ = cfalg._search_bounds(
-        target, max_ydeg, coeff_deg_bound, z_deg_bound
-    )
-    supplier = cfalg._RowSupplier(target, max_ydeg, letters, coeff_deg_bound)
-    _, factors = coeff_grid(supplier.packing, letters, coeff_deg_bound, z_deg_bound)
-    return supplier, factors
+    """A supplier of the target's own powers, as `find_relation` builds for
+    a target with no reciprocal, and the search's unknowns on it."""
+    bounds = cfalg._search_bounds(target, max_ydeg, coeff_deg_bound, z_deg_bound)
+    supplier = cfalg._RowSupplier(target, max_ydeg, bounds[0], coeff_deg_bound)
+    return supplier, cfalg._Unknowns(supplier, bounds, coeff_deg_bound, max_ydeg)
 
 
 def _precision(prec: int, deep) -> int:
@@ -869,10 +864,10 @@ class TestDepthGrownRows:
         rng = random.Random(seed)
         target = build(spec, _precision(prec, deep))
         z_bound = z_bound if build is compute_F else None
-        supplier, factors = _search_rows(target, ydeg, coeff, z_bound)
+        supplier, unknowns = _search_rows(target, ydeg, coeff, z_bound)
         p_sys = min(prec, target.precision - coeff)
-        full = _FullRows(supplier, ydeg, factors, p_sys)
-        grown = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
+        full = _FullRows(supplier, unknowns, ydeg, p_sys)
+        grown = cfalg._GrownRows(supplier, unknowns, ydeg, p_sys)
         pk = supplier.packing
         while grown.depth < p_sys:
             count = grown.count
@@ -905,11 +900,11 @@ class TestDepthGrownRows:
                 assert rows == [r if named >> i & 1 else 0 for i, r in enumerate(whole)]
                 # growth for one grade stops only once it knows the keys
                 # asked for, or at p_sys
-                fresh = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
+                fresh = cfalg._GrownRows(supplier, unknowns, ydeg, p_sys)
                 least = min(n + 1, len(full.keys[grade]))
                 assert fresh.grow(n + 1, grade) >= least
             # and so does growth for all of them
-            fresh = cfalg._GrownRows(supplier, ydeg, factors, p_sys)
+            fresh = cfalg._GrownRows(supplier, unknowns, ydeg, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, sum(map(len, full.keys)))
         assert grown.counts == [len(keys) for keys in full.keys]
 
@@ -934,18 +929,18 @@ class TestSupplierWidth:
         )
         assert wide.packing.width > narrow.packing.width
 
-        def search(supplier, prec):
-            # every final null vector, as the relation it spells
-            grid = cfalg._coefficients(supplier.packing, bounds, coeff)
-            unknowns = [(j, m) for j in range(ydeg + 1) for m in grid[0]]
-            tags = cfalg._find_relation(supplier, ydeg, coeff, prec, grid)
+        def search(supplier, cap, prec):
+            # every final null vector, as the relation it spells, on
+            # unknowns built up to the supplier's y-degree as a sweep's are
+            unknowns = cfalg._Unknowns(supplier, bounds, coeff, cap)
+            tags = cfalg._find_relation(supplier, unknowns, ydeg, coeff, prec)
             return [cfalg._materialize(tag, unknowns) for tag in tags]
 
         found = [
             _recorded_search(
-                lambda *_, prec: search(supplier, prec), target, (), prec
+                lambda *_, prec: search(supplier, cap, prec), target, (), prec
             )
-            for supplier in (narrow, wide)
+            for supplier, cap in ((narrow, ydeg), (wide, 4 * ydeg))
         ]
         assert found[0] == found[1]
 
@@ -1047,15 +1042,15 @@ class TestGrades:
     def test_the_grade_modulus(self, kind, text, g, grades):
         target = _graded_target(kind, EpsSpec.parse(text), 0, 64)
         bounds = (2, 3, 2 if isinstance(target, ZSeries) else None)
-        supplier, factors = _search_rows(target, *bounds)
-        if kind == "cf":
-            letters, _, top = cfalg._search_bounds(target, *bounds)
-            supplier = cfalg._ReciprocalRows(target, 2, letters, 3, top)
-        assert cfalg._grade_modulus(supplier) == g
-        grown = cfalg._GrownRows(supplier, 2, factors, 32)
+        # the supplier and unknowns of the search: a continued fraction's
+        # rows come from its reciprocal
+        supplier, unknowns = cfalg._set_up(target, *bounds)
+        assert cfalg._grade_modulus(supplier) == unknowns.modulus == g
+        grown = cfalg._GrownRows(supplier, unknowns, 2, 32)
         assert len(grown.grades) == grades
-        assert sorted(k for ks in grown.grades for k in ks) == list(
-            range(3 * len(factors)))
+        # every unknown is in exactly one grade
+        bits = sorted(unknowns.bit(j, i) for ks in grown.grades for j, i in ks)
+        assert bits == [1 << k for k in range(len(unknowns.shifts))]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1107,30 +1102,26 @@ class TestGrades:
     def test_grades_share_no_key_and_narrow_the_layouts(self, search, monkeypatch):
         build, bounds, prec = search
         target = build()
-        letters, _, top = cfalg._search_bounds(target, *bounds)
-        supplier = cfalg._row_kind(target)(target, bounds[0], letters, bounds[1], top)
-        factors = cfalg._coefficients(
-            supplier.packing, (letters, bounds[2], top), bounds[1])[1]
-        n = (bounds[0] + 1) * len(factors)
 
         def first_solve_rows():
-            grown = cfalg._GrownRows(supplier, bounds[0], factors, prec)
-            grown.grow(cfalg._first_solve_size(n))
-            return grown
+            # the grading is the unknowns' own, so they are built anew
+            supplier, unknowns = cfalg._set_up(target, *bounds)
+            grown = cfalg._GrownRows(supplier, unknowns, bounds[0], prec)
+            grown.grow(cfalg._first_solve_size(len(unknowns.shifts)))
+            return supplier, unknowns, grown
 
-        grown = first_solve_rows()
+        supplier, unknowns, grown = first_solve_rows()
         assert len(grown.grades) > 1
         # the keys of each grade's rows below the depth grown to
         keys = [set() for _ in grown.grades]
         for grade, ks in zip(keys, grown.grades):
-            for k in ks:
-                j, i = divmod(k, len(factors))
-                grade.update(supplier.support(j, factors[i], grown.depth))
+            for j, i in ks:
+                grade.update(supplier.support(j, unknowns.factors[i], grown.depth))
         assert sum(map(len, keys)) == len(set().union(*keys)) == grown.count
         # each grade's layouts span fewer bits than the single grade's
         widths = [sum(x.widths[g] for x in grown.layouts) for g in range(len(keys))]
         monkeypatch.setattr(cfalg, "_grade_modulus", lambda supplier: 1)
-        single = first_solve_rows()
+        single = first_solve_rows()[2]
         assert len(single.grades) == 1
         assert max(widths) < sum(x.widths[0] for x in single.layouts)
 
@@ -1252,16 +1243,27 @@ class TestReciprocalRoute:
         assert min(depth_margins, default=0) >= 0
 
 
+# the largest cap a sweep's unknowns are built at in `_tagged_unknowns`
+_CAP = 3
+
+
 @st.composite
 def _tagged_unknowns(draw):
-    """The unknowns of a degree-sorted grid of mixed monomial degrees, and
-    independent tags."""
-    degrees = sorted(draw(st.lists(st.integers(min_value=0, max_value=3),
-                                   min_size=1, max_size=5)))
-    ydeg = draw(st.integers(min_value=0, max_value=2))
-    grid = [(("a", d),) if d else () for d in degrees]
-    unknowns = cfalg._Unknowns(grid, ydeg)
-    words = st.integers(min_value=1, max_value=(1 << (ydeg + 1) * len(grid)) - 1)
+    """Independent tags over the unknowns of a search of some y-degree, and
+    a builder of the unknowns up to any y-degree <= _CAP: on the grids of
+    (ab) G and F, which have monomials of mixed degrees, several of most."""
+    build = draw(st.sampled_from([compute_G, compute_F]))
+    coeff, ydeg = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    z_bound = draw(st.integers(0, 1)) if build is compute_F else None
+    target = build(EpsSpec.parse("(ab)"), 16)
+    bounds = cfalg._search_bounds(target, _CAP, coeff, z_bound)
+    supplier = cfalg._RowSupplier(target, _CAP, bounds[0], coeff)
+
+    def unknowns(max_ydeg):
+        return cfalg._Unknowns(supplier, bounds, coeff, max_ydeg)
+
+    n = (ydeg + 1) * len(unknowns(ydeg).monomials)
+    words = st.integers(min_value=1, max_value=(1 << n) - 1)
     tags, leads = [], {}
     for tag in draw(st.lists(words, min_size=1, max_size=6)):
         v = tag
@@ -1270,7 +1272,7 @@ def _tagged_unknowns(draw):
         if v:
             leads[v.bit_length()] = v
             tags.append(tag)
-    return tags, unknowns
+    return tags, ydeg, unknowns
 
 
 def _span(tags: list[int]) -> set[int]:
@@ -1284,7 +1286,8 @@ class TestCanonicalPick:
     @settings(max_examples=200, deadline=None)
     @given(_tagged_unknowns())
     def test_least_degree_span_against_brute_force(self, case):
-        tags, unknowns = case
+        tags, ydeg, unknowns_at = case
+        unknowns = unknowns_at(ydeg)
         basis = cfalg._least_degree_span(tags, unknowns)
 
         def degree(v):
@@ -1294,6 +1297,25 @@ class TestCanonicalPick:
         least = min(map(degree, space))
         assert len(_span(basis)) == (1 << len(basis)) - 1  # independent
         assert _span(basis) == {v for v in space if degree(v) == least}
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tagged_unknowns())
+    def test_a_sweep_ranks_on_the_unknowns_at_its_cap(self, case):
+        # a sweep builds its unknowns once, at its cap: every lower
+        # y-degree's unknowns keep their numbers, j-major, and their order,
+        # so the least-degree part of a search's tags is the same on them
+        tags, ydeg, unknowns_at = case
+        least = cfalg._least_degree_span(tags, unknowns_at(ydeg))
+        for cap in range(ydeg, _CAP + 1):
+            unknowns = unknowns_at(cap)
+            n = len(unknowns.factors)
+            pairs = [(j, i) for j in range(cap + 1) for i in range(n)]
+            assert [unknowns[k] for k in range(len(pairs))] == [
+                (j, unknowns.monomials[i]) for j, i in pairs]
+            assert [unknowns.bit(j, i) for j, i in pairs] == [
+                1 << k for k in range(len(pairs))]
+            assert unknowns.shifts == [(j, unknowns.factors[i]) for j, i in pairs]
+            assert cfalg._least_degree_span(tags, unknowns) == least
 
     @settings(max_examples=60, deadline=None)
     @given(_small_searches, st.booleans())
@@ -1494,6 +1516,21 @@ class TestMinimalDegree:
         assert rel.to_file_text() == (
             "deg 0: a*z^3 + b*z^3 + a*z^2 + b*z^2 + a*z\n" "deg 1: z^2 + z\n"
         )
+
+    def test_a_sweep_grades_its_factors_once(self, monkeypatch):
+        # the (aabb) F sweep searches y-degrees 1 to 4 on one set of
+        # unknowns, built at its cap, so it grades their factors once
+        calls = []
+        grade_modulus = cfalg._grade_modulus
+
+        def counting(supplier):
+            calls.append(supplier)
+            return grade_modulus(supplier)
+
+        monkeypatch.setattr(cfalg, "_grade_modulus", counting)
+        f = compute_F(EpsSpec.parse("(aabb)"), 2 * 256 + 16)
+        assert minimal_degree_report(f, 8, 4, 8, prec=256)[0] == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("build, spec, bounds, precision, prec", [
         (compute_F, "(ab)", (2, 3, 3), 528, 256),

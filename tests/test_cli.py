@@ -87,6 +87,21 @@ class TestSeq:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("letter, predicted", [
+        ("bc", True),   # read the positions of b, period.index("bc") being 1
+        ("", True),     # read the positions of a
+        ("bc", False),  # printed nothing
+    ])
+    def test_letter_is_one_letter(self, letter, predicted, capsys):
+        argv = ["seq", "positions", "--eps", "(abc)", "--letter", letter,
+                "--len", "16"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--predicted"] * predicted)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{letter!r} is not one letter a-y" in err
+        assert "Traceback" not in err
+
     def test_predicted_needs_distinct_letters(self, capsys):
         code = main(
             ["seq", "positions", "--eps", "(aa)", "--letter", "a",

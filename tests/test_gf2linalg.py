@@ -80,8 +80,9 @@ def widenings(draw):
 @example(([0, 0, 0], 4, [0, 1, 4]))
 @example(([0b101, 0b101, 0b11, 0b110, 0b1001], 4, [0, 1, 2, 3, 4]))
 def test_widening_by_blocks_equals_the_full_solve(case):
-    # the search's widening imposes each further block of equations on the
-    # tags alone; the canonical form makes the result the full solve's tags
+    # the search's widening steps and its residual pass impose each further
+    # block of equations on the tags alone, by `_restrict` on each tag's
+    # row there; the canonical form makes the result the full solve's tags
     # one for one, not just a basis of the same space
     rows, width, bounds = case
 
@@ -90,7 +91,7 @@ def test_widening_by_blocks_equals_the_full_solve(case):
 
     tags = nullspace(block(0, bounds[1]), bounds[1])
     for lo, hi in zip(bounds[1:], bounds[2:]):
-        tags = _restrict(tags, block(lo, hi), hi - lo)
+        tags = _restrict(tags, [_combine(block(lo, hi), t) for t in tags], hi - lo)
     assert tags == nullspace(rows, width)
 
 

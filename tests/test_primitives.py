@@ -39,9 +39,8 @@ from cf2 import (
     fn_witness,
     unbounded_quotient_series,
 )
-from cf2.cfalg import _coefficients, _mask_rows
+from cf2.cfalg import _mask_rows, _RowSupplier, _Unknowns
 from cf2.gf2poly import clmul, mono_deg, set_bits
-from cf2.invseries import _Packing
 from cf2.riccati import _fn_poly
 from conftest import coeff_grid, eps_specs, general_continuant
 
@@ -324,13 +323,22 @@ def _order_key_sort(letters, monos):
     return sorted(monos, key=order_key)
 
 
+def _unknowns(letters, bound: int, z_bound, packed=(), slack: int = 0):
+    """A search's unknowns, of coefficient degree <= bound, over a packing
+    that holds the letters and `packed` with fields `slack` wider than the
+    bound needs, and its supplier: that of a letter-free target, on the z
+    side when z_bound is not None."""
+    target = InvSeries.one() if z_bound is None else ZSeries.one(8)
+    supplier = _RowSupplier(target, 0, set(letters) | set(packed), bound + slack)
+    return _Unknowns(supplier, (letters, z_bound, 0), bound, 0), supplier
+
+
 class TestCoeffMonomials:
     @pytest.mark.parametrize("letters", [["a"], ["a", "b"], ["a", "b", "c"]])
     @pytest.mark.parametrize("z_bound", [None, 0, 1, 3])
     def test_against_order_key(self, letters, z_bound):
         for bound in range(5):
-            pk = _Packing(letters, bound)
-            got = _coefficients(pk, (letters, z_bound, 0), bound)[0]
+            got = _unknowns(letters, bound, z_bound)[0].monomials
             assert got == _order_key_sort(letters, got)
             assert len(set(got)) == len(got)
             z_count = 1 if z_bound is None else z_bound + 1
@@ -351,9 +359,10 @@ class TestCoeffMonomials:
         # their factors, on both sides, over a packing that may hold more
         # letters and wider fields than the search's
         letters = sorted(letters)
-        pk = _Packing(set(letters) | others, bound + slack)
-        got = _coefficients(pk, (letters, z_bound, 0), bound)
-        assert got == coeff_grid(pk, letters, bound, z_bound)
+        unknowns, supplier = _unknowns(letters, bound, z_bound, others, slack)
+        assert supplier.packing.width == (bound + slack).bit_length() + 1
+        grid = coeff_grid(supplier.packing, letters, bound, z_bound)
+        assert (unknowns.monomials, unknowns.factors) == grid
 
 
 # ---------------------------------------------------------- bit reversal
