@@ -349,10 +349,9 @@ class _RowSupplier:
         y^ydeg, and how much deeper than those powers the rows lie (0)."""
         return min(self.power(j)[1] for j in range(ydeg + 1)), 0
 
-    def equations(self, grown: "_GrownRows", p_sys, n: int) -> int:
-        """The keys of the system below p_sys if fewer than n, else a count
-        >= n, once `grown` has grown to n keys or to p_sys."""
-        return grown.count
+    def equations(self, unknowns: "_Unknowns", ydeg: int, p_sys, n: int) -> int:
+        """`_equation_count` of the search of y-degree ydeg."""
+        return _equation_count(self, unknowns.factors, ydeg, p_sys, n)
 
     def support(self, j: int, factor: int, bound) -> list[int]:
         codes = self.power(j)[0]
@@ -404,11 +403,11 @@ class _ReciprocalRows(_RowSupplier):
     def __init__(self, target: InvSeries, ydeg: int, letters, f_top: int, top):
         # r is scanned once, for these rows and for the direct system's
         r = target.reciprocal
-        r_letters, r_top = self.r_own = _own_alphabet(r)
+        r_letters, r_top = r_own = _own_alphabet(r)
         super().__init__(r, ydeg, set(letters) | r_letters, f_top, r_top)
         self.target, self.ydeg = target, ydeg
-        # the target's letters and exponent bound, and the coefficients' top
-        self.own = (letters, top, f_top)
+        # y's own powers, formed only if the direct system's keys are counted
+        self.direct = _RowSupplier(target, ydeg, letters, f_top, top, r_own)
 
     def power(self, j: int) -> tuple[list[int], float]:
         """The codes and precision of r^(Y - j)."""
@@ -421,18 +420,15 @@ class _ReciprocalRows(_RowSupplier):
         precision = min(_power_precision(self.target, j) for j in range(ydeg + 1))
         return precision, ydeg * self.series.depth_norm()
 
-    def equations(self, grown: "_GrownRows", p_sys, n: int) -> int:
-        """The keys of the direct system below p_sys if fewer than n, else a
-        count >= n: the target's own codes below p_sys, which y * 1 keys,
-        and only when those fall short the direct system, built as the
-        direct search builds it."""
-        target, (letters, top, f_top) = self.target, self.own
-        count = _own_count(target, p_sys, n)
-        if count >= n:
-            return count
-        direct = _RowSupplier(target, self.ydeg, letters, f_top, top, self.r_own)
-        unknowns = _Unknowns(direct, (letters, None, top), f_top, self.ydeg)
-        return _GrownRows(direct, unknowns, self.ydeg, p_sys).grow(n)
+    def equations(self, unknowns: "_Unknowns", ydeg: int, p_sys, n: int) -> int:
+        """`_equation_count` of the direct system, taken only when |C| + |F|
+        - 1 falls short, C y's own codes below p_sys (max F is 0 here)."""
+        f = len(unknowns.factors)
+        if (own := _own_count(self.target, p_sys, n - f + 1)) + f > n:
+            return own + f - 1
+        pk = self.direct.packing
+        factors = [pk.factor(*_graded_coefficient(m, False)) for m in unknowns.monomials]
+        return _equation_count(self.direct, factors, ydeg, p_sys, n)
 
 
 def _row_kind(target: Series) -> type:
@@ -689,6 +685,31 @@ def _combine(rows: list[int], tag: int) -> int:
     return acc
 
 
+def _equation_count(supplier: _RowSupplier, factors, ydeg: int, p_sys, n: int) -> int:
+    """The keys c + f below p_sys, c a code of y^j, j <= ydeg, and f a factor,
+    if fewer than n, else a count >= n.  The translates c + F of codes more
+    than max F - min F apart are disjoint, so codes so spaced below p_sys
+    less max F bound the count, |F| keys each, before any key is formed."""
+    limit, high = supplier.packing.limit(p_sys), max(factors)
+    powers = [supplier.power(j)[0] for j in range(ydeg + 1)]
+    at = -math.inf
+    for _ in range(-(-n // len(factors))):
+        c = min((cs[i] for cs in powers if (i := bisect_left(cs, at)) < len(cs)),
+                default=limit)
+        if c >= limit - high:
+            break
+        at = c + high - min(factors) + 1
+    else:
+        return n
+    keys: set = set()
+    for f in factors:
+        for j in range(ydeg + 1):
+            keys.update(supplier.support(j, f, p_sys))
+        if len(keys) >= n:
+            break
+    return len(keys)
+
+
 def _mask_rows(supports, keys: list) -> list[int]:
     """Each support's GF(2) row over the equations `keys`, bit i for keys[i].
 
@@ -938,12 +959,13 @@ def _first_solve_size(n_unknowns: int) -> int:
     return 3 * (n_unknowns + 256) // 2
 
 
-def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec) -> list[int]:
+def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec, solved=None):
     """The verified null space of `find_relation`'s system, as the tags of
-    its reduced echelon basis over the `unknowns` with j <= max_ydeg, built
-    on the supplier.  The verify bound, p_sys and the equation count are
-    those of the direct search, while the rows and every depth they are
-    cut at lie `shift` deeper (nonzero on `_ReciprocalRows`)."""
+    its reduced echelon basis over the `unknowns` with j <= max_ydeg, after
+    its warnings, from its first solves or those of a higher y-degree,
+    `solved` (see `minimal_degree_report`).  The verify bound, p_sys and
+    the equation count are those of the direct search, while the rows and
+    every depth they are cut at lie `shift` deeper (on `_ReciprocalRows`)."""
     y_precision, shift = supplier.precision_and_shift(max_ydeg)
     verify_bound = y_precision - coeff_deg_bound
     if verify_bound < 2 * prec:
@@ -953,11 +975,34 @@ def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec) -> list[
             stacklevel=3,
         )
     p_sys = min(prec, verify_bound)
+    n_unknowns = (max_ydeg + 1) * len(unknowns.factors)
+    n_direct = supplier.equations(unknowns, max_ydeg, p_sys, n_unknowns)
+    if n_direct < n_unknowns:
+        warnings.warn(
+            f"under-determined system: {n_direct} equations for "
+            f"{n_unknowns} unknowns below depth {p_sys}",
+            stacklevel=3,
+        )
+    if solved is None:
+        tags = _solve(supplier, unknowns, max_ydeg, p_sys + shift)
+    else:
+        tags = [tag for tag in solved if tag >> n_unknowns == 0]
+    # impose the remaining equations exactly, at full available precision
+    bound = verify_bound + shift
+    residuals = [supplier.residual(unknowns.shifts, tag, bound) for tag in tags]
+    if any(residuals):
+        rkeys = sorted(set().union(*residuals))
+        return _restrict(tags, _mask_rows(residuals, rkeys), len(rkeys))
+    return tags
 
+
+def _solve(supplier, unknowns, max_ydeg, depth) -> list[int]:
+    """The tags of the first solves of `_find_relation`'s system, its rows
+    cut at depth: p_sys, plus the rows' shift."""
     # keys grow by depth only as deep as the solve reads them: the first n
-    # of a grade are the n shallowest of its system cut at p_sys + shift,
-    # and fewer than n are known only when they are its whole system
-    grown = _GrownRows(supplier, unknowns, max_ydeg, p_sys + shift)
+    # of a grade are the n shallowest of its system cut at depth, and fewer
+    # than n are known only when they are its whole system
+    grown = _GrownRows(supplier, unknowns, max_ydeg, depth)
     n_unknowns = sum(map(len, grown.grades))
 
     # solve each grade first on the shallowest of its equations known once
@@ -971,13 +1016,6 @@ def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec) -> list[
     grown.grow(whole)
     n_eqs = [min(n, -(-whole * len(ks) // n_unknowns))
              for n, ks in zip(grown.counts, grown.grades)]
-    n_direct = supplier.equations(grown, p_sys, n_unknowns)
-    if n_direct < n_unknowns:
-        warnings.warn(
-            f"under-determined system: {n_direct} equations for "
-            f"{n_unknowns} unknowns below depth {p_sys}",
-            stacklevel=3,
-        )
     tags = []
     for r, (ks, n_eq) in enumerate(zip(grown.grades, n_eqs)):
         found = nullspace(*grown.block(r, 0, n_eq, (1 << len(ks)) - 1))
@@ -993,15 +1031,7 @@ def _find_relation(supplier, unknowns, max_ydeg, coeff_deg_bound, prec) -> list[
     # a row depends on the rows before it exactly when it does within its
     # grade, so in order of their highest bits these are the tags of one
     # solve on every grade's equations
-    tags.sort()
-
-    # impose the remaining equations exactly, at full available precision
-    bound = verify_bound + shift
-    residuals = [supplier.residual(unknowns.shifts, tag, bound) for tag in tags]
-    if any(residuals):
-        rkeys = sorted(set().union(*residuals))
-        return _restrict(tags, _mask_rows(residuals, rkeys), len(rkeys))
-    return tags
+    return sorted(tags)
 
 
 def _least_relation(tags: list[int], unknowns) -> Relation:
@@ -1038,14 +1068,26 @@ def minimal_degree_report(
 
     Evidence is a bounded search, not an irreducibility certificate: the
     result means "no relation of smaller degree exists with coefficient
-    degree and precision as stated".
+    degree and precision as stated".  It makes the first solves of the
+    searches at y-degrees D = 2, 4, 8, ..., capped, and reads each degree d
+    of (D/2, D] off those of D: unknown k is y^j times monomial i, (j, i) =
+    divmod(k, n), so the tags, a reduced echelon basis by highest bit,
+    below bit (d + 1) * n span their null space on {c_j = 0 for j > d}, a
+    space holding d's.  Then d's residual pass and warnings are its own.
     """
     if ydeg_cap < 1:
         raise ValueError("ydeg_cap must be at least 1")
     # one supplier and one set of unknowns at the cap serve every y-degree
     supplier, unknowns = _set_up(target, ydeg_cap, coeff_deg_bound, z_deg_bound)
-    for ydeg in range(1, ydeg_cap + 1):
-        tags = _find_relation(supplier, unknowns, ydeg, coeff_deg_bound, prec)
-        if tags:
-            return ydeg, _least_relation(tags, unknowns)
+    low = 0
+    while low < ydeg_cap:
+        top = min(max(2, 2 * low), ydeg_cap)
+        y_precision, shift = supplier.precision_and_shift(top)
+        p_sys = min(prec, y_precision - coeff_deg_bound)
+        solved = _solve(supplier, unknowns, top, p_sys + shift)
+        for ydeg in range(low + 1, top + 1):
+            tags = _find_relation(supplier, unknowns, ydeg, coeff_deg_bound, prec, solved)
+            if tags:
+                return ydeg, _least_relation(tags, unknowns)
+        low = top
     return None, None

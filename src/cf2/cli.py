@@ -196,21 +196,20 @@ def cmd_cf_series(args) -> int:
     return 0
 
 
-def cmd_cf_min_degree(args) -> int:
-    spec = _spec(args)
-    prec = args.prec
-    target = _target(args, spec, headroom=True)
-    deg, rel = minimal_degree_report(target, args.ydeg, args.coeff_deg, prec=prec)
+def cmd_min_degree(args) -> int:
+    target = _target(args, _spec(args), headroom=True)
+    deg, rel = minimal_degree_report(
+        target, args.ydeg, args.coeff_deg, args.z_deg, prec=args.prec)
     if deg is None:
         _emit(args, {"degree": None}, "no relation within bounds")
         return 1
-    bounds = f"(ydeg <= {args.ydeg}, coeff deg <= {args.coeff_deg}, prec {prec})"
-    _emit(
-        args,
-        {"degree": deg, "bounds": {"ydeg": args.ydeg, "coeff_deg": args.coeff_deg,
-                                    "prec": prec}, **rel.to_json()},
-        f"minimal degree within bounds {bounds}: {deg}\n{rel.inline_str()}",
-    )
+    bounds = {"ydeg": args.ydeg, "coeff_deg": args.coeff_deg, "prec": args.prec}
+    z = ""
+    if args.z_deg is not None:
+        bounds["z_deg"], z = args.z_deg, f", z deg <= {args.z_deg}"
+    text = f"(ydeg <= {args.ydeg}, coeff deg <= {args.coeff_deg}{z}, prec {args.prec})"
+    _emit(args, {"degree": deg, "bounds": bounds, **rel.to_json()},
+          f"minimal degree within bounds {text}: {deg}\n{rel.inline_str()}")
     return 0
 
 
@@ -348,6 +347,18 @@ def _add_common(p, prec=None):
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _add_search(p, targets, default, ydeg_help=None):
+    """--target, --ydeg and --coeff-deg of a search; --z-deg on the z side."""
+    _add_common(p, DEFAULT_FIND_PREC)
+    p.add_argument("--target", choices=targets, default=default)
+    p.add_argument("--ydeg", type=int, required=True, help=ydeg_help)
+    p.add_argument("--coeff-deg", type=int, required=True)
+    if "F" in targets:
+        p.add_argument("--z-deg", type=int, default=8)
+    else:
+        p.set_defaults(z_deg=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cf2",
@@ -395,19 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation-file", required=True)
     p.set_defaults(func=cmd_verify)
     p = cf.add_parser("find-relation", help="bounded search for relations")
-    _add_common(p, DEFAULT_FIND_PREC)
-    p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
-    p.add_argument("--ydeg", type=int, required=True)
-    p.add_argument("--coeff-deg", type=int, required=True)
+    _add_search(p, ["invcf", "cf", "G"], "G")
     p.add_argument("--relation-file", default=None,
                    help="also write the first relation here")
-    p.set_defaults(func=cmd_find_relation, z_deg=None)
+    p.set_defaults(func=cmd_find_relation)
     p = cf.add_parser("min-degree", help="smallest degree admitting a relation")
-    _add_common(p, DEFAULT_FIND_PREC)
-    p.add_argument("--target", choices=["invcf", "cf", "G"], default="G")
-    p.add_argument("--ydeg", type=int, required=True, help="degree cap")
-    p.add_argument("--coeff-deg", type=int, required=True)
-    p.set_defaults(func=cmd_cf_min_degree)
+    _add_search(p, ["invcf", "cf", "G"], "G", "degree cap")
+    p.set_defaults(func=cmd_min_degree)
     p = cf.add_parser("expand", help="continued-fraction expansion of a series")
     p.add_argument("--prec", type=_positive_int, default=4096)
     p.add_argument("--json", action="store_true")
@@ -434,13 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation-file", required=True)
     p.set_defaults(func=cmd_verify)
     p = ps.add_parser("find-relation", help="bounded search for relations")
-    _add_common(p, DEFAULT_FIND_PREC)
-    p.add_argument("--target", choices=["F", "F0"], default="F")
-    p.add_argument("--ydeg", type=int, required=True)
-    p.add_argument("--coeff-deg", type=int, required=True)
-    p.add_argument("--z-deg", type=int, default=8)
+    _add_search(p, ["F", "F0"], "F")
     p.add_argument("--relation-file", default=None)
     p.set_defaults(func=cmd_find_relation)
+    p = ps.add_parser("min-degree", help="smallest degree admitting a relation")
+    _add_search(p, ["F", "F0"], "F", "degree cap")
+    p.set_defaults(func=cmd_min_degree)
     p = ps.add_parser("cartier", help="halving operator applied to the series")
     _add_common(p, DEFAULT_VERIFY_PREC)
     p.add_argument("--r", type=int, choices=[0, 1], required=True)

@@ -136,9 +136,10 @@ def test_a_cf_search_runs_newton_only_below_its_solve_depth():
 
 
 def test_a_z_sweep_forms_each_power_once_packed(monkeypatch):
-    # the (aabb) F sweep finds degree 4 after searching y-degrees 1 to 4;
-    # its one supplier keeps the powers of one degree for the next, so it
-    # forms y^0 .. y^4 once each, and none through the public `power`
+    # the (aabb) F sweep finds degree 4 after solving at y-degrees 2 and 4
+    # and reading degrees 1 to 4 off those solves; its one supplier keeps
+    # the powers of one solve for the next, so it forms y^0 .. y^4 once
+    # each, and none through the public `power`
     f = cf2.compute_F(EpsSpec.parse("(aabb)"), 2 * 256 + 16)
     formed, (ydeg, _), calls = _traced_powers(
         monkeypatch, lambda: cf2.cfalg.minimal_degree_report(f, 8, 4, 8, prec=256))
@@ -185,15 +186,16 @@ def test_the_inv_search_elimination_keeps_its_shape(tmp_path, monkeypatch):
 
 
 def test_the_z_sweep_elimination_keeps_its_shape(tmp_path, monkeypatch):
-    # the benchmark's three F sweeps solve 52 systems over their y-degrees:
-    # a first solve per grade, the grades being the letter degrees of the
-    # keys, and no residual pass solves, as every first solve leaves only
-    # relations (solved as one grade, (aabb) F at degree 4 left 3 null
-    # vectors, and the residual pass ruled one out).  Rows grown by
-    # depth give each solve the equations that rows cut at the solve
-    # precision would, so these counts but `cols` (layout bits) are the
-    # full-row search's.  A sweep builds only the relation it returns, so
-    # it strips no basis
+    # the benchmark's three F sweeps solve 28 systems, at y-degrees 2, 2
+    # and 2 then 4 (the sweep doubles, reading each lower degree off the
+    # solve that covers it): a first solve per grade, the grades being the
+    # letter degrees of the keys, and no residual pass solves, as every
+    # first solve leaves only relations (solved as one grade, (aabb) F at
+    # degree 4 left 3 null vectors, and the residual pass ruled one out).
+    # Rows grown by depth give each solve the equations that rows cut at
+    # the solve precision would, so these counts but `cols` (layout bits)
+    # are the full-row search's.  A sweep builds only the relation it
+    # returns, so it strips no basis
     stripped = []
     stripped_basis = cf2.cfalg._stripped_basis
 
@@ -204,9 +206,9 @@ def test_the_z_sweep_elimination_keeps_its_shape(tmp_path, monkeypatch):
     monkeypatch.setattr(cf2.cfalg, "_stripped_basis", counting)
     metrics, grades = _traced_grades(monkeypatch, tmp_path, "z-sweep")
     assert stripped == []
-    # one search per y-degree, F having letter degree 1 in each term
-    assert [n for _, n in grades] == [[5, 6], [5, 6], [6, 7, 8, 9]]
-    assert metrics["gf2linalg.nullspace_calls"] == 52
-    assert metrics["gf2linalg.rows"] == 2990
-    assert metrics["gf2linalg.cols"] == 16710
+    # one solve per doubled y-degree, F having letter degree 1 in each term
+    assert [n for _, n in grades] == [[6], [6], [7, 9]]
+    assert metrics["gf2linalg.nullspace_calls"] == 28
+    assert metrics["gf2linalg.rows"] == 1740
+    assert metrics["gf2linalg.cols"] == 9728
     assert metrics["gf2linalg.nullity"] == 21

@@ -776,12 +776,13 @@ def _columns(rows: list[int]) -> list[int]:
     return [columns[c] for c in sorted(columns)]
 
 
-def _recorded_search(search, target, bounds, prec, **patches):
+def _recorded_search(search, target, bounds, prec, solves=None, **patches):
     """Relations, warnings and `nullspace` calls of one search with the
     `cfalg` names in `patches` replaced.  A call is recorded by its rows'
     count, its non-empty columns in order (one per equation) and its tags:
-    the column labels may differ, the equations may not."""
-    solves = []
+    the column labels may differ, the equations may not.  The calls go to
+    `solves` when it is given."""
+    solves = [] if solves is None else solves
 
     def recording(rows, n_cols):
         solve = (len(rows), _columns(rows))  # before they are released
@@ -907,6 +908,27 @@ class TestDepthGrownRows:
             fresh = cfalg._GrownRows(supplier, unknowns, ydeg, p_sys)
             assert fresh.grow(count + 1) >= min(count + 1, sum(map(len, full.keys)))
         assert grown.counts == [len(keys) for keys in full.keys]
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_searches)
+    @example((EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False))
+    @example((EpsSpec.parse("(a)"), compute_cf, 4, 4, 0, 128, 27))
+    @example((EpsSpec.parse("ab(b)"), compute_cf, 3, 1, 0, 8, 8))
+    def test_the_equation_count_is_the_full_systems(self, case):
+        # the under-determined warning counts the keys below p_sys, those
+        # of the direct system on a continued fraction, with no layout: all
+        # of them when fewer than the unknowns, else at least as many
+        spec, build, ydeg, coeff, z_bound, prec, deep = case
+        target = build(spec, _precision(prec, deep))
+        z_bound = z_bound if build is compute_F else None
+        supplier, unknowns = cfalg._set_up(target, ydeg, coeff, z_bound)
+        p_sys = min(prec, supplier.precision_and_shift(ydeg)[0] - coeff)
+        n = len(unknowns.shifts)
+        count = supplier.equations(unknowns, ydeg, p_sys, n)
+        direct = _FullRows(*_search_rows(target, ydeg, coeff, z_bound), ydeg, p_sys)
+        keys = sum(map(len, direct.keys))
+        assert count == keys if keys < n else count >= n
 
 
 class TestSupplierWidth:
@@ -1463,7 +1485,7 @@ class TestMinimalDegree:
     @given(
         eps_specs(max_pre=2, max_per=3, n_letters=3),
         st.sampled_from([compute_F, compute_F0, compute_G, compute_cf, compute_inv_cf]),
-        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=4),
         st.sampled_from([4, 8, 32, 64]),
@@ -1475,28 +1497,76 @@ class TestMinimalDegree:
     @example(EpsSpec.parse("(ab)"), compute_G, 4, 6, 0, 8, False)
     @example(EpsSpec.parse("(ab)"), compute_F, 2, 3, 3, 256, True)
     @example(EpsSpec.parse("(ab)"), compute_G, 2, 3, 0, 128, True)  # none
+    # found at degree 1, read off the solve at 2, which alone would warn
+    # "under-determined system: 22 equations for 24 unknowns"
+    @example(EpsSpec.parse("(aa)"), compute_F, 2, 3, 1, 4, 24)
+    # degrees 5 and 6 of a continued fraction read off the solves at 8,
+    # with deeper verify bounds of their own: the residual pass leaves
+    # degree 5 no relation and finds degree 6's
+    @example(EpsSpec.parse("cc(ca)"), compute_cf, 8, 3, 0, 8, 33)
     def test_is_the_first_search_that_finds(
         self, spec, build, cap, coeff, z_bound, prec, deep
     ):
         # the sweep returns the degree d of the first search that finds a
-        # relation and that search's first relation, after the warnings and
-        # the solves of the searches at degrees 1 to d, in order
+        # relation and that search's first relation, after the warnings of
+        # the searches at degrees 1 to d, in order.  It makes the first
+        # solves of the searches at y-degrees D = 2, 4, 8, ..., capped, up
+        # to the D covering d, and reads each degree of (D/2, D] off those
+        # of D, each through its own residual pass (at most one solve): a
+        # read-off ends on the tags of that degree's own search, and the
+        # read-off of D itself on the solves of D's own search
         target = build(spec, _precision(prec, deep))
         z_bound = z_bound if build in (compute_F, compute_F0) else None
-        swept = _recorded_search(
-            minimal_degree_report, target, (cap, coeff, z_bound), prec
+        bounds = (cap, coeff, z_bound)
+        swept = _recorded_search(minimal_degree_report, target, bounds, prec)
+        # each read-off's degree, tags and solves, from a second sweep (the
+        # wrapper moves its warnings' frame)
+        read, solves = [], []
+        read_off = cfalg._find_relation
+
+        def reading(supplier, unknowns, ydeg, coeff, prec, solved):
+            start = len(solves)
+            found = read_off(supplier, unknowns, ydeg, coeff, prec, solved)
+            read.append((ydeg, found, solves[start:]))
+            return found
+
+        _recorded_search(
+            minimal_degree_report, target, bounds, prec,
+            solves=solves, _find_relation=reading,
         )
-        found, caught, solves = [None, None], [], []
+        found, caught = [None, None], []
         for ydeg in range(1, cap + 1):
-            rels, warned, solved = _recorded_search(
+            rels, warned, _ = _recorded_search(
                 find_relation, target, (ydeg, coeff, z_bound), prec
             )
             caught += warned
-            solves += solved
             if rels:
                 found = [ydeg, rels[0]]
                 break
+        assert [ydeg for ydeg, *_ in read] == list(range(1, (found[0] or cap) + 1))
+        tops = sorted({min(1 << k, cap) for k in range(1, cap.bit_length() + 1)})
+        solves, low = [], 0
+        for top in tops[: bisect_left(tops, found[0] or cap) + 1]:
+            search = (top, coeff, z_bound)
+            with pytest.MonkeyPatch.context() as mp:
+                # D's own search without its residual pass
+                mp.setattr(cfalg._RowSupplier, "residual", lambda *_: set())
+                first = _recorded_search(find_relation, target, search, prec)[2]
+            solves += first
+            for ydeg, _, solved in read:
+                if low < ydeg <= top:
+                    assert len(solved) <= 1
+                    solves += solved
+                if ydeg == top:
+                    own = _recorded_search(find_relation, target, search, prec)[2]
+                    assert first + solved == own
+            low = top
         assert swept == (found, caught, solves)
+        supplier, unknowns = cfalg._set_up(target, *bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for ydeg, tags, _ in read:
+                assert tags == cfalg._find_relation(supplier, unknowns, ydeg, coeff, prec)
 
     def test_warns_past_the_cap(self, monkeypatch):
         # (ab) F known below z^9 is too shallow for this sweep: at degree 1
@@ -1518,8 +1588,9 @@ class TestMinimalDegree:
         )
 
     def test_a_sweep_grades_its_factors_once(self, monkeypatch):
-        # the (aabb) F sweep searches y-degrees 1 to 4 on one set of
-        # unknowns, built at its cap, so it grades their factors once
+        # the (aabb) F sweep solves at y-degrees 2 and 4 and reads degrees
+        # 1 to 4 off those solves, on one set of unknowns built at its cap,
+        # so it grades their factors once
         calls = []
         grade_modulus = cfalg._grade_modulus
 

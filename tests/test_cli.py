@@ -288,6 +288,41 @@ class TestPs:
         )
         assert code == 0
 
+    def test_min_degree(self, capsys):
+        argv = ["ps", "min-degree", "--eps", "(aabb)", "--ydeg", "8",
+                "--coeff-deg", "4", "--prec", "256"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "minimal degree within bounds "
+            "(ydeg <= 8, coeff deg <= 4, z deg <= 8, prec 256): 4"
+        )
+        code, out = run(capsys, *argv, "--target", "F", "--z-deg", "8", "--json")
+        data = json.loads(out)
+        assert (code, data["degree"]) == (0, 4)
+        assert set(data) == {"degree", "bounds", "coeffs"}
+        assert data["bounds"] == {"ydeg": 8, "coeff_deg": 4, "z_deg": 8, "prec": 256}
+        assert [j for j, _ in data["coeffs"]] == [0, 1, 4]
+
+    def test_min_degree_without_relation_exits_1(self, capsys):
+        code, out = run(
+            capsys, "ps", "min-degree", "--eps", "(ab)", "--target", "F0",
+            "--ydeg", "1", "--coeff-deg", "1", "--z-deg", "1", "--prec", "64",
+            "--json",
+        )
+        assert (code, json.loads(out)) == (1, {"degree": None})
+
+    @pytest.mark.parametrize("bounds", [
+        ["--ydeg", "0", "--coeff-deg", "3"],
+        ["--ydeg", "2", "--coeff-deg", "-1"],
+        ["--ydeg", "2", "--coeff-deg", "3", "--z-deg", "-2"],
+    ])
+    def test_min_degree_bad_bounds_exit_2(self, bounds, capsys):
+        code = main(["ps", "min-degree", "--eps", "(ab)", *bounds, "--prec", "32"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "must be" in captured.err
+
     def test_cartier(self, capsys):
         code, out = run(
             capsys, "ps", "cartier", "--eps", "(ab)", "--r", "1", "--prec", "8",
